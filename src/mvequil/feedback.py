@@ -121,9 +121,15 @@ def solve_feedback(
         mean_ex = moments.mean_excess[k]
         cov_ex = moments.cov_excess[k]
 
-        if abs(cov_weight[k + 1]) <= 1e-14:
-            # degenerate continuation: the whole mean chain must have died too
-            assert abs(mean_coupling[k + 1]) <= 1e-10 and abs(mean_offset[k + 1]) <= 1e-10
+        if abs(cov_weight[k + 1]) <= 1e-14 and not (
+            abs(mean_coupling[k + 1]) <= 1e-10 and abs(mean_offset[k + 1]) <= 1e-10
+        ):
+            # a degenerate continuation must have killed the whole mean chain too
+            raise InternalInconsistencyError(
+                f"stage {k}: cov_weight[{k + 1}] = {cov_weight[k + 1]:.3e} is degenerate but "
+                f"mean_coupling = {mean_coupling[k + 1]:.3e} and "
+                f"mean_offset = {mean_offset[k + 1]:.3e} are not zero"
+            )
 
         G = mean_outer_weight[k + 1] * np.outer(mean_ex, mean_ex) + cov_weight[k + 1] * cov_ex
         target_gain = (s_k * mean_outer_weight[k + 1] + mean_coupling[k + 1]) * mean_ex

@@ -44,7 +44,7 @@ class MarketSpec:
 
     def __post_init__(self):
         for name in ("riskless", "mean_returns", "return_cov"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)  # private copy to freeze
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -178,7 +178,6 @@ def make_market_spec(
     covs = _broadcast_stagewise(return_cov, horizon, (num_assets, num_assets), "return_cov")
     if not np.all(np.isfinite(covs)):
         raise ValidationError("return_cov must be finite")
-    sym = np.zeros_like(covs)
     for k in range(horizon):
         M = covs[k]
         scale = max(1.0, float(np.linalg.norm(M)))
@@ -188,14 +187,14 @@ def make_market_spec(
         w = np.linalg.eigvalsh(Ms)
         if w[0] < -psd_tol * max(1.0, float(w[-1])):
             raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[0]:.3e})")
-        sym[k] = Ms
+        covs[k] = Ms  # covs is already a private copy
 
     return MarketSpec(
         horizon=horizon,
         num_assets=num_assets,
         riskless=s,
         mean_returns=means,
-        return_cov=sym,
+        return_cov=covs,
         mu1=mu1,
         mu2=mu2,
         initial_time=initial_time,

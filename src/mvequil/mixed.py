@@ -31,7 +31,7 @@ class PureFeedbackPart:
     seed: int | None = None
 
     def __post_init__(self):
-        gains = np.atleast_2d(np.asarray(self.gains, dtype=float))
+        gains = np.atleast_2d(np.array(self.gains, dtype=float))  # private copy
         if not np.all(np.isfinite(gains)):
             raise ValueError("strategy gains must be finite")
         gains.flags.writeable = False

@@ -4,6 +4,13 @@ Everything here avoids the solvers' recursions on purpose. Costs are exact
 probability-weighted sums over finite-support product trees whose per-stage
 moments match the market; equilibrium claims are checked by exactly minimizing
 the one-stage spike-deviation cost, which is a quadratic in the deviation.
+
+That quadratic is formed in closed form once per stage. Returns are
+independent between stages and every continuation is affine in the deviated
+wealth, so per suffix scenario terminal wealth is beta * X_dev + gamma * X* +
+alpha in the deviated and undeviated wealth one stage later. The weighted
+moments of (beta, gamma, alpha) over the suffix tree, together with the stage's
+atom moments, give every node's cost, gradient and the stage's shared Hessian.
 """
 
 from __future__ import annotations
@@ -15,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, pseudoinverse, range_membership
+from .linalg import DEFAULT_PINV_RTOL, DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec
-from .mixed import MixedSolution
 from .policy import AffinePolicy, PolicyKind
 
 MAX_LEAF_PATHS = 10**7
@@ -61,8 +67,8 @@ class ScenarioTree:
     atoms: tuple
 
     def __post_init__(self):
-        probs = tuple(np.asarray(p, dtype=float) for p in self.probabilities)
-        atoms = tuple(np.atleast_2d(np.asarray(a, dtype=float)) for a in self.atoms)
+        probs = tuple(np.array(p, dtype=float) for p in self.probabilities)
+        atoms = tuple(np.atleast_2d(np.array(a, dtype=float)) for a in self.atoms)
         if len(probs) != len(atoms):
             raise ValueError("probabilities and atoms must cover the same stages")
         for k, (p, a) in enumerate(zip(probs, atoms)):
@@ -99,6 +105,14 @@ class ScenarioTree:
         return math.prod(len(p) for p in self.probabilities[start:])
 
 
+def _covariance_factor(cov: np.ndarray, psd_tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
+    """Factor F with F F^T = cov, one column per eigenpair above the PSD cutoff."""
+    w, Q = np.linalg.eigh(0.5 * (cov + cov.T))
+    cutoff = psd_tol * max(1.0, float(np.max(np.abs(w)))) if w.size else 0.0
+    keep = w > cutoff
+    return Q[:, keep] * np.sqrt(w[keep])
+
+
 def build_matched_tree(
     moments: ExcessMoments,
     atoms_per_stage: int | None = None,
@@ -124,12 +138,8 @@ def build_matched_tree(
     atoms = []
     for k in range(N):
         mean = moments.mean_excess[k]
-        cov = moments.cov_excess[k]
-        w, Q = np.linalg.eigh(0.5 * (cov + cov.T))
-        cutoff = psd_tol * max(1.0, float(np.max(np.abs(w)))) if w.size else 0.0
-        keep = w > cutoff
-        r = int(np.count_nonzero(keep))
-        factor = Q[:, keep] * np.sqrt(w[keep])
+        factor = _covariance_factor(moments.cov_excess[k], psd_tol)
+        r = factor.shape[1]
         if rng is not None and r > 1:
             # Haar rotation within the range subspace; cov = F F^T is preserved
             Z = rng.standard_normal((r, r))
@@ -159,8 +169,6 @@ def build_matched_tree(
 
 
 def _applied(policy) -> AffinePolicy:
-    if isinstance(policy, MixedSolution):
-        return policy.policy
     if isinstance(policy, AffinePolicy):
         return policy
     inner = getattr(policy, "policy", None)
@@ -170,7 +178,9 @@ def _applied(policy) -> AffinePolicy:
 
 
 def _strategy_gains(policy):
-    return policy.feedback_part.gains if isinstance(policy, MixedSolution) else None
+    """The re-applied strategy part of a mixed solution, else None."""
+    part = getattr(policy, "feedback_part", None)
+    return None if part is None else part.gains
 
 
 def _default_semantics(policy) -> DeviationSemantics:
@@ -286,50 +296,150 @@ def best_spike_deviation(
 ) -> tuple[np.ndarray, float]:
     """Globally best one-stage deviation at (k, x) and its exact cost.
 
-    The deviation cost is an exact quadratic in u (terminal wealth is affine
-    in u per scenario), so it is fitted from 1 + m + m(m+1)/2 evaluations
-    around the policy's own action and minimized with the pseudoinverse. An
+    x_star is the undeviated state at the node (defaults to x). The deviation
+    cost is an exact quadratic in u (terminal wealth is affine in u per
+    scenario); its gradient and Hessian come in closed form from the stage's
+    suffix-tree moments, and it is minimized with the pseudoinverse. An
     indefinite quadratic raises EquilibriumStructureError; an unbounded one
     (gradient outside the Hessian's column space) returns cost -inf.
     """
-    u_star, j_dev, _ = _best_spike(tree, spec, policy, k, x, semantics, x_star)
-    return u_star, j_dev
+    semantics = _default_semantics(policy) if semantics is None else semantics
+    x_star = x if x_star is None else x_star
+    u_dev, j_dev, _ = _best_spikes(
+        _stage_moments(tree, spec, policy, k, semantics),
+        spec,
+        _applied(policy),
+        np.array([float(x)]),
+        np.array([float(x_star)]),
+    )
+    return u_dev[0], float(j_dev[0])
 
 
-def _best_spike(tree, spec, policy, k, x, semantics, x_star):
+@dataclass(frozen=True)
+class _StageMoments:
+    """Tree moments that fix the spike-deviation quadratic at one stage.
+
+    Per suffix scenario after stage k, terminal wealth is beta * X_dev +
+    gamma * X* + alpha in the deviated and undeviated wealth at stage k + 1.
+    mean (3,) and second (3, 3) are the weighted first and raw second moments
+    of (beta, gamma, alpha) and cov (3, 3) their covariance; atom_mean and
+    atom_cov are the moments of stage k's excess-return atoms.
+    """
+
+    stage: int
+    mean: np.ndarray
+    second: np.ndarray
+    cov: np.ndarray
+    atom_mean: np.ndarray
+    atom_cov: np.ndarray
+
+
+def _stage_moments(
+    tree: ScenarioTree, spec: MarketSpec, policy, k: int, semantics: DeviationSemantics
+) -> _StageMoments:
+    """Enumerate the suffix tree after stage k once and take its moments.
+
+    Along each suffix scenario the continuation re-applies the gain P_l to the
+    deviated wealth and replays the rest of the undeviated control, u_l =
+    P_l X_dev + (K_l - P_l) X* + c_l, with P = 0 (open loop), K (feedback) or
+    the strategy part (mixed), so both wealths stay affine in (X_dev, X*, 1).
+    """
     applied = _applied(policy)
-    m = applied.num_assets
-    base = applied.control(k, x)
+    strategy = _strategy_gains(policy)
+    if semantics is DeviationSemantics.MIXED and strategy is None:
+        raise TypeError("mixed semantics needs the MixedSolution, not just the applied policy")
+    _check_leaf_budget(tree, k)
+    total, sizes, weights = _suffix_weights(tree, k + 1)
+    beta, gamma, alpha = np.ones(total), np.zeros(total), np.zeros(total)
+    growth, drift = np.ones(total), np.zeros(total)  # X*_l = growth * X*_{k+1} + drift
+    for pos, stage in enumerate(range(k + 1, spec.horizon)):
+        idx = _suffix_index(total, sizes, pos)
+        atoms, s = tree.atoms[stage], spec.riskless[stage]
+        gain = applied.gain(stage)
+        if semantics is DeviationSemantics.OPEN_LOOP:
+            reapplied = np.zeros_like(gain)
+        elif semantics is DeviationSemantics.FEEDBACK:
+            reapplied = gain
+        else:
+            reapplied = strategy[stage]
+        dev_growth = (s + atoms @ reapplied)[idx]
+        replayed = (atoms @ (gain - reapplied))[idx]
+        income = (atoms @ applied.offset(stage))[idx]
+        star_growth = (s + atoms @ gain)[idx]
+        gamma = dev_growth * gamma + replayed * growth
+        alpha = dev_growth * alpha + replayed * drift + income
+        beta = dev_growth * beta
+        drift = star_growth * drift + income
+        growth = star_growth * growth
+    coeffs = np.stack([beta, gamma, alpha], axis=1)
+    mean = weights @ coeffs
+    centered = coeffs - mean
+    return _StageMoments(
+        stage=k,
+        mean=mean,
+        second=(coeffs * weights[:, None]).T @ coeffs,
+        cov=(centered * weights[:, None]).T @ centered,
+        atom_mean=tree.implied_mean(k),
+        atom_cov=tree.implied_cov(k),
+    )
 
-    def J(u):
-        return spike_cost(tree, spec, policy, k, x, u, semantics, x_star)
 
-    h = 1.0
-    eye = np.eye(m)
-    j0 = J(base)
-    grad = np.zeros(m)
-    hess = np.zeros((m, m))
-    for i in range(m):
-        jp = J(base + h * eye[i])
-        jm = J(base - h * eye[i])
-        grad[i] = (jp - jm) / (2 * h)
-        hess[i, i] = (jp + jm - 2 * j0) / h**2
-    for i in range(m):
-        for j in range(i + 1, m):
-            jij = J(base + h * (eye[i] + eye[j]))
-            cross = jij - j0 - h * (grad[i] + grad[j]) - 0.5 * h**2 * (hess[i, i] + hess[j, j])
-            hess[i, j] = hess[j, i] = cross / h**2
-    eigs = np.linalg.eigvalsh(hess)
-    if eigs[0] < -1e-8 * max(1.0, float(np.max(np.abs(eigs)))):
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _best_spikes(
+    moments: _StageMoments,
+    spec: MarketSpec,
+    applied: AffinePolicy,
+    x: np.ndarray,
+    x_star: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best deviation, its cost and the policy's own cost at nodes of one stage.
+
+    x and x_star hold each node's current and undeviated wealth. With y = s x
+    + o.u and z = s x* + o.u* the stage-k wealths, terminal wealth is v.w for
+    v = (beta, gamma, alpha) independent of w = (y, z, 1), so Var = tr(S_v C_w)
+    + E[w]' C_v E[w]. The Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu') is
+    shared by every node, so one eigendecomposition gives the convexity check,
+    the pseudoinverse and the range residual of every gradient.
+    """
+    k = moments.stage
+    mu, sigma = moments.atom_mean, moments.atom_cov
+    second, cov, mean = moments.second, moments.cov, moments.mean
+    s = spec.riskless[k]
+    u = np.outer(x, applied.gain(k)) + applied.offset(k)
+    u_star = np.outer(x_star, applied.gain(k)) + applied.offset(k)
+    sigma_u, sigma_u_star = u @ sigma, u_star @ sigma
+    w_mean = np.stack([s * x + u @ mu, s * x_star + u_star @ mu, np.ones_like(x)], axis=1)
+    w_cov_mean = w_mean @ cov
+    var = (
+        second[0, 0] * _rowdot(sigma_u, u)
+        + 2.0 * second[0, 1] * _rowdot(sigma_u, u_star)
+        + second[1, 1] * _rowdot(sigma_u_star, u_star)
+        + _rowdot(w_cov_mean, w_mean)
+    )
+    mean_weight = spec.mu1 * x + spec.mu2
+    j_star = var - mean_weight * (w_mean @ mean)
+    grad = 2.0 * (second[0, 0] * sigma_u + second[0, 1] * sigma_u_star)
+    grad += np.outer(2.0 * w_cov_mean[:, 0] - mean_weight * mean[0], mu)
+    hess = 2.0 * (second[0, 0] * sigma + cov[0, 0] * np.outer(mu, mu))
+    hess = 0.5 * (hess + hess.T)
+
+    eigs, Q = np.linalg.eigh(hess)
+    radius = float(np.max(np.abs(eigs)))
+    if eigs[0] < -1e-8 * max(1.0, radius):
         raise EquilibriumStructureError(
             f"deviation cost at stage {k} is not convex (min curvature {eigs[0]:.3e})"
         )
-    in_range, _ = range_membership(grad, hess)
-    step = -pseudoinverse(hess).pinv @ grad
-    if not in_range:
-        return base + step, float("-inf"), j0
-    j_dev = j0 + grad @ step + 0.5 * step @ hess @ step
-    return base + step, float(j_dev), j0
+    keep = np.abs(eigs) > DEFAULT_PINV_RTOL * radius
+    basis = Q[:, keep]
+    coords = grad @ basis
+    step = -(coords / eigs[keep]) @ basis.T
+    residual = np.linalg.norm(grad - coords @ basis.T, axis=1)
+    bounded = residual <= DEFAULT_RANGE_RTOL * np.maximum(1.0, np.linalg.norm(grad, axis=1))
+    j_dev = j_star + _rowdot(grad, step) + 0.5 * _rowdot(step @ hess, step)
+    return u + step, np.where(bounded, j_dev, -np.inf), j_star
 
 
 @dataclass(frozen=True)
@@ -357,7 +467,8 @@ def verify_equilibrium(
     """Spike-deviation test at every reachable node of every stage.
 
     Nodes are the undeviated wealth values reached from (initial_time,
-    initial_wealth) along tree scenarios. Each report's tolerance is the given
+    initial_wealth) along tree scenarios; all nodes of a stage are tested in one
+    pass from that stage's suffix moments. Each report's tolerance is the given
     tol, or 1e-7 * max(1, |J*|) by default; the policy passes when every gap
     J_dev - J* clears -tol.
     """
@@ -368,20 +479,23 @@ def verify_equilibrium(
     reports: list[DeviationReport] = []
     states = np.array([spec.initial_wealth])
     for k in range(t, spec.horizon):
-        for node, x in enumerate(states):
-            u_dev, j_dev, j_star = _best_spike(tree, spec, policy, k, float(x), semantics, None)
-            node_tol = 1e-7 * max(1.0, abs(j_star)) if tol is None else tol
-            gap = j_dev - j_star
+        moments = _stage_moments(tree, spec, policy, k, semantics)
+        u_dev, j_dev, j_star = _best_spikes(moments, spec, applied, states, states)
+        gaps = j_dev - j_star
+        tols = 1e-7 * np.maximum(1.0, np.abs(j_star)) if tol is None else np.full_like(gaps, tol)
+        for node, (js, jd, gap, node_tol) in enumerate(
+            zip(j_star.tolist(), j_dev.tolist(), gaps.tolist(), tols.tolist())
+        ):
             reports.append(
                 DeviationReport(
                     stage=k,
                     node=node,
-                    j_star=j_star,
-                    j_dev=j_dev,
+                    j_star=js,
+                    j_dev=jd,
                     gap=gap,
-                    passed=bool(gap >= -node_tol),
+                    passed=gap >= -node_tol,
                     semantics=semantics,
-                    deviation=u_dev,
+                    deviation=u_dev[node],
                     tol=node_tol,
                 )
             )
@@ -447,17 +561,6 @@ class SimulationSummary:
     se_cost: float
 
 
-def _gaussian_factors(moments: ExcessMoments, psd_tol: float = DEFAULT_PSD_TOL):
-    factors = []
-    for k in range(moments.horizon):
-        cov = moments.cov_excess[k]
-        w, Q = np.linalg.eigh(0.5 * (cov + cov.T))
-        cutoff = psd_tol * max(1.0, float(np.max(np.abs(w)))) if w.size else 0.0
-        keep = w > cutoff
-        factors.append(Q[:, keep] * np.sqrt(w[keep]))
-    return factors
-
-
 def simulate_monte_carlo(
     spec: MarketSpec,
     policy,
@@ -486,7 +589,7 @@ def simulate_monte_carlo(
         from .market import derive_excess_moments
 
         moments = derive_excess_moments(spec) if moments is None else moments
-        factors = _gaussian_factors(moments)
+        factors = [_covariance_factor(cov) for cov in moments.cov_excess]
 
     X = np.full(n_paths, x0)
     for k in range(t, spec.horizon):

@@ -67,8 +67,9 @@ class AffinePolicy:
     offsets: np.ndarray
 
     def __post_init__(self):
-        gains = np.atleast_2d(np.asarray(self.gains, dtype=float))
-        offsets = np.atleast_2d(np.asarray(self.offsets, dtype=float))
+        # private copies: freezing them must not freeze the caller's arrays
+        gains = np.atleast_2d(np.array(self.gains, dtype=float))
+        offsets = np.atleast_2d(np.array(self.offsets, dtype=float))
         if gains.shape != offsets.shape:
             raise ValueError("gains and offsets must have matching shapes")
         if not (np.all(np.isfinite(gains)) and np.all(np.isfinite(offsets))):

@@ -40,6 +40,26 @@ def test_preset_excess_moments():
         assert np.allclose(moments.cov_excess[k], spec.return_cov[k])
 
 
+def test_spec_copies_the_callers_arrays():
+    riskless = np.array([1.01, 1.02])
+    mean = np.array([[1.05], [1.06]])
+    cov = np.array([[[0.01]], [[0.02]]])
+    spec = mv.make_market_spec(
+        horizon=2, num_assets=1, riskless=riskless, mean_returns=mean, return_cov=cov, mu1=1.0, mu2=1.0
+    )
+    direct = mv.MarketSpec(
+        horizon=2, num_assets=1, riskless=riskless, mean_returns=mean, return_cov=cov, mu1=1.0, mu2=1.0
+    )
+    assert riskless.flags.writeable and mean.flags.writeable and cov.flags.writeable
+    riskless[:] = 2.0
+    mean[:] = 2.0
+    cov[:] = 2.0
+    for frozen in (spec, direct):
+        assert np.array_equal(frozen.riskless, [1.01, 1.02])
+        assert frozen.mean_returns[1, 0] == 1.06 and frozen.return_cov[0, 0, 0] == 0.01
+        assert not frozen.riskless.flags.writeable
+
+
 def test_unknown_preset():
     with pytest.raises(ValidationError, match="unknown preset"):
         mv.get_preset("no-such-market")

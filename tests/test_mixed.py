@@ -105,6 +105,18 @@ def test_mean_wealth_path_matches_open_loop_for_zero_strategy():
     )
 
 
+def test_policy_and_strategy_part_copy_the_callers_arrays():
+    gains, offsets = np.zeros((2, 3)), np.ones((2, 3))
+    policy = mv.AffinePolicy(mv.PolicyKind.MIXED_APPLIED, 0, gains, offsets)
+    part = PureFeedbackPart(gains=gains)
+    assert gains.flags.writeable and offsets.flags.writeable
+    gains[0, 0] = 5.0
+    offsets[1, 2] = 5.0
+    assert policy.gain(0)[0] == 0.0 and policy.offset(1)[2] == 1.0
+    assert part.gains[0, 0] == 0.0
+    assert not (policy.gains.flags.writeable or part.gains.flags.writeable)
+
+
 def test_strategy_shape_is_validated():
     spec = mv.get_preset(PRESET)
     with pytest.raises(ValueError, match="shape"):

@@ -1,5 +1,6 @@
 """Scenario trees, exact costs, spike deviations, Monte Carlo."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -95,6 +96,16 @@ def test_matched_tree_rotation_changes_atoms_not_moments(preset_setup):
     for k in range(4):
         assert np.allclose(rotated.implied_mean(k), moments.mean_excess[k], atol=1e-12)
         assert np.allclose(rotated.implied_cov(k), moments.cov_excess[k], atol=1e-12)
+
+
+def test_tree_copies_the_callers_arrays():
+    probs, atoms = np.array([0.25, 0.75]), np.array([[-0.1], [0.2]])
+    tree = ScenarioTree(probabilities=(probs,), atoms=(atoms,))
+    assert probs.flags.writeable and atoms.flags.writeable
+    atoms[0, 0] = 9.0
+    probs[:] = 0.5
+    assert tree.atoms[0][0, 0] == -0.1 and tree.probabilities[0][0] == 0.25
+    assert not tree.atoms[0].flags.writeable
 
 
 def test_tree_validation_errors():
@@ -227,13 +238,95 @@ def test_unbounded_deviation_reports_minus_infinity():
 def test_nonconvex_fit_raises(monkeypatch, preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_open_loop(spec)
+    stage_moments = oracle_module._stage_moments
 
-    def concave(tree_, spec_, policy_, k_, x_, u, semantics=None, x_star=None):
-        return -float(np.asarray(u) @ np.asarray(u))
+    def concave(*args, **kwargs):
+        # a negative E[beta^2] turns the shared Hessian indefinite at m = 3
+        moments = stage_moments(*args, **kwargs)
+        return dataclasses.replace(moments, second=-moments.second)
 
-    monkeypatch.setattr(oracle_module, "spike_cost", concave)
-    with pytest.raises(mv.EquilibriumStructureError):
+    monkeypatch.setattr(oracle_module, "_stage_moments", concave)
+    with pytest.raises(mv.EquilibriumStructureError, match="not convex"):
         mv.best_spike_deviation(tree, spec, sol.policy, 0, 1.0)
+    with pytest.raises(mv.EquilibriumStructureError, match="not convex"):
+        mv.verify_equilibrium(tree, spec, sol.policy)
+
+
+def _node_wealths(tree, spec, policy):
+    """Undeviated wealth at every node, stage by stage, in report order."""
+    states = [np.array([spec.initial_wealth])]
+    for k in range(policy.start_stage, spec.horizon - 1):
+        x = states[-1]
+        controls = np.outer(x, policy.gain(k)) + policy.offset(k)
+        states.append((spec.riskless[k] * x[None, :] + tree.atoms[k] @ controls.T).T.reshape(-1))
+    return states
+
+
+def _spike_cost_cross_check(tree, spec, target, semantics):
+    """Largest normalized distance of each report from brute-force spike costs."""
+    applied = target if isinstance(target, AffinePolicy) else target.policy
+    states = _node_wealths(tree, spec, applied)
+    reports = mv.verify_equilibrium(tree, spec, target, semantics)
+    worst = 0.0
+    for r in reports:
+        x = float(states[r.stage - applied.start_stage][r.node])
+        scale = max(1.0, abs(r.j_star))
+        own = mv.spike_cost(tree, spec, target, r.stage, x, applied.control(r.stage, x), semantics)
+        worst = max(worst, abs(own - r.j_star) / scale)
+        if math.isfinite(r.j_dev):
+            dev = mv.spike_cost(tree, spec, target, r.stage, x, r.deviation, semantics)
+            worst = max(worst, abs(dev - r.j_dev) / scale)
+    return worst, reports
+
+
+def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
+    corpus = [preset_setup[0]] + [random_market(200 + i, max_horizon=4, max_assets=3) for i in range(25)]
+    worst = 0.0
+    cross_failures = 0
+    for spec in corpus:
+        moments = mv.derive_excess_moments(spec)
+        tree = mv.build_matched_tree(moments)
+        open_loop = mv.solve_open_loop(spec, moments)
+        feedback = mv.solve_feedback(spec, moments)
+        mixed = mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets), moments)
+        pairs = [
+            (open_loop.policy, DeviationSemantics.OPEN_LOOP),
+            (feedback.policy, DeviationSemantics.FEEDBACK),
+            (open_loop.policy, DeviationSemantics.FEEDBACK),
+            (feedback.policy, DeviationSemantics.OPEN_LOOP),
+        ]
+        if not isinstance(mixed, mv.NonexistenceReport):
+            pairs += [(mixed, DeviationSemantics.MIXED), (mixed, DeviationSemantics.FEEDBACK)]
+        for target, semantics in pairs:
+            err, reports = _spike_cost_cross_check(tree, spec, target, semantics)
+            worst = max(worst, err)
+            cross_failures += not all(r.passed for r in reports)
+    assert worst <= 1e-10, f"closed-form costs differ from spike_cost by {worst:.2e}"
+    assert cross_failures > 0  # the cross-semantics pairs do exercise improving deviations
+
+
+def test_verify_all_solvers_on_six_stage_tree():
+    spec = mv.make_market_spec(
+        horizon=6,
+        num_assets=3,
+        riskless=1.04,
+        mean_returns=[1.162, 1.246, 1.228],
+        return_cov=[[0.0146, 0.0187, 0.0145], [0.0187, 0.0854, 0.0104], [0.0145, 0.0104, 0.0289]],
+        mu1=1.0,
+        mu2=1.0,
+    )
+    moments = mv.derive_excess_moments(spec)
+    tree = mv.build_matched_tree(moments)
+    assert tree.leaf_count() == 7**6
+    solutions = (
+        mv.solve_open_loop(spec, moments).policy,
+        mv.solve_feedback(spec, moments).policy,
+        mv.solve_mixed(spec, mv.sample_pure_feedback(3, 6, 3), moments),
+    )
+    for target in solutions:
+        reports = mv.verify_equilibrium(tree, spec, target)
+        assert len(reports) == sum(7**k for k in range(6)) == 19_608
+        assert all(r.passed for r in reports)
 
 
 def test_verify_each_solver_under_own_semantics(preset_setup):
