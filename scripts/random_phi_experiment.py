@@ -3,9 +3,9 @@
 
 For each draw the strategy part is standard normal, the mixed solver runs,
 and the per-stage gain-matrix eigenvalues plus an exact deviation test are
-reported. The eigenvalues stay positive and the verification passes for every
-solvable draw, illustrating that the solvability conditions, not luck, govern
-the construction. Output is CSV on stdout.
+reported. The verification passes for every solvable draw whatever the signs
+of the eigenvalues: the mixed gain matrix need not be PSD, and the solvability
+conditions, not luck, govern the construction. Output is CSV on stdout.
 """
 
 import argparse

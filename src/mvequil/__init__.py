@@ -4,27 +4,16 @@ Three notions of equilibrium for the mean-variance investor whose objective
 Var_t(X_N) - (mu1 x + mu2) E_t X_N changes with the evaluation point: the
 open-loop equilibrium control, the feedback equilibrium strategy, and the
 mixed equilibrium that re-applies a chosen pure-feedback part while freezing
-the rest. All three are solved by backward scalar-weight recursions that use
-pseudoinverses throughout, so a degenerate excess-return covariance is fine;
+the rest. All three are solved by one backward scalar-weight recursion, which
+differs only in the part re-applied after a deviation and uses pseudoinverses
+throughout, so a degenerate excess-return covariance is fine;
 existence is governed by a per-stage range condition on the mean excess
 return. The oracle module checks any claimed solution against exact costs on
 moment-matched scenario trees and by Monte Carlo.
 """
 
-from .feedback import (
-    FeedbackSolution,
-    FeedbackTrace,
-    closed_loop_multiplier,
-    feedback_trace_csv,
-    solve_feedback,
-)
-from .linalg import (
-    PinvResult,
-    is_psd,
-    pseudoinverse,
-    range_membership,
-    scalar_dagger,
-)
+from .feedback import FeedbackSolution, solve_feedback
+from .linalg import PinvResult, is_psd, pseudoinverse, range_membership
 from .market import (
     ExcessMoments,
     ExistenceReport,
@@ -40,23 +29,11 @@ from .market import (
     resolve_market,
     with_initial_state,
 )
-from .mixed import (
-    MixedSolution,
-    MixedTrace,
-    PureFeedbackPart,
-    load_pure_feedback,
-    mixed_equilibrium_wealth_mean,
-    mixed_trace_csv,
-    sample_pure_feedback,
-    solve_mixed,
-    zero_pure_feedback,
-)
+from .mixed import MixedSolution, solve_mixed
 from .open_loop import (
     OpenLoopSolution,
-    OpenLoopTrace,
     equilibrium_wealth_coefficients,
     mean_wealth_path,
-    open_loop_trace_csv,
     solve_open_loop,
 )
 from .oracle import (
@@ -81,7 +58,12 @@ from .policy import (
     InternalInconsistencyError,
     NonexistenceReport,
     PolicyKind,
+    PureFeedbackPart,
+    load_pure_feedback,
+    sample_pure_feedback,
+    zero_pure_feedback,
 )
+from .recursion import EquilibriumSolution, RecursionTrace, backward_recursion, trace_csv
 
 __version__ = "0.1.0"
 
@@ -89,56 +71,51 @@ __all__ = [
     "AffinePolicy",
     "DeviationReport",
     "DeviationSemantics",
+    "EquilibriumSolution",
     "EquilibriumStructureError",
     "ExcessMoments",
     "ExistenceReport",
     "FailingCondition",
     "FeedbackSolution",
-    "FeedbackTrace",
     "InternalInconsistencyError",
     "MAX_LEAF_PATHS",
     "MarketSpec",
     "MixedSolution",
-    "MixedTrace",
     "NonexistenceReport",
     "OpenLoopSolution",
-    "OpenLoopTrace",
     "PinvResult",
     "PolicyKind",
     "PRESETS",
     "PureFeedbackPart",
+    "RecursionTrace",
     "ScenarioTree",
     "SimulationSummary",
     "ValidationError",
+    "backward_recursion",
     "best_spike_deviation",
     "build_matched_tree",
     "check_open_loop_existence",
-    "closed_loop_multiplier",
     "derive_excess_moments",
     "dump_market_spec",
     "equilibrium_wealth_coefficients",
     "evaluate_cost_exact",
     "export_verification_jsonl",
-    "feedback_trace_csv",
     "get_preset",
     "is_psd",
     "load_market_spec",
     "load_pure_feedback",
     "make_market_spec",
     "mean_wealth_path",
-    "mixed_equilibrium_wealth_mean",
-    "mixed_trace_csv",
-    "open_loop_trace_csv",
     "pseudoinverse",
     "range_membership",
     "resolve_market",
     "sample_pure_feedback",
-    "scalar_dagger",
     "simulate_monte_carlo",
     "solve_feedback",
     "solve_mixed",
     "solve_open_loop",
     "spike_cost",
+    "trace_csv",
     "verification_summary",
     "verify_equilibrium",
     "with_initial_state",

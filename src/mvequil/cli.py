@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from . import reference
-from .feedback import feedback_trace_csv, solve_feedback
+from .feedback import solve_feedback
 from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
 from .market import (
     ValidationError,
@@ -28,15 +28,8 @@ from .market import (
     resolve_market,
     with_initial_state,
 )
-from .mixed import (
-    PureFeedbackPart,
-    load_pure_feedback,
-    mixed_trace_csv,
-    sample_pure_feedback,
-    solve_mixed,
-    zero_pure_feedback,
-)
-from .open_loop import open_loop_trace_csv, solve_open_loop
+from .mixed import solve_mixed
+from .open_loop import solve_open_loop
 from .oracle import (
     EquilibriumStructureError,
     build_matched_tree,
@@ -46,7 +39,15 @@ from .oracle import (
     verification_summary,
     verify_equilibrium,
 )
-from .policy import InternalInconsistencyError, NonexistenceReport
+from .policy import (
+    InternalInconsistencyError,
+    NonexistenceReport,
+    PureFeedbackPart,
+    load_pure_feedback,
+    sample_pure_feedback,
+    zero_pure_feedback,
+)
+from .recursion import trace_csv
 
 log = logging.getLogger("mvequil")
 
@@ -215,67 +216,50 @@ def _policy_pretty(title: str, policy, extra_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_json(kind: str, policy, trace) -> str:
+def _solution_json(kind: str, solution) -> str:
     data = {
         "kind": kind,
-        "start_stage": policy.start_stage,
-        "gains": policy.gains.tolist(),
-        "offsets": policy.offsets.tolist(),
+        "start_stage": solution.policy.start_stage,
+        "gains": solution.policy.gains.tolist(),
+        "offsets": solution.policy.offsets.tolist(),
         "trace": {
-            f.name: np.asarray(getattr(trace, f.name)).tolist() for f in dataclass_fields(trace)
+            f.name: np.asarray(getattr(solution.trace, f.name)).tolist()
+            for f in dataclass_fields(solution.trace)
         },
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_solve_open_loop(config: RunConfig) -> int:
+def _solve(solver: str, config: RunConfig, spec, moments):
+    """Run one solver ("open-loop", "feedback" or "mixed") with the configured tolerances."""
+    if solver == "open-loop":
+        return solve_open_loop(spec, moments, range_tol=config.tol_range)
+    if solver == "feedback":
+        return solve_feedback(spec, moments, range_tol=config.tol_range, psd_tol=config.tol_psd)
+    return solve_mixed(spec, _resolve_phi(config, spec), moments, range_tol=config.tol_range)
+
+
+# solver, JSON kind and pretty title of each solve command
+_SOLVE_COMMANDS = {
+    Command.SOLVE_OPEN_LOOP: ("open-loop", "open_loop", "open-loop equilibrium control u_k = K_k x + c_k"),
+    Command.SOLVE_FEEDBACK: ("feedback", "feedback", "feedback equilibrium strategy u_k = K_k x + c_k"),
+    Command.SOLVE_MIXED: ("mixed", "mixed", "mixed equilibrium, applied policy u_k = K_k x + c_k"),
+}
+
+
+def _cmd_solve(config: RunConfig) -> int:
+    solver, kind, title = _SOLVE_COMMANDS[config.command]
     spec = _load_spec(config)
-    moments = derive_excess_moments(spec)
-    result = solve_open_loop(spec, moments, range_tol=config.tol_range)
+    result = _solve(solver, config, spec, derive_excess_moments(spec))
     if isinstance(result, NonexistenceReport):
         print(result.describe())
         return EXIT_NONEXISTENT
     if config.fmt is OutputFormat.CSV:
-        text = open_loop_trace_csv(result, spec)
+        text = trace_csv(result, spec)
     elif config.fmt is OutputFormat.JSON:
-        text = _solution_json("open_loop", result.policy, result.trace)
+        text = _solution_json(kind, result)
     else:
-        text = _policy_pretty("open-loop equilibrium control u_k = K_k x + c_k", result.policy)
-    _emit(text, config)
-    return EXIT_OK
-
-
-def _cmd_solve_feedback(config: RunConfig) -> int:
-    spec = _load_spec(config)
-    moments = derive_excess_moments(spec)
-    result = solve_feedback(spec, moments, range_tol=config.tol_range, psd_tol=config.tol_psd)
-    if isinstance(result, NonexistenceReport):
-        print(result.describe())
-        return EXIT_NONEXISTENT
-    if config.fmt is OutputFormat.CSV:
-        text = feedback_trace_csv(result, spec)
-    elif config.fmt is OutputFormat.JSON:
-        text = _solution_json("feedback", result.policy, result.trace)
-    else:
-        text = _policy_pretty("feedback equilibrium strategy u_k = K_k x + c_k", result.policy)
-    _emit(text, config)
-    return EXIT_OK
-
-
-def _cmd_solve_mixed(config: RunConfig) -> int:
-    spec = _load_spec(config)
-    moments = derive_excess_moments(spec)
-    phi = _resolve_phi(config, spec)
-    result = solve_mixed(spec, phi, moments, range_tol=config.tol_range, psd_tol=config.tol_psd)
-    if isinstance(result, NonexistenceReport):
-        print(result.describe())
-        return EXIT_NONEXISTENT
-    if config.fmt is OutputFormat.CSV:
-        text = mixed_trace_csv(result, spec)
-    elif config.fmt is OutputFormat.JSON:
-        text = _solution_json("mixed", result.policy, result.trace)
-    else:
-        text = _policy_pretty("mixed equilibrium, applied policy u_k = K_k x + c_k", result.policy)
+        text = _policy_pretty(title, result.policy)
     _emit(text, config)
     return EXIT_OK
 
@@ -285,29 +269,19 @@ def _cmd_verify(config: RunConfig) -> int:
     moments = derive_excess_moments(spec)
     tree = build_matched_tree(moments, atoms_per_stage=config.atoms, seed=config.seed)
 
-    open_loop = solve_open_loop(spec, moments, range_tol=config.tol_range)
-    if isinstance(open_loop, NonexistenceReport):
-        print(open_loop.describe())
-        return EXIT_NONEXISTENT
-    feedback = solve_feedback(spec, moments, range_tol=config.tol_range, psd_tol=config.tol_psd)
-    if isinstance(feedback, NonexistenceReport):
-        print(feedback.describe())
-        return EXIT_NONEXISTENT
-    mixed = solve_mixed(
-        spec, _resolve_phi(config, spec), moments, range_tol=config.tol_range, psd_tol=config.tol_psd
-    )
-    if isinstance(mixed, NonexistenceReport):
-        print(mixed.describe())
-        return EXIT_NONEXISTENT
+    solved = {}
+    for name in ("open-loop", "feedback", "mixed"):
+        solved[name] = _solve(name, config, spec, moments)
+        if isinstance(solved[name], NonexistenceReport):
+            print(solved[name].describe())
+            return EXIT_NONEXISTENT
 
     all_ok = True
     lines = []
     blocks = []
-    for name, target in (
-        ("open-loop", open_loop.policy),
-        ("feedback", feedback.policy),
-        ("mixed", mixed),
-    ):
+    for name, solution in solved.items():
+        # mixed semantics need the strategy part, so the oracle gets the whole solution
+        target = solution if name == "mixed" else solution.policy
         reports = verify_equilibrium(tree, spec, target)
         summary = verification_summary(reports)
         all_ok = all_ok and summary["passed"]
@@ -326,15 +300,7 @@ def _cmd_verify(config: RunConfig) -> int:
 def _cmd_simulate(config: RunConfig) -> int:
     spec = _load_spec(config)
     moments = derive_excess_moments(spec)
-    if config.solver == "open-loop":
-        solved = solve_open_loop(spec, moments, range_tol=config.tol_range)
-    elif config.solver == "feedback":
-        solved = solve_feedback(spec, moments, range_tol=config.tol_range, psd_tol=config.tol_psd)
-    else:
-        solved = solve_mixed(
-            spec, _resolve_phi(config, spec), moments,
-            range_tol=config.tol_range, psd_tol=config.tol_psd,
-        )
+    solved = _solve(config.solver, config, spec, moments)
     if isinstance(solved, NonexistenceReport):
         print(solved.describe())
         return EXIT_NONEXISTENT
@@ -446,7 +412,7 @@ def _cmd_batch(config: RunConfig) -> int:
     for draw in range(config.draws):
         phi_seed = config.seed + draw
         phi = sample_pure_feedback(phi_seed, spec.horizon, spec.num_assets)
-        result = solve_mixed(spec, phi, moments, range_tol=config.tol_range, psd_tol=config.tol_psd)
+        result = solve_mixed(spec, phi, moments, range_tol=config.tol_range)
         if isinstance(result, NonexistenceReport):
             status = f"nonexistent:{result.failing_condition.name}"
             writer.writerow([draw, phi_seed, status, result.failing_stage] + [""] * (m + 2))
@@ -455,16 +421,22 @@ def _cmd_batch(config: RunConfig) -> int:
         for k in range(spec.initial_time, spec.horizon):
             row = [draw, phi_seed, "solved", k]
             row += list(trace.gain_eigenvalues[k])
-            row += [bool(trace.psd_ok[k]), bool(trace.stage_ok[k])]
+            # psd_ok is kept for the column layout and is always True: the
+            # strategy part's curvature matrix var * outer(mean) + sm * Cov has
+            # sm >= var >= 0 at every stage by induction (sm = 1 and var = 0 at
+            # the horizon; with cp = s_k + mean . P_k and q = P_k' Cov P_k >= 0,
+            # sm <- sm (cp^2 + q) and var <- var cp^2 + sm q, so
+            # sm - var <- (sm - var) cp^2 >= 0), hence it is PSD by construction.
+            row += [True, bool(trace.stage_ok[k])]
             writer.writerow(row)
     _emit(buf.getvalue(), config)
     return EXIT_OK
 
 
 _HANDLERS = {
-    Command.SOLVE_OPEN_LOOP: _cmd_solve_open_loop,
-    Command.SOLVE_FEEDBACK: _cmd_solve_feedback,
-    Command.SOLVE_MIXED: _cmd_solve_mixed,
+    Command.SOLVE_OPEN_LOOP: _cmd_solve,
+    Command.SOLVE_FEEDBACK: _cmd_solve,
+    Command.SOLVE_MIXED: _cmd_solve,
     Command.VERIFY: _cmd_verify,
     Command.SIMULATE: _cmd_simulate,
     Command.REPRODUCE_EXAMPLE: _cmd_reproduce_example,

@@ -1,8 +1,10 @@
-"""Pseudoinverse, scalar dagger, range membership and PSD primitives.
+"""Pseudoinverse, range membership and PSD primitives.
 
 Every backward recursion in this package solves stage equations of the form
 ``G u = -target`` where G is symmetric (usually PSD, possibly singular). The
-helpers here centralize the tolerance semantics of those solves.
+helpers here centralize the tolerance semantics of those solves. One
+eigendecomposition serves all three: ``pseudoinverse`` keeps the eigenvalues
+it computes, and ``range_membership`` and ``is_psd`` accept its result.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 DEFAULT_PINV_RTOL = 1e-10
 DEFAULT_RANGE_RTOL = 1e-8
 DEFAULT_PSD_TOL = 1e-10
-DEFAULT_DAGGER_ATOL = 1e-12
 _SYM_RTOL = 1e-8
 
 
@@ -22,14 +23,15 @@ _SYM_RTOL = 1e-8
 class PinvResult:
     """Moore-Penrose pseudoinverse of a symmetric matrix.
 
-    rank is the count of eigenvalues whose magnitude exceeds cutoff, and
-    cutoff is the absolute threshold actually applied (rel_tol * spectral
-    radius).
+    rank is the count of eigenvalues whose magnitude exceeds cutoff, cutoff
+    is the absolute threshold actually applied (rel_tol * spectral radius),
+    and eigenvalues are all eigenvalues of the matrix in ascending order.
     """
 
     pinv: np.ndarray
     rank: int
     cutoff: float
+    eigenvalues: np.ndarray
 
 
 def _require_symmetric(M: np.ndarray, what: str) -> np.ndarray:
@@ -60,36 +62,38 @@ def pseudoinverse(M: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> PinvResu
     inv_w = np.zeros_like(w)
     inv_w[keep] = 1.0 / w[keep]
     P = (Q * inv_w) @ Q.T
-    return PinvResult(pinv=0.5 * (P + P.T), rank=int(np.count_nonzero(keep)), cutoff=cutoff)
-
-
-def scalar_dagger(a: float, abs_tol: float = DEFAULT_DAGGER_ATOL) -> float:
-    """1/a when |a| exceeds abs_tol, else 0 (the scalar pseudoinverse)."""
-    if abs_tol < 0:
-        raise ValueError("abs_tol must be nonnegative")
-    a = float(a)
-    return 1.0 / a if abs(a) > abs_tol else 0.0
+    return PinvResult(
+        pinv=0.5 * (P + P.T), rank=int(np.count_nonzero(keep)), cutoff=cutoff, eigenvalues=w
+    )
 
 
 def range_membership(
-    v: np.ndarray, M: np.ndarray, rel_tol: float = DEFAULT_RANGE_RTOL
+    v: np.ndarray,
+    M: np.ndarray,
+    rel_tol: float = DEFAULT_RANGE_RTOL,
+    pinv: PinvResult | None = None,
 ) -> tuple[bool, float]:
     """Whether v lies in the column space of symmetric M, with the residual.
 
     Returns (ok, residual) where residual = ||M M^+ v - v|| and ok means
-    residual <= rel_tol * max(1, ||v||).
+    residual <= rel_tol * max(1, ||v||). pinv, when given, is M's
+    pseudoinverse and saves decomposing M again.
     """
     v = np.asarray(v, dtype=float)
-    pr = pseudoinverse(M)
-    residual = float(np.linalg.norm(M @ (pr.pinv @ v) - v))
+    if pinv is None:
+        pinv = pseudoinverse(M)
+    residual = float(np.linalg.norm(M @ (pinv.pinv @ v) - v))
     return residual <= rel_tol * max(1.0, float(np.linalg.norm(v))), residual
 
 
-def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
+def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL, pinv: PinvResult | None = None) -> bool:
     """Whether symmetric M is positive semidefinite within a relative slack.
 
-    Passes iff lambda_min >= -tol * max(1, lambda_max).
+    Passes iff lambda_min >= -tol * max(1, lambda_max). pinv, when given, is
+    M's pseudoinverse, whose eigenvalues are used instead of decomposing M.
     """
-    M = _require_symmetric(M, "is_psd")
-    w = np.linalg.eigvalsh(M)
+    if pinv is None:
+        w = np.linalg.eigvalsh(_require_symmetric(M, "is_psd"))
+    else:
+        w = pinv.eigenvalues
     return bool(w[0] >= -tol * max(1.0, float(w[-1])))

@@ -71,17 +71,15 @@ class ExcessMoments:
     """First two moments of the excess returns O_k = e_k - s_k * 1.
 
     mean_excess (N, m); cov_excess (N, m, m), equal to the return covariance
-    since subtracting a deterministic scalar shifts nothing; second_moment
-    (N, m, m) = cov_excess + outer(mean_excess).
+    since subtracting a deterministic scalar shifts nothing.
     """
 
     mean_excess: np.ndarray
     cov_excess: np.ndarray
-    second_moment: np.ndarray
 
     def __post_init__(self):
-        for name in ("mean_excess", "cov_excess", "second_moment"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name in ("mean_excess", "cov_excess"):
+            arr = np.array(getattr(self, name), dtype=float)  # private copy to freeze
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -254,10 +252,9 @@ def dump_market_spec(spec: MarketSpec, target=None) -> str:
 
 def derive_excess_moments(spec: MarketSpec) -> ExcessMoments:
     """Excess-return moments O_k = e_k - s_k * 1 for every stage."""
+    # ExcessMoments copies its inputs, so the spec's frozen covariance is passed as is
     mean_excess = spec.mean_returns - spec.riskless[:, None]
-    cov_excess = np.array(spec.return_cov)
-    second = cov_excess + np.einsum("ki,kj->kij", mean_excess, mean_excess)
-    return ExcessMoments(mean_excess=mean_excess, cov_excess=cov_excess, second_moment=second)
+    return ExcessMoments(mean_excess=mean_excess, cov_excess=spec.return_cov)
 
 
 def check_open_loop_existence(

@@ -9,57 +9,14 @@ u_k = K_k x + c_k or a NonexistenceReport certifying the failing stage.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import (
-    DEFAULT_PINV_RTOL,
-    DEFAULT_RANGE_RTOL,
-    pseudoinverse,
-    range_membership,
-)
+from .linalg import DEFAULT_PINV_RTOL, DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec, derive_excess_moments
-from .policy import (
-    AffinePolicy,
-    FailingCondition,
-    InternalInconsistencyError,
-    NonexistenceReport,
-    PolicyKind,
-)
+from .policy import NonexistenceReport, PolicyKind
+from .recursion import EquilibriumSolution, backward_recursion
 
-
-@dataclass(frozen=True)
-class OpenLoopTrace:
-    """Stagewise audit of the backward recursion.
-
-    Scalar sequences have length N + 1 (terminal entries included):
-    cov_weight multiplies the covariance in the stage gain matrix and stays
-    positive whenever every range condition holds; riskless_growth_sq is the
-    squared product of remaining riskless returns; mean_coupling and
-    mean_offset are the wealth-proportional and constant weights of the
-    terminal-mean cost term carried backward by riskless compounding.
-    Per-stage arrays have length N and hold NaN (or False) below the initial
-    time, where the recursion never ran.
-    """
-
-    cov_weight: np.ndarray
-    riskless_growth_sq: np.ndarray
-    mean_coupling: np.ndarray
-    mean_offset: np.ndarray
-    gain_matrix: np.ndarray
-    gain_target: np.ndarray
-    offset_target: np.ndarray
-    range_ok: np.ndarray
-    range_residual: np.ndarray
-
-
-@dataclass(frozen=True)
-class OpenLoopSolution:
-    policy: AffinePolicy
-    trace: OpenLoopTrace
+OpenLoopSolution = EquilibriumSolution
 
 
 def solve_open_loop(
@@ -68,137 +25,36 @@ def solve_open_loop(
     range_tol: float = DEFAULT_RANGE_RTOL,
     pinv_rtol: float = DEFAULT_PINV_RTOL,
 ) -> OpenLoopSolution | NonexistenceReport:
-    """Backward recursion from the final stage down to spec.initial_time.
+    """The shared backward recursion with nothing re-applied after a deviation.
 
-    At stage k the gain and offset solve the singular linear systems
-    gain_matrix K = -gain_target and gain_matrix c = -offset_target via the
-    pseudoinverse, where gain_matrix = cov_weight[k+1] * Cov(O_k). The range
-    condition is checked on the mean excess against the covariance directly,
-    which is equivalent while cov_weight stays positive and is better
-    conditioned.
+    The stage gain matrix is cov_weight[k+1] * Cov(O_k), and each stage checks
+    the range condition on the mean excess return.
     """
-    if moments is None:
-        moments = derive_excess_moments(spec)
-    N, m, t = spec.horizon, spec.num_assets, spec.initial_time
-
-    cov_weight = np.full(N + 1, np.nan)
-    growth_sq = np.full(N + 1, np.nan)
-    mean_coupling = np.full(N + 1, np.nan)
-    mean_offset = np.full(N + 1, np.nan)
-    gain_matrix = np.full((N, m, m), np.nan)
-    gain_target = np.full((N, m), np.nan)
-    offset_target = np.full((N, m), np.nan)
-    range_ok = np.zeros(N, dtype=bool)
-    range_residual = np.full(N, np.nan)
-    gains = np.zeros((N - t, m))
-    offsets = np.zeros((N - t, m))
-
-    cov_weight[N] = 1.0
-    growth_sq[N] = 1.0
-    mean_coupling[N] = -spec.mu1 / 2.0
-    mean_offset[N] = -spec.mu2 / 2.0
-
-    for k in range(N - 1, t - 1, -1):
-        s_k = spec.riskless[k]
-        mean_ex = moments.mean_excess[k]
-        cov_ex = moments.cov_excess[k]
-
-        if not cov_weight[k + 1] > 0:
-            raise InternalInconsistencyError(
-                f"cov_weight became nonpositive ({cov_weight[k + 1]}) at stage {k + 1}"
-            )
-
-        ok, residual = range_membership(mean_ex, cov_ex, range_tol)
-        range_ok[k] = ok
-        range_residual[k] = residual
-        if not ok:
-            return NonexistenceReport(
-                failing_stage=k,
-                failing_condition=FailingCondition.RANGE_CONDITION,
-                residual=residual,
-            )
-
-        target_gain = mean_coupling[k + 1] * mean_ex
-        target_offset = mean_offset[k + 1] * mean_ex
-        G = cov_weight[k + 1] * cov_ex
-        gain_target[k] = target_gain
-        offset_target[k] = target_offset
-        gain_matrix[k] = G
-
-        G_dag = pseudoinverse(G, pinv_rtol).pinv
-        K_k = -G_dag @ target_gain
-        c_k = -G_dag @ target_offset
-        gains[k - t] = K_k
-        offsets[k - t] = c_k
-
-        cov_weight[k] = cov_weight[k + 1] * s_k**2 - s_k * cov_weight[k + 1] * (
-            mean_ex @ (G_dag @ target_gain)
-        )
-        growth_sq[k] = s_k**2 * growth_sq[k + 1]
-        mean_coupling[k] = s_k * mean_coupling[k + 1]
-        mean_offset[k] = s_k * mean_offset[k + 1]
-
-    if not cov_weight[t] > 0:
-        raise InternalInconsistencyError(f"cov_weight nonpositive at stage {t}")
-
-    policy = AffinePolicy(kind=PolicyKind.OPEN_LOOP, start_stage=t, gains=gains, offsets=offsets)
-    trace = OpenLoopTrace(
-        cov_weight=cov_weight,
-        riskless_growth_sq=growth_sq,
-        mean_coupling=mean_coupling,
-        mean_offset=mean_offset,
-        gain_matrix=gain_matrix,
-        gain_target=gain_target,
-        offset_target=offset_target,
-        range_ok=range_ok,
-        range_residual=range_residual,
-    )
-    return OpenLoopSolution(policy=policy, trace=trace)
+    return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP, range_tol=range_tol, pinv_rtol=pinv_rtol)
 
 
 def equilibrium_wealth_coefficients(
-    solution: OpenLoopSolution, spec: MarketSpec, moments: ExcessMoments | None = None
+    solution, spec: MarketSpec, moments: ExcessMoments | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-stage (a_k, b_k) of the mean wealth path: E X_{k+1} = a_k E X_k + b_k.
 
     a_k = s_k + mean_excess_k . K_k and b_k = mean_excess_k . c_k, for stages
-    initial_time through horizon - 1.
+    initial_time through horizon - 1. a_k is the closed-loop mean multiplier.
+    Any solution with a policy works: open-loop, feedback or mixed.
     """
     if moments is None:
         moments = derive_excess_moments(spec)
-    t, N = solution.policy.start_stage, spec.horizon
-    a = np.empty(N - t)
-    b = np.empty(N - t)
-    for k in range(t, N):
-        mean_ex = moments.mean_excess[k]
-        a[k - t] = spec.riskless[k] + mean_ex @ solution.policy.gain(k)
-        b[k - t] = mean_ex @ solution.policy.offset(k)
-    return a, b
+    t = solution.policy.start_stage
+    mean_ex = moments.mean_excess[t:]
+    a = spec.riskless[t:] + np.einsum("ki,ki->k", mean_ex, solution.policy.gains)
+    return a, np.einsum("ki,ki->k", mean_ex, solution.policy.offsets)
 
 
-def mean_wealth_path(solution: OpenLoopSolution, spec: MarketSpec) -> np.ndarray:
-    """Deterministic mean wealth from initial_time to the horizon, inclusive."""
+def mean_wealth_path(solution, spec: MarketSpec) -> np.ndarray:
+    """Deterministic mean wealth from initial_time to the horizon, inclusive, of any solution."""
     a, b = equilibrium_wealth_coefficients(solution, spec)
     path = np.empty(len(a) + 1)
     path[0] = spec.initial_wealth
     for i in range(len(a)):
         path[i + 1] = a[i] * path[i] + b[i]
     return path
-
-
-def open_loop_trace_csv(solution: OpenLoopSolution, spec: MarketSpec) -> str:
-    """CSV with one row per solved stage: scalars, gains, offsets, residual."""
-    m = spec.num_assets
-    t = solution.policy.start_stage
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    header = ["k", "cov_weight", "riskless_growth_sq", "mean_coupling", "mean_offset"]
-    header += [f"K_{i}" for i in range(m)] + [f"c_{i}" for i in range(m)] + ["range_residual"]
-    writer.writerow(header)
-    tr = solution.trace
-    for k in range(t, spec.horizon):
-        row = [k, tr.cov_weight[k], tr.riskless_growth_sq[k], tr.mean_coupling[k], tr.mean_offset[k]]
-        row += list(solution.policy.gain(k)) + list(solution.policy.offset(k))
-        row.append(tr.range_residual[k])
-        writer.writerow(row)
-    return buf.getvalue()

@@ -1,8 +1,9 @@
-"""Shared policy and failure types used by all three solvers."""
+"""Shared policy and failure types used by all three solvers, and the mixed strategy part."""
 
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,3 +97,60 @@ class AffinePolicy:
     def control(self, k: int, x: float) -> np.ndarray:
         """Prescribed asset allocation at stage k and wealth x."""
         return self.gain(k) * x + self.offset(k)
+
+
+@dataclass(frozen=True)
+class PureFeedbackPart:
+    """The prescribed wealth-proportional strategy part, one gain row per stage."""
+
+    gains: np.ndarray
+    provenance: str = "user_supplied"
+    seed: int | None = None
+
+    def __post_init__(self):
+        gains = np.atleast_2d(np.array(self.gains, dtype=float))  # private copy
+        if not np.all(np.isfinite(gains)):
+            raise ValueError("strategy gains must be finite")
+        gains.flags.writeable = False
+        object.__setattr__(self, "gains", gains)
+
+    @property
+    def horizon(self) -> int:
+        return self.gains.shape[0]
+
+    @property
+    def num_assets(self) -> int:
+        return self.gains.shape[1]
+
+
+def sample_pure_feedback(seed: int, horizon: int, num_assets: int) -> PureFeedbackPart:
+    """Standard-normal strategy part from a seeded generator; reproducible."""
+    rng = np.random.default_rng(seed)
+    return PureFeedbackPart(
+        gains=rng.standard_normal((horizon, num_assets)), provenance="sampled", seed=seed
+    )
+
+
+def zero_pure_feedback(horizon: int, num_assets: int) -> PureFeedbackPart:
+    return PureFeedbackPart(gains=np.zeros((horizon, num_assets)), provenance="zero")
+
+
+def load_pure_feedback(source, horizon: int, num_assets: int) -> PureFeedbackPart:
+    """Read a strategy part from JSON: an array of horizon rows of num_assets."""
+    if hasattr(source, "read"):
+        raw = json.load(source)
+    elif isinstance(source, (list, tuple, np.ndarray)):
+        raw = source
+    else:
+        text = str(source)
+        if text.lstrip().startswith("["):
+            raw = json.loads(text)
+        else:
+            with open(text) as fh:
+                raw = json.load(fh)
+    gains = np.asarray(raw, dtype=float)
+    if gains.shape != (horizon, num_assets):
+        raise ValueError(
+            f"strategy part must have shape ({horizon}, {num_assets}), got {gains.shape}"
+        )
+    return PureFeedbackPart(gains=gains, provenance="user_supplied")

@@ -70,12 +70,14 @@ def test_policy_independent_of_initial_wealth():
 
 
 def test_closed_loop_multiplier(preset_solution):
+    # the closed-loop mean multiplier s_k + mean . Phi_k is the wealth-path coefficient a_k
     spec, sol = preset_solution
-    assert mv.closed_loop_multiplier(sol, spec, 3) == pytest.approx(1.7710, abs=5e-4)
     moments = mv.derive_excess_moments(spec)
+    multipliers = mv.equilibrium_wealth_coefficients(sol, spec, moments)[0]
+    assert multipliers[3] == pytest.approx(1.7710, abs=5e-4)
     for k in range(4):
         expected = 1.04 + moments.mean_excess[k] @ sol.policy.gain(k)
-        assert mv.closed_loop_multiplier(sol, spec, k) == pytest.approx(expected)
+        assert multipliers[k] == pytest.approx(expected)
 
 
 def test_single_stage_single_asset_closed_form():
@@ -92,7 +94,7 @@ def test_single_stage_single_asset_closed_form():
     # gain = (mu1 / 2) * mean_excess / variance, offset likewise with mu2
     assert sol.policy.gain(0)[0] == pytest.approx(1.0, abs=1e-12)
     assert sol.policy.offset(0)[0] == pytest.approx(1.0, abs=1e-12)
-    assert mv.closed_loop_multiplier(sol, spec, 0) == pytest.approx(1.15, abs=1e-12)
+    assert mv.equilibrium_wealth_coefficients(sol, spec)[0][0] == pytest.approx(1.15, abs=1e-12)
 
 
 def test_zero_excess_returns_zero_strategy():
@@ -109,6 +111,40 @@ def test_zero_excess_returns_zero_strategy():
     assert np.array_equal(sol.policy.gains, np.zeros((3, 2)))
     assert np.array_equal(sol.policy.offsets, np.zeros((3, 2)))
     assert np.array_equal(sol.trace.mean_outer_weight, np.zeros(4))
+
+
+def _long_horizon_single_asset(mean_return):
+    # riskless 0.5 shrinks cov_weight by 4x per stage, to 3.6e-15 by stage 5
+    return mv.make_market_spec(
+        horizon=30,
+        num_assets=1,
+        riskless=0.5,
+        mean_returns=[mean_return],
+        return_cov=[[0.01]],
+        mu1=1.0,
+        mu2=1.0,
+    )
+
+
+def test_tiny_cov_weight_with_zero_excess_solves_to_zero_strategy():
+    # an absolute guard on cov_weight once rejected this valid market
+    sol = mv.solve_feedback(_long_horizon_single_asset(0.5))
+    assert not isinstance(sol, NonexistenceReport)
+    assert sol.trace.cov_weight[5] < 1e-14
+    assert np.array_equal(sol.policy.gains, np.zeros((30, 1)))
+    assert np.array_equal(sol.policy.offsets, np.zeros((30, 1)))
+
+
+def test_feedback_is_mixed_with_its_own_gains_reapplied():
+    for spec in (_long_horizon_single_asset(0.55), mv.get_preset(PRESET)):
+        sol = mv.solve_feedback(spec)
+        assert not isinstance(sol, NonexistenceReport)
+        mixed = mv.solve_mixed(spec, mv.PureFeedbackPart(gains=sol.policy.gains))
+        assert not isinstance(mixed, NonexistenceReport)
+        scale = max(1.0, float(np.max(np.abs(sol.policy.gains))))
+        assert np.max(np.abs(mixed.policy.gains - sol.policy.gains)) <= 1e-12 * scale
+        assert np.max(np.abs(mixed.policy.offsets - sol.policy.offsets)) <= 1e-12 * scale
+        assert np.allclose(mixed.trace.cov_weight, sol.trace.cov_weight, rtol=1e-12, atol=0)
 
 
 def test_nonexistence_when_mean_leaves_range_at_last_stage():
@@ -155,6 +191,6 @@ def test_feedback_can_exist_where_open_loop_does_not():
 
 def test_trace_csv_has_one_row_per_stage(preset_solution):
     spec, sol = preset_solution
-    lines = mv.feedback_trace_csv(sol, spec).strip().splitlines()
+    lines = mv.trace_csv(sol, spec).strip().splitlines()
     assert len(lines) == 5
     assert lines[0].split(",")[:3] == ["k", "cov_weight", "mean_outer_weight"]

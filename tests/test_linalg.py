@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvequil.linalg import is_psd, pseudoinverse, range_membership, scalar_dagger
+from mvequil.linalg import is_psd, pseudoinverse, range_membership
 
 
 def random_spd_spectrum(rng, n, zero_frac=0.4):
@@ -68,12 +68,18 @@ def test_rank_one_diagonal_pseudoinverse_is_exact():
     assert res.rank == 1
 
 
-def test_scalar_dagger():
-    assert scalar_dagger(0.0) == 0.0
-    assert scalar_dagger(2.0) == 0.5
-    assert scalar_dagger(-4.0) == -0.25
-    assert scalar_dagger(1e-15) == 0.0  # below the absolute cutoff
-    assert scalar_dagger(3.0) == pseudoinverse(np.array([[3.0]])).pinv[0, 0]
+@given(st.integers(0, 10**6), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_checks_reuse_the_pseudoinverse_decomposition(seed, n):
+    # one decomposition serves the range and PSD checks with unchanged answers
+    rng = np.random.default_rng(seed)
+    M, _ = random_spd_spectrum(rng, n)
+    M = M - rng.uniform(0.0, 1.0) * np.eye(n) * (rng.random() < 0.5)  # sometimes indefinite
+    res = pseudoinverse(M)
+    assert np.allclose(res.eigenvalues, np.linalg.eigvalsh(M), atol=1e-12)
+    assert is_psd(M, pinv=res) == is_psd(M)
+    for v in (M @ rng.standard_normal(n), rng.standard_normal(n)):
+        assert range_membership(v, M, pinv=res) == range_membership(v, M)
 
 
 def test_is_psd_examples():

@@ -35,8 +35,6 @@ def test_preset_excess_moments():
     moments = mv.derive_excess_moments(spec)
     assert np.allclose(moments.mean_excess, np.tile([0.122, 0.206, 0.188], (4, 1)))
     for k in range(4):
-        outer = np.outer(moments.mean_excess[k], moments.mean_excess[k])
-        assert np.allclose(moments.second_moment[k], moments.cov_excess[k] + outer)
         assert np.allclose(moments.cov_excess[k], spec.return_cov[k])
 
 
@@ -188,6 +186,17 @@ def test_riskless_below_one_warns_but_loads():
     assert "stage 0" in spec.warnings[0]
 
 
+def test_moments_copy_the_callers_arrays():
+    mean = np.array([[0.1, 0.2]])
+    cov = np.array([[[0.04, 0.0], [0.0, 0.09]]])
+    moments = mv.ExcessMoments(mean_excess=mean, cov_excess=cov)
+    assert mean.flags.writeable and cov.flags.writeable
+    mean[:] = 5.0
+    cov[:] = 5.0
+    assert moments.mean_excess[0, 1] == 0.2 and moments.cov_excess[0, 1, 1] == 0.09
+    assert not (moments.mean_excess.flags.writeable or moments.cov_excess.flags.writeable)
+
+
 def test_zero_excess_moments():
     spec = mv.make_market_spec(
         horizon=2,
@@ -200,7 +209,6 @@ def test_zero_excess_moments():
     )
     moments = mv.derive_excess_moments(spec)
     assert np.array_equal(moments.mean_excess, np.zeros((2, 2)))
-    assert np.array_equal(moments.second_moment, moments.cov_excess)
 
 
 def test_single_asset_moments():
@@ -215,7 +223,7 @@ def test_single_asset_moments():
     )
     moments = mv.derive_excess_moments(spec)
     assert moments.mean_excess[0, 0] == pytest.approx(0.1)
-    assert moments.second_moment[0, 0, 0] == pytest.approx(0.04 + 0.01)
+    assert moments.cov_excess[0, 0, 0] == pytest.approx(0.04)
 
 
 def test_existence_check_preset_and_degenerate():

@@ -1,6 +1,7 @@
 """Mixed equilibrium solver: strategy part chosen, open-loop part solved."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ PRESET = "li-duan-example-2"
 @pytest.fixture(scope="module")
 def preset_mixed():
     spec = mv.get_preset(PRESET)
-    sol = mv.solve_mixed(spec, PureFeedbackPart(gains=MIXED_STRATEGY), cross_check=True)
+    sol = mv.solve_mixed(spec, PureFeedbackPart(gains=MIXED_STRATEGY))
     return spec, sol
 
 
@@ -53,8 +54,31 @@ def test_cross_checked_shift_recursions_agree_on_random_strategies():
     spec = mv.get_preset(PRESET)
     for seed in range(6):
         phi = mv.sample_pure_feedback(seed, spec.horizon, spec.num_assets)
-        sol = mv.solve_mixed(spec, phi, cross_check=True)
+        sol = mv.solve_mixed(spec, phi)
         assert not isinstance(sol, NonexistenceReport)
+        assert sol.trace.stage_ok.all()
+
+
+def test_large_strategy_part_solves_without_overflow():
+    # a curvature check once overflowed here and raised LinAlgError; the
+    # weights themselves grow to about 1e145 but stay finite
+    preset = mv.get_preset(PRESET)
+    spec = mv.make_market_spec(
+        horizon=45,
+        num_assets=3,
+        riskless=1.04,
+        mean_returns=preset.mean_returns[0],
+        return_cov=preset.return_cov[0],
+        mu1=1.0,
+        mu2=1.0,
+    )
+    phi = PureFeedbackPart(gains=1e4 * np.random.default_rng(0).standard_normal((45, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = mv.solve_mixed(spec, phi)
+    assert not isinstance(sol, NonexistenceReport)
+    assert np.all(np.isfinite(sol.trace.cov_weight)) and np.all(np.isfinite(sol.policy.gains))
+    assert sol.trace.stage_ok.all()
 
 
 def test_last_stage_independent_of_strategy():
@@ -99,7 +123,7 @@ def test_mean_wealth_path_matches_open_loop_for_zero_strategy():
     mixed = mv.solve_mixed(spec, mv.zero_pure_feedback(spec.horizon, spec.num_assets))
     open_loop = mv.solve_open_loop(spec)
     assert np.allclose(
-        mv.mixed_equilibrium_wealth_mean(mixed, spec),
+        mv.mean_wealth_path(mixed, spec),
         mv.mean_wealth_path(open_loop, spec),
         atol=1e-10,
     )
@@ -125,7 +149,7 @@ def test_strategy_shape_is_validated():
 
 def test_trace_csv_has_one_row_per_stage(preset_mixed):
     spec, sol = preset_mixed
-    lines = mv.mixed_trace_csv(sol, spec).strip().splitlines()
+    lines = mv.trace_csv(sol, spec).strip().splitlines()
     assert len(lines) == 5
     header = lines[0].split(",")
     assert "strategy_0" in header and "gain_eig_2" in header
@@ -134,5 +158,18 @@ def test_trace_csv_has_one_row_per_stage(preset_mixed):
 def test_applied_policy_kind(preset_mixed):
     _, sol = preset_mixed
     assert sol.policy.kind is mv.PolicyKind.MIXED_APPLIED
-    assert sol.trace.psd_ok.all()
     assert sol.trace.stage_ok.all()
+
+
+def test_gain_matrix_need_not_be_psd():
+    # the deviation Hessian 2(E[beta^2] Sigma + Var(beta) mu mu') is PSD for any
+    # strategy part, so an indefinite G is no obstacle to a mixed equilibrium
+    spec = random_market(7, 4, 3)
+    phi = PureFeedbackPart(gains=5 * np.random.default_rng(7).standard_normal((spec.horizon, spec.num_assets)))
+    sol = mv.solve_mixed(spec, phi)
+    assert not isinstance(sol, NonexistenceReport)
+    lam_min = sol.trace.gain_eigenvalues[:, 0]
+    assert lam_min.min() < -0.1
+    tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+    reports = mv.verify_equilibrium(tree, spec, sol)
+    assert all(r.passed for r in reports)

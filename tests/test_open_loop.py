@@ -141,7 +141,7 @@ def test_solution_from_interior_start_matches_tail():
 
 def test_trace_csv_shape(preset_solution):
     spec, sol = preset_solution
-    lines = mv.open_loop_trace_csv(sol, spec).strip().splitlines()
+    lines = mv.trace_csv(sol, spec).strip().splitlines()
     assert len(lines) == 5
     header = lines[0].split(",")
     assert header[0] == "k"
