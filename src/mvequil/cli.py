@@ -157,23 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=Command(ns.command),
-        market=ns.market,
-        t=ns.t,
-        x=ns.x,
-        tol_range=ns.tol_range,
-        tol_psd=ns.tol_psd,
-        seed=ns.seed,
-        paths=getattr(ns, "paths", 100_000),
-        phi=getattr(ns, "phi", "zero"),
-        draws=getattr(ns, "draws", 10),
-        atoms=getattr(ns, "atoms", None),
-        solver=getattr(ns, "solver", "open-loop"),
-        distribution=getattr(ns, "distribution", "gaussian"),
-        fmt=OutputFormat(ns.fmt),
-        out=ns.out,
-    )
+    # options a command lacks keep RunConfig's defaults
+    given = {f.name: getattr(ns, f.name) for f in dataclass_fields(RunConfig) if hasattr(ns, f.name)}
+    return RunConfig(**{**given, "command": Command(ns.command), "fmt": OutputFormat(ns.fmt)})
 
 
 def _emit(text: str, config: RunConfig) -> None:
@@ -280,9 +266,7 @@ def _cmd_verify(config: RunConfig) -> int:
     lines = []
     blocks = []
     for name, solution in solved.items():
-        # mixed semantics need the strategy part, so the oracle gets the whole solution
-        target = solution if name == "mixed" else solution.policy
-        reports = verify_equilibrium(tree, spec, target)
+        reports = verify_equilibrium(tree, spec, solution)
         summary = verification_summary(reports)
         all_ok = all_ok and summary["passed"]
         lines.append(
@@ -304,17 +288,16 @@ def _cmd_simulate(config: RunConfig) -> int:
     if isinstance(solved, NonexistenceReport):
         print(solved.describe())
         return EXIT_NONEXISTENT
-    policy = solved if config.solver == "mixed" else solved.policy
 
     exact = None
     if config.distribution == "tree":
         tree = build_matched_tree(moments, atoms_per_stage=config.atoms)
         dist = tree
-        exact = evaluate_cost_exact(tree, spec, policy)
+        exact = evaluate_cost_exact(tree, spec, solved)
     else:
         dist = "gaussian"
     summary = simulate_monte_carlo(
-        spec, policy, n_paths=config.paths, seed=config.seed, distribution=dist, moments=moments
+        spec, solved, n_paths=config.paths, seed=config.seed, distribution=dist, moments=moments
     )
 
     record = {f.name: getattr(summary, f.name) for f in dataclass_fields(summary)}

@@ -9,6 +9,8 @@ it computes, and ``range_membership`` and ``is_psd`` accept its result.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +36,26 @@ class PinvResult:
     eigenvalues: np.ndarray
 
 
+def _norm(a: np.ndarray) -> float:
+    """np.linalg.norm(a), bit for bit while the sum of squares is a normal float
+    (np.vdot sets no overflow warning); else taken of a scaled by a power of two."""
+    sq = float(np.vdot(a, a))
+    if sys.float_info.min <= sq < math.inf:
+        return math.sqrt(sq)
+    big = float(np.abs(a).max(initial=0.0))
+    if not 0.0 < big < math.inf:
+        return big  # zero, or a non-finite entry
+    scale = 2.0 ** (math.frexp(big)[1] - 1)  # dividing by a power of two is exact
+    return scale * math.sqrt(float(np.vdot(a / scale, a / scale)))
+
+
 def _require_symmetric(M: np.ndarray, what: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise np.linalg.LinAlgError(f"{what}: expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise np.linalg.LinAlgError(f"{what}: matrix has non-finite entries")
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(M - M.T) > _SYM_RTOL * scale:
+    if _norm(M - M.T) > _SYM_RTOL * max(1.0, _norm(M)):
         raise np.linalg.LinAlgError(f"{what}: matrix is not symmetric")
     # exact symmetry for eigh; asymmetry beyond tolerance was rejected above
     return 0.5 * (M + M.T)
@@ -76,14 +90,14 @@ def range_membership(
     """Whether v lies in the column space of symmetric M, with the residual.
 
     Returns (ok, residual) where residual = ||M M^+ v - v|| and ok means
-    residual <= rel_tol * max(1, ||v||). pinv, when given, is M's
-    pseudoinverse and saves decomposing M again.
+    residual <= rel_tol * max(1, ||v||); a non-finite residual never passes.
+    pinv, when given, is M's pseudoinverse and saves decomposing M again.
     """
     v = np.asarray(v, dtype=float)
     if pinv is None:
         pinv = pseudoinverse(M)
-    residual = float(np.linalg.norm(M @ (pinv.pinv @ v) - v))
-    return residual <= rel_tol * max(1.0, float(np.linalg.norm(v))), residual
+    residual = _norm(M @ (pinv.pinv @ v) - v)
+    return math.isfinite(residual) and residual <= rel_tol * max(1.0, _norm(v)), residual
 
 
 def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL, pinv: PinvResult | None = None) -> bool:

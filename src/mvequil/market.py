@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL, range_membership
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL, _require_symmetric, range_membership
 
 
 class ValidationError(ValueError):
@@ -126,7 +126,6 @@ def make_market_spec(
     mu2,
     initial_time=0,
     initial_wealth=1.0,
-    psd_tol: float = DEFAULT_PSD_TOL,
 ) -> MarketSpec:
     """Build a MarketSpec from possibly-broadcast inputs, validating everything.
 
@@ -177,13 +176,12 @@ def make_market_spec(
     if not np.all(np.isfinite(covs)):
         raise ValidationError("return_cov must be finite")
     for k in range(horizon):
-        M = covs[k]
-        scale = max(1.0, float(np.linalg.norm(M)))
-        if np.linalg.norm(M - M.T) > 1e-8 * scale:
-            raise ValidationError(f"covariance not symmetric at stage {k}")
-        Ms = 0.5 * (M + M.T)
+        try:
+            Ms = _require_symmetric(covs[k], "covariance")
+        except np.linalg.LinAlgError:
+            raise ValidationError(f"covariance not symmetric at stage {k}") from None
         w = np.linalg.eigvalsh(Ms)
-        if w[0] < -psd_tol * max(1.0, float(w[-1])):
+        if w[0] < -DEFAULT_PSD_TOL * max(1.0, float(w[-1])):
             raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[0]:.3e})")
         covs[k] = Ms  # covs is already a private copy
 

@@ -10,30 +10,12 @@ the applied affine policy u_k = K_k x + c_k returned here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .linalg import DEFAULT_PINV_RTOL, DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec
-from .policy import AffinePolicy, NonexistenceReport, PolicyKind, PureFeedbackPart
-from .recursion import RecursionTrace, backward_recursion
+from .policy import NonexistenceReport, PolicyKind, PureFeedbackPart
+from .recursion import EquilibriumSolution, backward_recursion
 
-
-@dataclass(frozen=True)
-class MixedSolution:
-    """Applied policy plus the decomposition into strategy and frozen parts.
-
-    policy gives u_k = K_k x + c_k along the undeviated path. The pair itself
-    is (feedback_part.gains[k], frozen part), where the frozen part realizes
-    frozen_gains[k] * X_k + policy.offset(k) along the undeviated path and
-    keeps those realizations when a deviation occurs.
-    """
-
-    feedback_part: PureFeedbackPart
-    policy: AffinePolicy
-    frozen_gains: np.ndarray
-    trace: RecursionTrace
+MixedSolution = EquilibriumSolution
 
 
 def solve_mixed(
@@ -51,9 +33,6 @@ def solve_mixed(
     shape = (spec.horizon, spec.num_assets)
     if feedback_part.gains.shape != shape:
         raise ValueError(f"strategy part shape {feedback_part.gains.shape} does not match market {shape}")
-    kind = PolicyKind.MIXED_APPLIED
-    result = backward_recursion(spec, moments, kind, feedback_part.gains, range_tol=range_tol, pinv_rtol=pinv_rtol)
-    if isinstance(result, NonexistenceReport):
-        return result
-    frozen_gains = result.policy.gains - feedback_part.gains[spec.initial_time:]
-    return MixedSolution(feedback_part, result.policy, frozen_gains, result.trace)
+    return backward_recursion(
+        spec, moments, PolicyKind.MIXED, feedback_part, range_tol=range_tol, pinv_rtol=pinv_rtol
+    )

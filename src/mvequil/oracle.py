@@ -11,11 +11,15 @@ wealth, so per suffix scenario terminal wealth is beta * X_dev + gamma * X* +
 alpha in the deviated and undeviated wealth one stage later. The weighted
 moments of (beta, gamma, alpha) over the suffix tree, together with the stage's
 atom moments, give every node's cost, gradient and the stage's shared Hessian.
+
+The deviation notions differ only in the part P of each later control that is
+re-applied to the deviated wealth, u_dev = P X_dev + (u* - P X*): P = 0 (open
+loop), the own gain K (feedback) or the given strategy part (mixed).
+_continuation derives P from the semantics, never from a solver's trace.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass
@@ -33,25 +37,8 @@ class EquilibriumStructureError(RuntimeError):
     """The deviation cost was not convex: solver bug or non-equilibrium policy."""
 
 
-class DeviationSemantics(enum.Enum):
-    """How the continuation reacts to a one-stage spike deviation.
-
-    OPEN_LOOP freezes all later controls at their undeviated per-scenario
-    realizations. FEEDBACK re-applies the affine rule to the deviated state.
-    MIXED re-applies only the prescribed strategy part to the deviated state
-    and freezes the remaining part per scenario.
-    """
-
-    OPEN_LOOP = "open_loop"
-    FEEDBACK = "feedback"
-    MIXED = "mixed"
-
-
-_KIND_TO_SEMANTICS = {
-    PolicyKind.OPEN_LOOP: DeviationSemantics.OPEN_LOOP,
-    PolicyKind.FEEDBACK: DeviationSemantics.FEEDBACK,
-    PolicyKind.MIXED_APPLIED: DeviationSemantics.MIXED,
-}
+# How the continuation reacts to a one-stage spike deviation is the notion itself.
+DeviationSemantics = PolicyKind
 
 
 @dataclass(frozen=True)
@@ -105,10 +92,10 @@ class ScenarioTree:
         return math.prod(len(p) for p in self.probabilities[start:])
 
 
-def _covariance_factor(cov: np.ndarray, psd_tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
+def _covariance_factor(cov: np.ndarray) -> np.ndarray:
     """Factor F with F F^T = cov, one column per eigenpair above the PSD cutoff."""
     w, Q = np.linalg.eigh(0.5 * (cov + cov.T))
-    cutoff = psd_tol * max(1.0, float(np.max(np.abs(w)))) if w.size else 0.0
+    cutoff = DEFAULT_PSD_TOL * max(1.0, float(np.max(np.abs(w)))) if w.size else 0.0
     keep = w > cutoff
     return Q[:, keep] * np.sqrt(w[keep])
 
@@ -117,7 +104,6 @@ def build_matched_tree(
     moments: ExcessMoments,
     atoms_per_stage: int | None = None,
     seed: int | None = None,
-    psd_tol: float = DEFAULT_PSD_TOL,
 ) -> ScenarioTree:
     """Symmetric sigma-point tree matching each stage's mean and covariance.
 
@@ -138,7 +124,7 @@ def build_matched_tree(
     atoms = []
     for k in range(N):
         mean = moments.mean_excess[k]
-        factor = _covariance_factor(moments.cov_excess[k], psd_tol)
+        factor = _covariance_factor(moments.cov_excess[k])
         r = factor.shape[1]
         if rng is not None and r > 1:
             # Haar rotation within the range subspace; cov = F F^T is preserved
@@ -168,23 +154,25 @@ def build_matched_tree(
     return ScenarioTree(probabilities=tuple(probs), atoms=tuple(atoms))
 
 
-def _applied(policy) -> AffinePolicy:
-    if isinstance(policy, AffinePolicy):
-        return policy
-    inner = getattr(policy, "policy", None)
-    if isinstance(inner, AffinePolicy):
-        return inner
-    raise TypeError(f"cannot extract an affine policy from {type(policy)!r}")
+def _continuation(target, semantics: DeviationSemantics | None = None):
+    """The applied policy, the semantics and the gain rows P re-applied after a deviation.
 
-
-def _strategy_gains(policy):
-    """The re-applied strategy part of a mixed solution, else None."""
-    part = getattr(policy, "feedback_part", None)
-    return None if part is None else part.gains
-
-
-def _default_semantics(policy) -> DeviationSemantics:
-    return _KIND_TO_SEMANTICS[_applied(policy).kind]
+    target is an AffinePolicy or a solution holding one; semantics defaults to
+    the policy's kind. Row i of P belongs to stage start_stage + i. Only a
+    solution carries the strategy part that mixed semantics re-applies.
+    """
+    applied = target if isinstance(target, AffinePolicy) else getattr(target, "policy", None)
+    if not isinstance(applied, AffinePolicy):
+        raise TypeError(f"cannot extract an affine policy from {type(target)!r}")
+    semantics = applied.kind if semantics is None else semantics
+    if semantics is PolicyKind.OPEN_LOOP:
+        return applied, semantics, np.zeros_like(applied.gains)
+    if semantics is PolicyKind.FEEDBACK:
+        return applied, semantics, applied.gains
+    part = getattr(target, "feedback_part", None)
+    if part is None:
+        raise TypeError("mixed semantics needs the MixedSolution, not just the applied policy")
+    return applied, semantics, part.gains[applied.start_stage :]
 
 
 def _suffix_index(total: int, sizes: list[int], stage_pos: int) -> np.ndarray:
@@ -224,9 +212,10 @@ def evaluate_cost_exact(
 
     Returns E(X_N - E X_N)^2 - (mu1 x + mu2) E X_N with both moments computed
     as probability-weighted sums over all suffix scenarios. On-path cost is
-    the same under all three deviation notions, so no semantics is needed.
+    the same under all three deviation notions, so any one serves to extract
+    the policy.
     """
-    applied = _applied(policy)
+    applied = _continuation(policy, PolicyKind.OPEN_LOOP)[0]
     k = applied.start_stage if k is None else int(k)
     x = spec.initial_wealth if x is None else float(x)
     if k < applied.start_stage:
@@ -256,11 +245,7 @@ def spike_cost(
     x_star is the undeviated state at the node (defaults to x); the frozen
     continuations replay the undeviated path grown from it per scenario.
     """
-    applied = _applied(policy)
-    semantics = _default_semantics(policy) if semantics is None else semantics
-    strategy = _strategy_gains(policy)
-    if semantics is DeviationSemantics.MIXED and strategy is None:
-        raise TypeError("mixed semantics needs the MixedSolution, not just the applied policy")
+    applied, _, reapplied = _continuation(policy, semantics)
     x_star = x if x_star is None else float(x_star)
     _check_leaf_budget(tree, k)
     total, sizes, weights = _suffix_weights(tree, k)
@@ -273,13 +258,8 @@ def spike_cost(
     for pos, stage in enumerate(range(k + 1, spec.horizon), start=1):
         o = tree.atoms[stage][_suffix_index(total, sizes, pos)]
         u_star = np.outer(X_star, applied.gain(stage)) + applied.offset(stage)
-        if semantics is DeviationSemantics.OPEN_LOOP:
-            u_dev = u_star
-        elif semantics is DeviationSemantics.FEEDBACK:
-            u_dev = np.outer(X_dev, applied.gain(stage)) + applied.offset(stage)
-        else:
-            frozen = u_star - np.outer(X_star, strategy[stage])
-            u_dev = np.outer(X_dev, strategy[stage]) + frozen
+        P = reapplied[stage - applied.start_stage]
+        u_dev = np.outer(X_dev, P) + (u_star - np.outer(X_star, P))
         X_star = spec.riskless[stage] * X_star + np.einsum("ij,ij->i", o, u_star)
         X_dev = spec.riskless[stage] * X_dev + np.einsum("ij,ij->i", o, u_dev)
     return _cost_from_terminal(weights, X_dev, spec, x)
@@ -303,12 +283,12 @@ def best_spike_deviation(
     indefinite quadratic raises EquilibriumStructureError; an unbounded one
     (gradient outside the Hessian's column space) returns cost -inf.
     """
-    semantics = _default_semantics(policy) if semantics is None else semantics
+    applied, _, reapplied = _continuation(policy, semantics)
     x_star = x if x_star is None else x_star
     u_dev, j_dev, _ = _best_spikes(
-        _stage_moments(tree, spec, policy, k, semantics),
+        _stage_moments(tree, spec, applied, reapplied, k),
         spec,
-        _applied(policy),
+        applied,
         np.array([float(x)]),
         np.array([float(x_star)]),
     )
@@ -335,19 +315,15 @@ class _StageMoments:
 
 
 def _stage_moments(
-    tree: ScenarioTree, spec: MarketSpec, policy, k: int, semantics: DeviationSemantics
+    tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, reapplied: np.ndarray, k: int
 ) -> _StageMoments:
     """Enumerate the suffix tree after stage k once and take its moments.
 
-    Along each suffix scenario the continuation re-applies the gain P_l to the
-    deviated wealth and replays the rest of the undeviated control, u_l =
-    P_l X_dev + (K_l - P_l) X* + c_l, with P = 0 (open loop), K (feedback) or
-    the strategy part (mixed), so both wealths stay affine in (X_dev, X*, 1).
+    Along each suffix scenario the continuation re-applies the gain P_l (the
+    rows of reapplied, from _continuation) to the deviated wealth and replays
+    the rest of the undeviated control, u_l = P_l X_dev + (K_l - P_l) X* + c_l,
+    so both wealths stay affine in (X_dev, X*, 1).
     """
-    applied = _applied(policy)
-    strategy = _strategy_gains(policy)
-    if semantics is DeviationSemantics.MIXED and strategy is None:
-        raise TypeError("mixed semantics needs the MixedSolution, not just the applied policy")
     _check_leaf_budget(tree, k)
     total, sizes, weights = _suffix_weights(tree, k + 1)
     beta, gamma, alpha = np.ones(total), np.zeros(total), np.zeros(total)
@@ -355,15 +331,9 @@ def _stage_moments(
     for pos, stage in enumerate(range(k + 1, spec.horizon)):
         idx = _suffix_index(total, sizes, pos)
         atoms, s = tree.atoms[stage], spec.riskless[stage]
-        gain = applied.gain(stage)
-        if semantics is DeviationSemantics.OPEN_LOOP:
-            reapplied = np.zeros_like(gain)
-        elif semantics is DeviationSemantics.FEEDBACK:
-            reapplied = gain
-        else:
-            reapplied = strategy[stage]
-        dev_growth = (s + atoms @ reapplied)[idx]
-        replayed = (atoms @ (gain - reapplied))[idx]
+        gain, P = applied.gain(stage), reapplied[stage - applied.start_stage]
+        dev_growth = (s + atoms @ P)[idx]
+        replayed = (atoms @ (gain - P))[idx]
         income = (atoms @ applied.offset(stage))[idx]
         star_growth = (s + atoms @ gain)[idx]
         gamma = dev_growth * gamma + replayed * growth
@@ -462,27 +432,25 @@ def verify_equilibrium(
     spec: MarketSpec,
     policy,
     semantics: DeviationSemantics | None = None,
-    tol: float | None = None,
 ) -> list[DeviationReport]:
     """Spike-deviation test at every reachable node of every stage.
 
     Nodes are the undeviated wealth values reached from (initial_time,
     initial_wealth) along tree scenarios; all nodes of a stage are tested in one
-    pass from that stage's suffix moments. Each report's tolerance is the given
-    tol, or 1e-7 * max(1, |J*|) by default; the policy passes when every gap
-    J_dev - J* clears -tol.
+    pass from that stage's suffix moments. Each report's tol is
+    1e-7 * max(1, |J*|); the policy passes when every gap J_dev - J* clears
+    -tol.
     """
-    applied = _applied(policy)
-    semantics = _default_semantics(policy) if semantics is None else semantics
+    applied, semantics, reapplied = _continuation(policy, semantics)
     t = applied.start_stage
     _check_leaf_budget(tree, t)
     reports: list[DeviationReport] = []
     states = np.array([spec.initial_wealth])
     for k in range(t, spec.horizon):
-        moments = _stage_moments(tree, spec, policy, k, semantics)
+        moments = _stage_moments(tree, spec, applied, reapplied, k)
         u_dev, j_dev, j_star = _best_spikes(moments, spec, applied, states, states)
         gaps = j_dev - j_star
-        tols = 1e-7 * np.maximum(1.0, np.abs(j_star)) if tol is None else np.full_like(gaps, tol)
+        tols = 1e-7 * np.maximum(1.0, np.abs(j_star))
         for node, (js, jd, gap, node_tol) in enumerate(
             zip(j_star.tolist(), j_dev.tolist(), gaps.tolist(), tols.tolist())
         ):
@@ -579,7 +547,7 @@ def simulate_monte_carlo(
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    applied = _applied(policy)
+    applied = _continuation(policy, PolicyKind.OPEN_LOOP)[0]
     t, x0 = applied.start_stage, spec.initial_wealth
     rng = np.random.default_rng(seed)
     sampling_tree = distribution if isinstance(distribution, ScenarioTree) else None

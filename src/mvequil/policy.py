@@ -10,9 +10,14 @@ import numpy as np
 
 
 class PolicyKind(enum.Enum):
+    """The equilibrium notion, named by the part P of each later control re-applied after a deviation.
+
+    P is 0 (OPEN_LOOP), the control's own gain K (FEEDBACK) or the strategy part (MIXED).
+    """
+
     OPEN_LOOP = "open_loop"
     FEEDBACK = "feedback"
-    MIXED_APPLIED = "mixed_applied"
+    MIXED = "mixed"
 
 
 class FailingCondition(enum.Enum):

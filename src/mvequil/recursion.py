@@ -24,7 +24,7 @@ import numpy as np
 from .linalg import DEFAULT_PINV_RTOL, DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
 from .linalg import is_psd, pseudoinverse, range_membership
 from .market import ExcessMoments, MarketSpec, check_open_loop_existence, derive_excess_moments
-from .policy import AffinePolicy, InternalInconsistencyError, NonexistenceReport, PolicyKind
+from .policy import AffinePolicy, InternalInconsistencyError, NonexistenceReport, PolicyKind, PureFeedbackPart
 from .policy import FailingCondition as Cond
 
 # Stage conditions each kind checks, in order. G need not be PSD for the mixed
@@ -32,7 +32,7 @@ from .policy import FailingCondition as Cond
 _CHECKS = {
     PolicyKind.OPEN_LOOP: (Cond.RANGE_CONDITION,),
     PolicyKind.FEEDBACK: (Cond.PSD_CONDITION, Cond.GAIN_SOLVABILITY, Cond.OFFSET_SOLVABILITY),
-    PolicyKind.MIXED_APPLIED: (Cond.GAIN_SOLVABILITY, Cond.OFFSET_SOLVABILITY),
+    PolicyKind.MIXED: (Cond.GAIN_SOLVABILITY, Cond.OFFSET_SOLVABILITY),
 }
 
 
@@ -79,27 +79,37 @@ class RecursionTrace:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """A solved policy and the trace of its recursion; policy.kind names the notion."""
+    """A solved policy and the trace of its recursion; policy.kind names the notion.
+
+    A mixed solution also holds its strategy part; the frozen part realizes
+    frozen_gains * X_k + policy.offset(k) and keeps that after a deviation.
+    """
 
     policy: AffinePolicy
     trace: RecursionTrace
+    feedback_part: PureFeedbackPart | None = None
+
+    @property
+    def frozen_gains(self) -> np.ndarray:
+        return self.policy.gains - self.feedback_part.gains[self.policy.start_stage :]
 
 
 def backward_recursion(
     spec: MarketSpec,
     moments: ExcessMoments | None,
     kind: PolicyKind,
-    strategy: np.ndarray | None = None,
+    feedback_part: PureFeedbackPart | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
     psd_tol: float = DEFAULT_PSD_TOL,
     pinv_rtol: float = DEFAULT_PINV_RTOL,
 ) -> EquilibriumSolution | NonexistenceReport:
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
-    strategy is the mixed solution's part P, one row per stage. Returns the
-    solution or the report of the first failing stage. A feedback failure
-    while every range condition holds, or a nonpositive open-loop cov_weight,
-    contradicts the theory and raises InternalInconsistencyError.
+    feedback_part is the mixed solution's strategy part P, one row per stage,
+    and is kept on the solution. Returns the solution or the report of the
+    first failing stage. A feedback failure while every range condition holds,
+    or a nonpositive open-loop cov_weight, contradicts the theory and raises
+    InternalInconsistencyError.
     """
     if moments is None:
         moments = derive_excess_moments(spec)
@@ -148,7 +158,7 @@ def backward_recursion(
         if kind is PolicyKind.FEEDBACK:
             P = gains[k - t]
         else:
-            P = strategy[k] if kind is PolicyKind.MIXED_APPLIED else np.zeros(m)
+            P = feedback_part.gains[k] if kind is PolicyKind.MIXED else np.zeros(m)
         cp = s_k + mean_ex @ P
         cm = s_k - mean_ex @ dag_gain
         cross = P @ cov_ex @ dag_gain
@@ -162,7 +172,7 @@ def backward_recursion(
             raise InternalInconsistencyError(f"cov_weight nonpositive ({tr.cov_weight[k]}) at stage {k}")
 
     policy = AffinePolicy(kind=kind, start_stage=t, gains=gains, offsets=offsets)
-    return EquilibriumSolution(policy=policy, trace=tr)
+    return EquilibriumSolution(policy=policy, trace=tr, feedback_part=feedback_part)
 
 
 def trace_csv(solution, spec: MarketSpec) -> str:

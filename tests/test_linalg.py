@@ -1,5 +1,7 @@
 """Eigendecomposition pseudoinverse, range tests, PSD checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,3 +111,13 @@ def test_tiny_asymmetry_is_symmetrized():
     M = np.array([[2.0, 1.0 + 1e-13], [1.0, 2.0]])
     res = pseudoinverse(M)
     assert np.allclose(res.pinv @ M, np.eye(2), atol=1e-9)
+
+
+def test_huge_entries_do_not_pass_checks_vacuously():
+    # squaring entries near 1e160 overflows, which once made each tolerance inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert range_membership(np.array([1e160, 2e160, 3e160]), np.diag([1.0, 1.0, 0.0])) == (False, 3e160)
+        with pytest.raises(np.linalg.LinAlgError, match="not symmetric"):
+            pseudoinverse(np.array([[1e200, 1e200], [0.0, 1e200]]))
+        assert range_membership(np.array([1e200, 0.0]), np.diag([1e200, 0.0])) == (True, 0.0)

@@ -140,6 +140,7 @@ def test_load_from_dict_stream_and_text(tmp_path):
         ({"return_cov": [[0.02, 0.0], [0.001, 0.02]]}, "not symmetric at stage 0"),
         ({"return_cov": [[0.02, 0.05], [0.05, 0.02]]}, "not PSD at stage 0"),
         ({"mean_returns": [1.1, 1.2, 1.3]}, "mean_returns"),
+        ({"return_cov": [[1e160, 1e160], [-1e160, 3e160]]}, "not symmetric at stage 0"),
     ],
 )
 def test_validation_errors(patch, message):

@@ -1,7 +1,12 @@
 """Mixed equilibrium solver: strategy part chosen, open-loop part solved."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +86,29 @@ def test_large_strategy_part_solves_without_overflow():
     assert sol.trace.stage_ok.all()
 
 
+def test_huge_weights_keep_finite_residuals():
+    # at horizon 60 the weights reach about 1e195; the norms in the range
+    # checks once overflowed to inf, so every check passed whatever the residual
+    preset = mv.get_preset(PRESET)
+    spec = mv.make_market_spec(
+        horizon=60,
+        num_assets=3,
+        riskless=1.04,
+        mean_returns=preset.mean_returns[0],
+        return_cov=preset.return_cov[0],
+        mu1=1.0,
+        mu2=1.0,
+    )
+    phi = PureFeedbackPart(gains=1e4 * np.random.default_rng(0).standard_normal((60, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = mv.solve_mixed(spec, phi)
+    assert not isinstance(sol, NonexistenceReport)
+    assert np.nanmax(np.abs(sol.trace.cov_weight)) > 1e154
+    for residual in (sol.trace.range_residual, sol.trace.gain_residual, sol.trace.offset_residual):
+        assert np.all(np.isfinite(residual))
+
+
 def test_last_stage_independent_of_strategy():
     spec = mv.get_preset(PRESET)
     sols = [
@@ -131,7 +159,7 @@ def test_mean_wealth_path_matches_open_loop_for_zero_strategy():
 
 def test_policy_and_strategy_part_copy_the_callers_arrays():
     gains, offsets = np.zeros((2, 3)), np.ones((2, 3))
-    policy = mv.AffinePolicy(mv.PolicyKind.MIXED_APPLIED, 0, gains, offsets)
+    policy = mv.AffinePolicy(mv.PolicyKind.MIXED, 0, gains, offsets)
     part = PureFeedbackPart(gains=gains)
     assert gains.flags.writeable and offsets.flags.writeable
     gains[0, 0] = 5.0
@@ -157,7 +185,7 @@ def test_trace_csv_has_one_row_per_stage(preset_mixed):
 
 def test_applied_policy_kind(preset_mixed):
     _, sol = preset_mixed
-    assert sol.policy.kind is mv.PolicyKind.MIXED_APPLIED
+    assert sol.policy.kind is mv.PolicyKind.MIXED
     assert sol.trace.stage_ok.all()
 
 
@@ -173,3 +201,22 @@ def test_gain_matrix_need_not_be_psd():
     tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
     reports = mv.verify_equilibrium(tree, spec, sol)
     assert all(r.passed for r in reports)
+
+
+def test_random_phi_experiment_script_verifies_every_draw():
+    # the script hands whole mixed solutions to verify_equilibrium
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "random_phi_experiment.py"), "--verify", "--draws", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = list(csv.DictReader(done.stdout.splitlines()))
+    header = ["draw", "phi_seed", "status", "stage", "gain_eig_0", "gain_eig_1", "gain_eig_2", "min_gap"]
+    assert done.stdout.splitlines()[0].split(",") == header
+    gaps = [float(row["min_gap"]) for row in rows if row["status"] == "solved" and row["min_gap"]]
+    assert len(gaps) == 3 and min(gaps) >= -1e-6

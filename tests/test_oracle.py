@@ -334,12 +334,22 @@ def test_verify_each_solver_under_own_semantics(preset_setup):
     open_loop = mv.solve_open_loop(spec)
     feedback = mv.solve_feedback(spec)
     mixed = mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets))
-    for target in (open_loop.policy, feedback.policy, mixed):
+    assert mv.DeviationSemantics.MIXED is mv.PolicyKind.MIXED
+    for target in (open_loop, open_loop.policy, feedback, feedback.policy, mixed):
         reports = mv.verify_equilibrium(tree, spec, target)
         assert len(reports) == 1 + 7 + 49 + 343
         assert all(r.passed for r in reports)
         summary = mv.verification_summary(reports)
         assert summary["passed"] and summary["count"] == 400
+    # a whole solution and its bare policy are the same target
+    for sol in (open_loop, feedback):
+        whole, bare = mv.verify_equilibrium(tree, spec, sol), mv.verify_equilibrium(tree, spec, sol.policy)
+        for a, b in zip(whole, bare, strict=True):
+            assert dataclasses.replace(a, deviation=None) == dataclasses.replace(b, deviation=None)
+            assert np.array_equal(a.deviation, b.deviation)
+        assert mv.evaluate_cost_exact(tree, spec, sol) == mv.evaluate_cost_exact(tree, spec, sol.policy)
+        sims = [mv.simulate_monte_carlo(spec, t, 1000, seed=2, distribution=tree) for t in (sol, sol.policy)]
+        assert sims[0] == sims[1]
 
 
 def test_semantics_are_not_interchangeable(preset_setup):

@@ -60,7 +60,7 @@ def test_trace_csv_columns_per_kind():
         + vec("K") + vec("c") + ["range_residual"],
         mv.PolicyKind.FEEDBACK: ["k"] + weights + vec("coupling") + vec("K") + vec("c")
         + ["gain_residual", "offset_residual"],
-        mv.PolicyKind.MIXED_APPLIED: ["k"] + weights + vec("strategy") + vec("K") + vec("c")
+        mv.PolicyKind.MIXED: ["k"] + weights + vec("strategy") + vec("K") + vec("c")
         + vec("gain_eig") + ["gain_residual", "offset_residual", "stage_ok"],
     }
     solutions = [
