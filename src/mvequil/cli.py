@@ -157,9 +157,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    # options a command lacks keep RunConfig's defaults
-    given = {f.name: getattr(ns, f.name) for f in dataclass_fields(RunConfig) if hasattr(ns, f.name)}
-    return RunConfig(**{**given, "command": Command(ns.command), "fmt": OutputFormat(ns.fmt)})
+    return RunConfig(
+        command=Command(ns.command),
+        market=ns.market,
+        t=ns.t,
+        x=ns.x,
+        tol_range=ns.tol_range,
+        tol_psd=ns.tol_psd,
+        seed=ns.seed,
+        paths=getattr(ns, "paths", 100_000),
+        phi=getattr(ns, "phi", "zero"),
+        draws=getattr(ns, "draws", 10),
+        atoms=getattr(ns, "atoms", None),
+        solver=getattr(ns, "solver", "open-loop"),
+        distribution=getattr(ns, "distribution", "gaussian"),
+        fmt=OutputFormat(ns.fmt),
+        out=ns.out,
+    )
 
 
 def _emit(text: str, config: RunConfig) -> None:

@@ -10,7 +10,6 @@ it computes, and ``range_membership`` and ``is_psd`` accept its result.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +36,14 @@ class PinvResult:
 
 
 def _norm(a: np.ndarray) -> float:
-    """np.linalg.norm(a), bit for bit while the sum of squares is a normal float
-    (np.vdot sets no overflow warning); else taken of a scaled by a power of two."""
-    sq = float(np.vdot(a, a))
-    if sys.float_info.min <= sq < math.inf:
-        return math.sqrt(sq)
+    """Euclidean (Frobenius) norm of a, taken of a scaled by a power of two so
+    the sum of squares cannot overflow; dividing by a power of two is exact."""
     big = float(np.abs(a).max(initial=0.0))
     if not 0.0 < big < math.inf:
         return big  # zero, or a non-finite entry
-    scale = 2.0 ** (math.frexp(big)[1] - 1)  # dividing by a power of two is exact
-    return scale * math.sqrt(float(np.vdot(a / scale, a / scale)))
+    scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
+    scaled = a / scale
+    return scale * math.sqrt(float(np.vdot(scaled, scaled)))
 
 
 def _require_symmetric(M: np.ndarray, what: str) -> np.ndarray:
@@ -55,7 +52,9 @@ def _require_symmetric(M: np.ndarray, what: str) -> np.ndarray:
         raise np.linalg.LinAlgError(f"{what}: expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise np.linalg.LinAlgError(f"{what}: matrix has non-finite entries")
-    if _norm(M - M.T) > _SYM_RTOL * max(1.0, _norm(M)):
+    # asymmetry > _SYM_RTOL * max(1, ||M||); ||M|| is only needed past _SYM_RTOL
+    asymmetry = _norm(M - M.T)
+    if asymmetry > _SYM_RTOL and asymmetry > _SYM_RTOL * _norm(M):
         raise np.linalg.LinAlgError(f"{what}: matrix is not symmetric")
     # exact symmetry for eigh; asymmetry beyond tolerance was rejected above
     return 0.5 * (M + M.T)
@@ -97,7 +96,9 @@ def range_membership(
     if pinv is None:
         pinv = pseudoinverse(M)
     residual = _norm(M @ (pinv.pinv @ v) - v)
-    return math.isfinite(residual) and residual <= rel_tol * max(1.0, _norm(v)), residual
+    # residual <= rel_tol * max(1, ||v||); ||v|| is only needed past rel_tol
+    ok = math.isfinite(residual) and (residual <= rel_tol or residual <= rel_tol * _norm(v))
+    return ok, residual
 
 
 def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL, pinv: PinvResult | None = None) -> bool:

@@ -154,6 +154,13 @@ def build_matched_tree(
     return ScenarioTree(probabilities=tuple(probs), atoms=tuple(atoms))
 
 
+def _policy_of(target) -> AffinePolicy:
+    applied = target if isinstance(target, AffinePolicy) else getattr(target, "policy", None)
+    if not isinstance(applied, AffinePolicy):
+        raise TypeError(f"cannot extract an affine policy from {type(target)!r}")
+    return applied
+
+
 def _continuation(target, semantics: DeviationSemantics | None = None):
     """The applied policy, the semantics and the gain rows P re-applied after a deviation.
 
@@ -161,9 +168,7 @@ def _continuation(target, semantics: DeviationSemantics | None = None):
     the policy's kind. Row i of P belongs to stage start_stage + i. Only a
     solution carries the strategy part that mixed semantics re-applies.
     """
-    applied = target if isinstance(target, AffinePolicy) else getattr(target, "policy", None)
-    if not isinstance(applied, AffinePolicy):
-        raise TypeError(f"cannot extract an affine policy from {type(target)!r}")
+    applied = _policy_of(target)
     semantics = applied.kind if semantics is None else semantics
     if semantics is PolicyKind.OPEN_LOOP:
         return applied, semantics, np.zeros_like(applied.gains)
@@ -211,11 +216,10 @@ def evaluate_cost_exact(
     """Exact cost of following the policy from (k, x) on the tree.
 
     Returns E(X_N - E X_N)^2 - (mu1 x + mu2) E X_N with both moments computed
-    as probability-weighted sums over all suffix scenarios. On-path cost is
-    the same under all three deviation notions, so any one serves to extract
-    the policy.
+    as probability-weighted sums over all suffix scenarios. policy is an
+    AffinePolicy or a solution holding one.
     """
-    applied = _continuation(policy, PolicyKind.OPEN_LOOP)[0]
+    applied = _policy_of(policy)
     k = applied.start_stage if k is None else int(k)
     x = spec.initial_wealth if x is None else float(x)
     if k < applied.start_stage:
@@ -547,7 +551,7 @@ def simulate_monte_carlo(
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
-    applied = _continuation(policy, PolicyKind.OPEN_LOOP)[0]
+    applied = _policy_of(policy)
     t, x0 = applied.start_stage, spec.initial_wealth
     rng = np.random.default_rng(seed)
     sampling_tree = distribution if isinstance(distribution, ScenarioTree) else None

@@ -81,7 +81,7 @@ class RecursionTrace:
 class EquilibriumSolution:
     """A solved policy and the trace of its recursion; policy.kind names the notion.
 
-    A mixed solution also holds its strategy part; the frozen part realizes
+    Only a mixed solution holds a strategy part; the frozen part realizes
     frozen_gains * X_k + policy.offset(k) and keeps that after a deviation.
     """
 
@@ -91,6 +91,8 @@ class EquilibriumSolution:
 
     @property
     def frozen_gains(self) -> np.ndarray:
+        if self.feedback_part is None:
+            raise TypeError(f"a {self.policy.kind.value} solution has no strategy part to freeze against")
         return self.policy.gains - self.feedback_part.gains[self.policy.start_stage :]
 
 
@@ -106,11 +108,13 @@ def backward_recursion(
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
     feedback_part is the mixed solution's strategy part P, one row per stage,
-    and is kept on the solution. Returns the solution or the report of the
-    first failing stage. A feedback failure while every range condition holds,
-    or a nonpositive open-loop cov_weight, contradicts the theory and raises
-    InternalInconsistencyError.
+    kept on the solution; the mixed kind requires it and the others refuse it.
+    Returns the solution or the report of the first failing stage. A feedback
+    failure while every range condition holds, or a nonpositive open-loop
+    cov_weight, contradicts the theory and raises InternalInconsistencyError.
     """
+    if (feedback_part is None) is (kind is PolicyKind.MIXED):
+        raise ValueError(f"{kind.value} recursion: a strategy part is given exactly when the kind is mixed")
     if moments is None:
         moments = derive_excess_moments(spec)
     N, m, t = spec.horizon, spec.num_assets, spec.initial_time

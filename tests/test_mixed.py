@@ -146,6 +146,20 @@ def test_frozen_gains_decomposition(preset_mixed):
     assert np.allclose(sol.frozen_gains, sol.policy.gains - sol.feedback_part.gains, atol=1e-15)
 
 
+def test_strategy_part_goes_with_the_mixed_kind_only():
+    spec = mv.get_preset(PRESET)
+    part = PureFeedbackPart(gains=MIXED_STRATEGY)
+    for sol in (mv.solve_open_loop(spec), mv.solve_feedback(spec)):
+        assert sol.feedback_part is None
+        with pytest.raises(TypeError, match="no strategy part"):
+            sol.frozen_gains
+    for kind in (mv.PolicyKind.OPEN_LOOP, mv.PolicyKind.FEEDBACK):
+        with pytest.raises(ValueError, match="exactly when the kind is mixed"):
+            mv.backward_recursion(spec, None, kind, part)
+    with pytest.raises(ValueError, match="exactly when the kind is mixed"):
+        mv.backward_recursion(spec, None, mv.PolicyKind.MIXED)
+
+
 def test_mean_wealth_path_matches_open_loop_for_zero_strategy():
     spec = mv.get_preset(PRESET)
     mixed = mv.solve_mixed(spec, mv.zero_pure_feedback(spec.horizon, spec.num_assets))
