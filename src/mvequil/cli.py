@@ -1,20 +1,26 @@
 """Command-line surface: solve, verify, simulate, reproduce, batch.
 
-Exit codes: 0 success, 2 invalid input, 3 no solution exists (the report is
-printed), 4 a verification or reproduction check failed, 1 internal error.
+The parsed ``argparse.Namespace`` is the configuration: ``build_parser`` states
+every option and default once, and each subcommand binds its handler (the
+``solve-*`` commands also their solver and title) with ``set_defaults``.
+``reproduce-example`` takes no options. Market warnings go to the ``mvequil``
+logger, whose level ``MV_EQ_LOG`` sets.
+
+Exit codes: 0 success, 2 invalid input (including tree-size limits), 3 no
+solution exists (the report is printed), 4 a verification or reproduction
+check failed, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import enum
 import io
 import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -58,51 +64,6 @@ EXIT_NONEXISTENT = 3
 EXIT_VERIFICATION = 4
 
 
-class Command(enum.Enum):
-    SOLVE_OPEN_LOOP = "solve-open-loop"
-    SOLVE_FEEDBACK = "solve-feedback"
-    SOLVE_MIXED = "solve-mixed"
-    VERIFY = "verify"
-    SIMULATE = "simulate"
-    REPRODUCE_EXAMPLE = "reproduce-example"
-    BATCH = "batch"
-
-
-class OutputFormat(enum.Enum):
-    PRETTY = "pretty"
-    CSV = "csv"
-    JSON = "json"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: Command
-    market: str = reference.EXAMPLE_PRESET
-    t: int | None = None
-    x: float | None = None
-    tol_range: float = DEFAULT_RANGE_RTOL
-    tol_psd: float = DEFAULT_PSD_TOL
-    seed: int = 0
-    paths: int = 100_000
-    phi: str = "zero"
-    draws: int = 10
-    atoms: int | None = None
-    solver: str = "open-loop"
-    distribution: str = "gaussian"
-    fmt: OutputFormat = OutputFormat.PRETTY
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.tol_range <= 0 or self.tol_psd <= 0:
-            raise ValidationError("tolerances must be positive")
-        if self.paths < 2:
-            raise ValidationError("--paths must be at least 2")
-        if self.draws < 1:
-            raise ValidationError("--draws must be at least 1")
-        if self.atoms is not None and self.atoms < 1:
-            raise ValidationError("--atoms must be at least 1")
-
-
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -115,12 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--tol-range", type=float, default=DEFAULT_RANGE_RTOL, dest="tol_range")
     shared.add_argument("--tol-psd", type=float, default=DEFAULT_PSD_TOL, dest="tol_psd")
     shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument(
-        "--format",
-        choices=[f.value for f in OutputFormat],
-        default="pretty",
-        dest="fmt",
-    )
+    shared.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty", dest="fmt")
     shared.add_argument("--out", default=None, help="write the primary output to this file")
 
     parser = argparse.ArgumentParser(
@@ -128,76 +84,75 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time-consistent solutions of multi-period mean-variance portfolio selection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve-open-loop", parents=[shared], help="solve the open-loop equilibrium control")
-    sub.add_parser("solve-feedback", parents=[shared], help="solve the feedback equilibrium strategy")
-
-    p = sub.add_parser("solve-mixed", parents=[shared], help="solve the mixed equilibrium for a strategy part")
+    for solver, help_text, title in (
+        ("open-loop", "solve the open-loop equilibrium control", "open-loop equilibrium control"),
+        ("feedback", "solve the feedback equilibrium strategy", "feedback equilibrium strategy"),
+        ("mixed", "solve the mixed equilibrium for a strategy part", "mixed equilibrium, applied policy"),
+    ):
+        p = sub.add_parser(f"solve-{solver}", parents=[shared], help=help_text)
+        p.set_defaults(handler=_cmd_solve, solver=solver, title=f"{title} u_k = K_k x + c_k")
+    # p is solve-mixed, the last of the three
     p.add_argument("--phi", default="zero", help="strategy part: JSON path, 'sample', or 'zero'")
 
     p = sub.add_parser("verify", parents=[shared], help="deviation-test all three solvers on a matched tree")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--phi", default="zero", help="strategy part for the mixed solver")
     p.add_argument("--atoms", type=int, default=None, help="tree atoms per stage (default 2m+1)")
 
     p = sub.add_parser("simulate", parents=[shared], help="Monte Carlo cost estimate for one policy")
+    p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--phi", default="zero", help="strategy part when --solver mixed")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--solver", choices=["open-loop", "feedback", "mixed"], default="open-loop")
     p.add_argument("--distribution", choices=["gaussian", "tree"], default="gaussian")
     p.add_argument("--atoms", type=int, default=None, help="tree atoms per stage when --distribution tree")
 
-    sub.add_parser(
+    p = sub.add_parser(
         "reproduce-example",
-        parents=[shared],
         help="run all three solvers on the bundled example and compare to the reference tables",
     )
+    p.set_defaults(handler=_cmd_reproduce_example)
 
     p = sub.add_parser("batch", parents=[shared], help="mixed solves over seeded random strategy draws")
+    p.set_defaults(handler=_cmd_batch)
     p.add_argument("--draws", type=int, default=10)
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=Command(ns.command),
-        market=ns.market,
-        t=ns.t,
-        x=ns.x,
-        tol_range=ns.tol_range,
-        tol_psd=ns.tol_psd,
-        seed=ns.seed,
-        paths=getattr(ns, "paths", 100_000),
-        phi=getattr(ns, "phi", "zero"),
-        draws=getattr(ns, "draws", 10),
-        atoms=getattr(ns, "atoms", None),
-        solver=getattr(ns, "solver", "open-loop"),
-        distribution=getattr(ns, "distribution", "gaussian"),
-        fmt=OutputFormat(ns.fmt),
-        out=ns.out,
-    )
+def _check_args(args: argparse.Namespace) -> None:
+    """Range checks argparse's types do not state; options the command lacks are skipped."""
+    if min(getattr(args, "tol_range", 1.0), getattr(args, "tol_psd", 1.0)) <= 0:
+        raise ValidationError("tolerances must be positive")
+    for name, low in (("paths", 2), ("draws", 1), ("atoms", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValidationError(f"--{name} must be at least {low}")
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_spec(config: RunConfig):
-    spec = resolve_market(config.market)
-    return with_initial_state(spec, config.t, config.x)
+def _load_spec(args: argparse.Namespace):
+    spec = resolve_market(args.market)
+    for warning in spec.warnings:
+        log.warning(warning)
+    return with_initial_state(spec, args.t, args.x)
 
 
-def _resolve_phi(config: RunConfig, spec) -> PureFeedbackPart:
-    if config.phi == "zero":
+def _resolve_phi(args: argparse.Namespace, spec) -> PureFeedbackPart:
+    if args.phi == "zero":
         return zero_pure_feedback(spec.horizon, spec.num_assets)
-    if config.phi == "sample":
-        return sample_pure_feedback(config.seed, spec.horizon, spec.num_assets)
+    if args.phi == "sample":
+        return sample_pure_feedback(args.seed, spec.horizon, spec.num_assets)
     try:
-        return load_pure_feedback(config.phi, spec.horizon, spec.num_assets)
+        return load_pure_feedback(args.phi, spec.horizon, spec.num_assets)
     except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot load strategy part from {config.phi!r}: {exc}") from exc
+        raise ValidationError(f"cannot load strategy part from {args.phi!r}: {exc}") from exc
 
 
 def _policy_pretty(title: str, policy, extra_lines=()) -> str:
@@ -216,9 +171,9 @@ def _policy_pretty(title: str, policy, extra_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_json(kind: str, solution) -> str:
+def _solution_json(solution) -> str:
     data = {
-        "kind": kind,
+        "kind": solution.policy.kind.value,
         "start_stage": solution.policy.start_stage,
         "gains": solution.policy.gains.tolist(),
         "offsets": solution.policy.offsets.tolist(),
@@ -230,48 +185,39 @@ def _solution_json(kind: str, solution) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _solve(solver: str, config: RunConfig, spec, moments):
+def _solve(solver: str, args: argparse.Namespace, spec, moments):
     """Run one solver ("open-loop", "feedback" or "mixed") with the configured tolerances."""
     if solver == "open-loop":
-        return solve_open_loop(spec, moments, range_tol=config.tol_range)
+        return solve_open_loop(spec, moments, range_tol=args.tol_range)
     if solver == "feedback":
-        return solve_feedback(spec, moments, range_tol=config.tol_range, psd_tol=config.tol_psd)
-    return solve_mixed(spec, _resolve_phi(config, spec), moments, range_tol=config.tol_range)
+        return solve_feedback(spec, moments, range_tol=args.tol_range, psd_tol=args.tol_psd)
+    return solve_mixed(spec, _resolve_phi(args, spec), moments, range_tol=args.tol_range)
 
 
-# solver, JSON kind and pretty title of each solve command
-_SOLVE_COMMANDS = {
-    Command.SOLVE_OPEN_LOOP: ("open-loop", "open_loop", "open-loop equilibrium control u_k = K_k x + c_k"),
-    Command.SOLVE_FEEDBACK: ("feedback", "feedback", "feedback equilibrium strategy u_k = K_k x + c_k"),
-    Command.SOLVE_MIXED: ("mixed", "mixed", "mixed equilibrium, applied policy u_k = K_k x + c_k"),
-}
-
-
-def _cmd_solve(config: RunConfig) -> int:
-    solver, kind, title = _SOLVE_COMMANDS[config.command]
-    spec = _load_spec(config)
-    result = _solve(solver, config, spec, derive_excess_moments(spec))
+def _cmd_solve(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
+    result = _solve(args.solver, args, spec, derive_excess_moments(spec))
     if isinstance(result, NonexistenceReport):
         print(result.describe())
         return EXIT_NONEXISTENT
-    if config.fmt is OutputFormat.CSV:
+    if args.fmt == "csv":
         text = trace_csv(result, spec)
-    elif config.fmt is OutputFormat.JSON:
-        text = _solution_json(kind, result)
+    elif args.fmt == "json":
+        text = _solution_json(result)
     else:
-        text = _policy_pretty(title, result.policy)
-    _emit(text, config)
+        text = _policy_pretty(args.title, result.policy)
+    _emit(text, args)
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    spec = _load_spec(config)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
     moments = derive_excess_moments(spec)
-    tree = build_matched_tree(moments, atoms_per_stage=config.atoms, seed=config.seed)
+    tree = build_matched_tree(moments, atoms_per_stage=args.atoms, seed=args.seed)
 
     solved = {}
     for name in ("open-loop", "feedback", "mixed"):
-        solved[name] = _solve(name, config, spec, moments)
+        solved[name] = _solve(name, args, spec, moments)
         if isinstance(solved[name], NonexistenceReport):
             print(solved[name].describe())
             return EXIT_NONEXISTENT
@@ -288,39 +234,39 @@ def _cmd_verify(config: RunConfig) -> int:
             f" nodes={summary['count']} min_gap={summary['min_gap']:.3e}"
         )
         blocks.append(export_verification_jsonl(reports))
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.writelines(blocks)
     print("\n".join(lines))
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    spec = _load_spec(config)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
     moments = derive_excess_moments(spec)
-    solved = _solve(config.solver, config, spec, moments)
+    solved = _solve(args.solver, args, spec, moments)
     if isinstance(solved, NonexistenceReport):
         print(solved.describe())
         return EXIT_NONEXISTENT
 
     exact = None
-    if config.distribution == "tree":
-        tree = build_matched_tree(moments, atoms_per_stage=config.atoms)
+    if args.distribution == "tree":
+        tree = build_matched_tree(moments, atoms_per_stage=args.atoms)
         dist = tree
         exact = evaluate_cost_exact(tree, spec, solved)
     else:
         dist = "gaussian"
     summary = simulate_monte_carlo(
-        spec, solved, n_paths=config.paths, seed=config.seed, distribution=dist, moments=moments
+        spec, solved, n_paths=args.paths, seed=args.seed, distribution=dist, moments=moments
     )
 
     record = {f.name: getattr(summary, f.name) for f in dataclass_fields(summary)}
-    record["solver"] = config.solver
+    record["solver"] = args.solver
     if exact is not None:
         record["cost_exact"] = exact
-    if config.fmt is OutputFormat.JSON:
+    if args.fmt == "json":
         text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    elif config.fmt is OutputFormat.CSV:
+    elif args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         keys = sorted(record)
@@ -329,7 +275,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         text = buf.getvalue()
     else:
         lines = [
-            f"policy: {config.solver}, distribution: {summary.distribution}, "
+            f"policy: {args.solver}, distribution: {summary.distribution}, "
             f"paths: {summary.n_paths}, seed: {summary.seed}",
             f"mean terminal wealth: {summary.mean_terminal:.6f} (se {summary.se_mean:.2e})",
             f"terminal wealth variance: {summary.var_terminal:.6f} (se {summary.se_var:.2e})",
@@ -338,7 +284,7 @@ def _cmd_simulate(config: RunConfig) -> int:
         if exact is not None:
             lines.append(f"exact cost on the sampling tree: {exact:.6f}")
         text = "\n".join(lines) + "\n"
-    _emit(text, config)
+    _emit(text, args)
     return EXIT_OK
 
 
@@ -353,7 +299,7 @@ def _compare_table(name: str, actual: np.ndarray, expected: np.ndarray, mismatch
                 )
 
 
-def _cmd_reproduce_example(config: RunConfig) -> int:
+def _cmd_reproduce_example(args: argparse.Namespace) -> int:
     spec = get_preset(reference.EXAMPLE_PRESET)
     moments = derive_excess_moments(spec)
     open_loop = solve_open_loop(spec, moments)
@@ -396,8 +342,8 @@ def _cmd_reproduce_example(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_batch(config: RunConfig) -> int:
-    spec = _load_spec(config)
+def _cmd_batch(args: argparse.Namespace) -> int:
+    spec = _load_spec(args)
     moments = derive_excess_moments(spec)
     m = spec.num_assets
     buf = io.StringIO()
@@ -406,10 +352,10 @@ def _cmd_batch(config: RunConfig) -> int:
     header += [f"gain_eig_{i}" for i in range(m)]
     header += ["psd_ok", "stage_ok"]
     writer.writerow(header)
-    for draw in range(config.draws):
-        phi_seed = config.seed + draw
+    for draw in range(args.draws):
+        phi_seed = args.seed + draw
         phi = sample_pure_feedback(phi_seed, spec.horizon, spec.num_assets)
-        result = solve_mixed(spec, phi, moments, range_tol=config.tol_range)
+        result = solve_mixed(spec, phi, moments, range_tol=args.tol_range)
         if isinstance(result, NonexistenceReport):
             status = f"nonexistent:{result.failing_condition.name}"
             writer.writerow([draw, phi_seed, status, result.failing_stage] + [""] * (m + 2))
@@ -426,24 +372,14 @@ def _cmd_batch(config: RunConfig) -> int:
             # sm - var <- (sm - var) cp^2 >= 0), hence it is PSD by construction.
             row += [True, bool(trace.stage_ok[k])]
             writer.writerow(row)
-    _emit(buf.getvalue(), config)
+    _emit(buf.getvalue(), args)
     return EXIT_OK
 
 
-_HANDLERS = {
-    Command.SOLVE_OPEN_LOOP: _cmd_solve,
-    Command.SOLVE_FEEDBACK: _cmd_solve,
-    Command.SOLVE_MIXED: _cmd_solve,
-    Command.VERIFY: _cmd_verify,
-    Command.SIMULATE: _cmd_simulate,
-    Command.REPRODUCE_EXAMPLE: _cmd_reproduce_example,
-    Command.BATCH: _cmd_batch,
-}
-
-
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        return _HANDLERS[config.command](config)
+        _check_args(args)
+        return args.handler(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -463,14 +399,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    try:
-        config = _config_from_args(ns)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -48,10 +48,6 @@ class MarketSpec:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def stage_range(self) -> range:
-        """Trading stages, initial_time through horizon - 1."""
-        return range(self.initial_time, self.horizon)
-
     def to_json_dict(self) -> dict:
         return {
             "horizon": self.horizon,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_PINV_RTOL, DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
-from .market import ExcessMoments, MarketSpec
+from .market import ExcessMoments, MarketSpec, ValidationError
 from .policy import AffinePolicy, PolicyKind
 
 MAX_LEAF_PATHS = 10**7
@@ -114,7 +114,7 @@ def build_matched_tree(
     and rescales the columns so both moments stay exact (at most 2r + 1 atoms
     are ever generated). A seed mixes the factor columns by a Haar-random
     rotation, which changes the atoms but not the matched moments. Budgets
-    below the minimum (2r, or 1 for a zero covariance) raise ValueError.
+    below the minimum (2r, or 1 for a zero covariance) raise ValidationError.
     """
     N, m = moments.horizon, moments.num_assets
     if atoms_per_stage is None:
@@ -133,12 +133,12 @@ def build_matched_tree(
             factor = factor @ (Qr * np.sign(np.diag(Rr)))
         if r == 0:
             if atoms_per_stage < 1:
-                raise ValueError(f"stage {k}: need at least 1 atom")
+                raise ValidationError(f"stage {k}: need at least 1 atom")
             probs.append(np.array([1.0]))
             atoms.append(mean[None, :].copy())
             continue
         if atoms_per_stage < 2 * r:
-            raise ValueError(
+            raise ValidationError(
                 f"stage {k}: rank {r} covariance needs at least {2 * r} atoms, "
                 f"got budget {atoms_per_stage}"
             )
@@ -188,7 +188,7 @@ def _suffix_index(total: int, sizes: list[int], stage_pos: int) -> np.ndarray:
 def _check_leaf_budget(tree: ScenarioTree, start: int):
     leaves = tree.leaf_count(start)
     if leaves > MAX_LEAF_PATHS:
-        raise ValueError(
+        raise ValidationError(
             f"tree has {leaves} leaf paths from stage {start}, above the exact-evaluation "
             f"cap of {MAX_LEAF_PATHS}; use Monte Carlo instead"
         )

@@ -109,7 +109,6 @@ class PureFeedbackPart:
     """The prescribed wealth-proportional strategy part, one gain row per stage."""
 
     gains: np.ndarray
-    provenance: str = "user_supplied"
     seed: int | None = None
 
     def __post_init__(self):
@@ -131,13 +130,11 @@ class PureFeedbackPart:
 def sample_pure_feedback(seed: int, horizon: int, num_assets: int) -> PureFeedbackPart:
     """Standard-normal strategy part from a seeded generator; reproducible."""
     rng = np.random.default_rng(seed)
-    return PureFeedbackPart(
-        gains=rng.standard_normal((horizon, num_assets)), provenance="sampled", seed=seed
-    )
+    return PureFeedbackPart(gains=rng.standard_normal((horizon, num_assets)), seed=seed)
 
 
 def zero_pure_feedback(horizon: int, num_assets: int) -> PureFeedbackPart:
-    return PureFeedbackPart(gains=np.zeros((horizon, num_assets)), provenance="zero")
+    return PureFeedbackPart(gains=np.zeros((horizon, num_assets)))
 
 
 def load_pure_feedback(source, horizon: int, num_assets: int) -> PureFeedbackPart:
@@ -158,4 +155,4 @@ def load_pure_feedback(source, horizon: int, num_assets: int) -> PureFeedbackPar
         raise ValueError(
             f"strategy part must have shape ({horizon}, {num_assets}), got {gains.shape}"
         )
-    return PureFeedbackPart(gains=gains, provenance="user_supplied")
+    return PureFeedbackPart(gains=gains)

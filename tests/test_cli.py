@@ -92,9 +92,66 @@ def test_unknown_market_path_exits_2(tmp_path):
     assert main(["solve-open-loop", "--market", str(tmp_path / "nope.json")]) == 2
 
 
-def test_bad_flag_value_exits_2(capsys):
-    assert main(["solve-open-loop", "--tol-range", "-1.0"]) == 2
-    assert "tolerances" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-open-loop", "--tol-range", "-1.0"], "tolerances must be positive"),
+        (["solve-open-loop", "--tol-psd", "0"], "tolerances must be positive"),
+        (["simulate", "--paths", "1"], "--paths must be at least 2"),
+        (["batch", "--draws", "0"], "--draws must be at least 1"),
+        (["verify", "--atoms", "0"], "--atoms must be at least 1"),
+    ],
+    ids=["tol-range", "tol-psd", "paths", "draws", "atoms"],
+)
+def test_bad_flag_value_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _preset_market_file(path, **overrides):
+    """The bundled example's stage-0 moments as a market JSON file, with overrides."""
+    spec = mv.get_preset(PRESET)
+    data = spec.to_json_dict()
+    data.update(
+        riskless=float(spec.riskless[0]),
+        mean_returns=spec.mean_returns[0].tolist(),
+        return_cov=spec.return_cov[0].tolist(),
+    )
+    data.update(overrides)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--atoms", "3"],
+        ["simulate", "--distribution", "tree", "--atoms", "3", "--paths", "100"],
+        ["verify", "--market", "LONG"],
+        ["simulate", "--distribution", "tree", "--market", "LONG", "--paths", "100"],
+    ],
+    ids=["verify-atoms", "simulate-atoms", "verify-leaves", "simulate-leaves"],
+)
+def test_tree_size_limits_exit_2(argv, tmp_path, capsys):
+    # 12 stages of 7 atoms give 7**12 leaf paths, above the exact-evaluation cap
+    long_market = _preset_market_file(tmp_path / "long.json", horizon=12)
+    assert main([long_market if arg == "LONG" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_market_warnings_logged_not_printed(tmp_path, monkeypatch, capsys):
+    market = _preset_market_file(tmp_path / "riskless1.json", riskless=1.0)
+    argv = ["solve-open-loop", "--market", market, "--format", "csv"]
+    assert main(argv) == 0
+    warned = capsys.readouterr()
+    assert "WARNING mvequil: riskless return <= 1 at stage 0" in warned.err
+    monkeypatch.setenv("MV_EQ_LOG", "ERROR")
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert warned.out == quiet.out
 
 
 def test_verify_preset_passes(tmp_path, capsys):
@@ -168,6 +225,13 @@ def test_reproduce_example_exits_4_on_feedback_rows(capsys):
     assert "MISMATCH mixed" not in out
     assert out.count("MISMATCH") == 15
     assert "0.4739" in out and "2.7381" in out
+
+
+def test_reproduce_example_takes_no_options(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce-example", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_out_file_writing(tmp_path):
