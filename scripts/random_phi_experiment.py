@@ -48,8 +48,8 @@ def main():
             continue
         min_gap = ""
         if args.verify:
-            reports = mv.verify_equilibrium(tree, spec, sol)
-            min_gap = f"{mv.verification_summary(reports)['min_gap']:.6e}"
+            result = mv.verify_equilibrium(tree, spec, sol)
+            min_gap = f"{mv.verification_summary(result)['min_gap']:.6e}"
         for k in range(spec.initial_time, spec.horizon):
             eigs = np.sort(sol.trace.gain_eigenvalues[k])
             row = [draw, phi_seed, "solved", k] + [f"{v:.10g}" for v in eigs]

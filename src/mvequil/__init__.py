@@ -38,11 +38,11 @@ from .open_loop import (
 )
 from .oracle import (
     MAX_LEAF_PATHS,
-    DeviationReport,
     DeviationSemantics,
     EquilibriumStructureError,
     ScenarioTree,
     SimulationSummary,
+    VerificationResult,
     best_spike_deviation,
     build_matched_tree,
     evaluate_cost_exact,
@@ -69,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinePolicy",
-    "DeviationReport",
     "DeviationSemantics",
     "EquilibriumSolution",
     "EquilibriumStructureError",
@@ -91,6 +90,7 @@ __all__ = [
     "ScenarioTree",
     "SimulationSummary",
     "ValidationError",
+    "VerificationResult",
     "backward_recursion",
     "best_spike_deviation",
     "build_matched_tree",

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -121,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Range checks argparse's types do not state; options the command lacks are skipped."""
-    if min(getattr(args, "tol_range", 1.0), getattr(args, "tol_psd", 1.0)) <= 0:
-        raise ValidationError("tolerances must be positive")
+    if not all(0 < getattr(args, name, 1.0) < math.inf for name in ("tol_range", "tol_psd")):
+        raise ValidationError("tolerances must be positive and finite")
     for name, low in (("paths", 2), ("draws", 1), ("atoms", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
@@ -226,14 +227,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines = []
     blocks = []
     for name, solution in solved.items():
-        reports = verify_equilibrium(tree, spec, solution)
-        summary = verification_summary(reports)
+        result = verify_equilibrium(tree, spec, solution)
+        summary = verification_summary(result)
         all_ok = all_ok and summary["passed"]
         lines.append(
             f"{name}: {'PASS' if summary['passed'] else 'FAIL'}"
             f" nodes={summary['count']} min_gap={summary['min_gap']:.3e}"
         )
-        blocks.append(export_verification_jsonl(reports))
+        blocks.append(export_verification_jsonl(result))
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(blocks)

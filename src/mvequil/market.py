@@ -232,16 +232,9 @@ def load_market_spec(source) -> MarketSpec:
     )
 
 
-def dump_market_spec(spec: MarketSpec, target=None) -> str:
-    """Serialize a MarketSpec to JSON; write to target path/stream if given."""
-    text = json.dumps(spec.to_json_dict(), indent=2)
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)
-    return text
+def dump_market_spec(spec: MarketSpec) -> str:
+    """Serialize a MarketSpec to JSON text that load_market_spec reads back."""
+    return json.dumps(spec.to_json_dict(), indent=2)
 
 
 def derive_excess_moments(spec: MarketSpec) -> ExcessMoments:

@@ -11,6 +11,8 @@ wealth, so per suffix scenario terminal wealth is beta * X_dev + gamma * X* +
 alpha in the deviated and undeviated wealth one stage later. The weighted
 moments of (beta, gamma, alpha) over the suffix tree, together with the stage's
 atom moments, give every node's cost, gradient and the stage's shared Hessian.
+verify_equilibrium tests all nodes of a stage at once and returns the outcome
+as one VerificationResult of per-node arrays.
 
 The deviation notions differ only in the part P of each later control that is
 re-applied to the deviated wealth, u_dev = P X_dev + (u* - P X*): P = 0 (open
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -222,8 +225,7 @@ def evaluate_cost_exact(
     applied = _policy_of(policy)
     k = applied.start_stage if k is None else int(k)
     x = spec.initial_wealth if x is None else float(x)
-    if k < applied.start_stage:
-        raise ValueError(f"stage {k} precedes the policy's start stage {applied.start_stage}")
+    applied.row(k)  # ValueError unless stage k is one of the policy's
     _check_leaf_budget(tree, k)
     total, sizes, weights = _suffix_weights(tree, k)
     X = np.full(total, x)
@@ -251,18 +253,18 @@ def spike_cost(
     """
     applied, _, reapplied = _continuation(policy, semantics)
     x_star = x if x_star is None else float(x_star)
+    u_star_k = applied.control(k, x_star)
     _check_leaf_budget(tree, k)
     total, sizes, weights = _suffix_weights(tree, k)
     u = np.asarray(u, dtype=float)
 
     o_k = tree.atoms[k][_suffix_index(total, sizes, 0)]
-    u_star_k = applied.control(k, x_star)
     X_star = spec.riskless[k] * x_star + o_k @ u_star_k
     X_dev = spec.riskless[k] * x + o_k @ u
     for pos, stage in enumerate(range(k + 1, spec.horizon), start=1):
         o = tree.atoms[stage][_suffix_index(total, sizes, pos)]
         u_star = np.outer(X_star, applied.gain(stage)) + applied.offset(stage)
-        P = reapplied[stage - applied.start_stage]
+        P = reapplied[applied.row(stage)]
         u_dev = np.outer(X_dev, P) + (u_star - np.outer(X_star, P))
         X_star = spec.riskless[stage] * X_star + np.einsum("ij,ij->i", o, u_star)
         X_dev = spec.riskless[stage] * X_dev + np.einsum("ij,ij->i", o, u_dev)
@@ -288,6 +290,7 @@ def best_spike_deviation(
     (gradient outside the Hessian's column space) returns cost -inf.
     """
     applied, _, reapplied = _continuation(policy, semantics)
+    applied.row(k)  # ValueError unless stage k is one of the policy's
     x_star = x if x_star is None else x_star
     u_dev, j_dev, _ = _best_spikes(
         _stage_moments(tree, spec, applied, reapplied, k),
@@ -335,7 +338,7 @@ def _stage_moments(
     for pos, stage in enumerate(range(k + 1, spec.horizon)):
         idx = _suffix_index(total, sizes, pos)
         atoms, s = tree.atoms[stage], spec.riskless[stage]
-        gain, P = applied.gain(stage), reapplied[stage - applied.start_stage]
+        gain, P = applied.gain(stage), reapplied[applied.row(stage)]
         dev_growth = (s + atoms @ P)[idx]
         replayed = (atoms @ (gain - P))[idx]
         income = (atoms @ applied.offset(stage))[idx]
@@ -417,18 +420,26 @@ def _best_spikes(
 
 
 @dataclass(frozen=True)
-class DeviationReport:
-    """Outcome of the spike-deviation test at one (stage, node) pair."""
+class VerificationResult:
+    """Outcome of the spike-deviation test, one array entry per tested node.
 
-    stage: int
-    node: int
-    j_star: float
-    j_dev: float
-    gap: float
-    passed: bool
+    Nodes run stage by stage; within a stage the children of node n occupy
+    block n. stage, node, j_star, j_dev, gap, tol and passed have shape (n,),
+    deviation (n, m): the best deviation at each node, of cost j_dev.
+    """
+
     semantics: DeviationSemantics
+    stage: np.ndarray
+    node: np.ndarray
+    j_star: np.ndarray
+    j_dev: np.ndarray
+    gap: np.ndarray
+    tol: np.ndarray
+    passed: np.ndarray
     deviation: np.ndarray
-    tol: float
+
+    def __len__(self) -> int:
+        return self.stage.shape[0]
 
 
 def verify_equilibrium(
@@ -436,86 +447,65 @@ def verify_equilibrium(
     spec: MarketSpec,
     policy,
     semantics: DeviationSemantics | None = None,
-) -> list[DeviationReport]:
+) -> VerificationResult:
     """Spike-deviation test at every reachable node of every stage.
 
     Nodes are the undeviated wealth values reached from (initial_time,
     initial_wealth) along tree scenarios; all nodes of a stage are tested in one
-    pass from that stage's suffix moments. Each report's tol is
-    1e-7 * max(1, |J*|); the policy passes when every gap J_dev - J* clears
-    -tol.
+    pass from that stage's suffix moments. gap = J_dev - J* clears -tol, with
+    tol = 1e-7 * max(1, |J*|), at a node that passes.
     """
     applied, semantics, reapplied = _continuation(policy, semantics)
     t = applied.start_stage
     _check_leaf_budget(tree, t)
-    reports: list[DeviationReport] = []
+    per_stage = []  # (j_star, j_dev, u_dev) of each stage's nodes
     states = np.array([spec.initial_wealth])
     for k in range(t, spec.horizon):
         moments = _stage_moments(tree, spec, applied, reapplied, k)
         u_dev, j_dev, j_star = _best_spikes(moments, spec, applied, states, states)
-        gaps = j_dev - j_star
-        tols = 1e-7 * np.maximum(1.0, np.abs(j_star))
-        for node, (js, jd, gap, node_tol) in enumerate(
-            zip(j_star.tolist(), j_dev.tolist(), gaps.tolist(), tols.tolist())
-        ):
-            reports.append(
-                DeviationReport(
-                    stage=k,
-                    node=node,
-                    j_star=js,
-                    j_dev=jd,
-                    gap=gap,
-                    passed=gap >= -node_tol,
-                    semantics=semantics,
-                    deviation=u_dev[node],
-                    tol=node_tol,
-                )
-            )
+        per_stage.append((j_star, j_dev, u_dev))
         controls = np.outer(states, applied.gain(k)) + applied.offset(k)
         growth = spec.riskless[k] * states[None, :] + tree.atoms[k] @ controls.T
         states = growth.T.reshape(-1)  # children of node n occupy block n
-    return reports
+    counts = [len(j_star) for j_star, _, _ in per_stage]
+    j_star, j_dev, deviation = (np.concatenate(column) for column in zip(*per_stage))
+    gap = j_dev - j_star
+    tol = 1e-7 * np.maximum(1.0, np.abs(j_star))
+    return VerificationResult(
+        semantics=semantics,
+        stage=np.repeat(np.arange(t, spec.horizon), counts),
+        node=np.concatenate([np.arange(n) for n in counts]),
+        j_star=j_star,
+        j_dev=j_dev,
+        gap=gap,
+        tol=tol,
+        passed=gap >= -tol,
+        deviation=deviation,
+    )
 
 
-def verification_summary(reports: list[DeviationReport]) -> dict:
-    min_gap = min((r.gap for r in reports), default=float("nan"))
+def verification_summary(result: VerificationResult) -> dict:
     return {
-        "count": len(reports),
-        "min_gap": min_gap,
-        "passed": all(r.passed for r in reports),
+        "count": len(result),
+        "min_gap": float(result.gap.min()),
+        "passed": bool(result.passed.all()),
     }
 
 
-def export_verification_jsonl(reports: list[DeviationReport], target=None) -> str:
-    """One JSON line per report plus a trailing summary line."""
-    lines = []
-    for r in reports:
-        lines.append(
-            json.dumps(
-                {
-                    "stage": r.stage,
-                    "node": r.node,
-                    "j_star": r.j_star,
-                    "j_dev": r.j_dev,
-                    "gap": r.gap,
-                    "passed": r.passed,
-                    "semantics": r.semantics.value,
-                    "deviation": list(r.deviation),
-                    "tol": r.tol,
-                }
-            )
-        )
-    summary = verification_summary(reports)
+_JSONL_KEYS = ("stage", "node", "j_star", "j_dev", "gap", "passed", "semantics", "deviation", "tol")
+
+
+def export_verification_jsonl(result: VerificationResult) -> str:
+    """One JSON line per node, keys in _JSONL_KEYS order, plus a trailing summary line."""
+    columns = [
+        repeat(result.semantics.value) if key == "semantics" else getattr(result, key).tolist()
+        for key in _JSONL_KEYS
+    ]
+    lines = [json.dumps(dict(zip(_JSONL_KEYS, row))) for row in zip(*columns)]
+    summary = verification_summary(result)
     summary["summary"] = True
     lines.append(json.dumps(summary))
-    text = "\n".join(lines) + "\n"
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w") as fh:
-                fh.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

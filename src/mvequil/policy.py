@@ -93,11 +93,19 @@ class AffinePolicy:
     def num_assets(self) -> int:
         return self.gains.shape[1]
 
+    def row(self, k: int) -> int:
+        """Row of stage k in gains and offsets; ValueError outside the policy's stages."""
+        if not self.start_stage <= k < self.horizon:
+            raise ValueError(
+                f"stage {k} is outside the policy's stages {self.start_stage}..{self.horizon - 1}"
+            )
+        return k - self.start_stage
+
     def gain(self, k: int) -> np.ndarray:
-        return self.gains[k - self.start_stage]
+        return self.gains[self.row(k)]
 
     def offset(self, k: int) -> np.ndarray:
-        return self.offsets[k - self.start_stage]
+        return self.offsets[self.row(k)]
 
     def control(self, k: int, x: float) -> np.ndarray:
         """Prescribed asset allocation at stage k and wealth x."""

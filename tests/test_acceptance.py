@@ -100,9 +100,10 @@ def test_criterion_2_feedback_golden_table(preset):
 
     last = preset.horizon - 1
     bundled = mv.AffinePolicy(mv.PolicyKind.FEEDBACK, 0, FEEDBACK_GAINS, FEEDBACK_OFFSETS)
-    reports = mv.verify_equilibrium(tree, preset, bundled)
-    early_gaps = [r.gap / max(1.0, abs(r.j_star)) for r in reports if r.stage < last]
-    early_rejected = bool(early_gaps) and max(early_gaps) < -1e-3
+    result = mv.verify_equilibrium(tree, preset, bundled)
+    early = result.stage < last
+    early_gaps = result.gap[early] / np.maximum(1.0, np.abs(result.j_star[early]))
+    early_rejected = early_gaps.size > 0 and early_gaps.max() < -1e-3
     last_rows_equal = np.array_equal(FEEDBACK_GAINS[last], VERIFIED_FEEDBACK_GAINS[last])
     last_rows_equal &= np.array_equal(FEEDBACK_OFFSETS[last], VERIFIED_FEEDBACK_OFFSETS[last])
 
@@ -178,11 +179,11 @@ def test_criterion_5_equilibrium_property_on_random_instances():
         feedback = mv.solve_feedback(spec, moments)
         mixed = _mixed_with_solvable_strategy(spec, moments)
         for target in (open_loop.policy, feedback.policy, mixed):
-            reports = mv.verify_equilibrium(tree, spec, target)
-            assert all(r.passed for r in reports)
+            result = mv.verify_equilibrium(tree, spec, target)
+            assert result.passed.all()
             worst_normalized_gap = min(
                 worst_normalized_gap,
-                min(r.gap / max(1.0, abs(r.j_star)) for r in reports),
+                float((result.gap / np.maximum(1.0, np.abs(result.j_star))).min()),
             )
     elapsed = time.time() - t0
     ok = worst_normalized_gap >= -1e-7 and elapsed < 60.0

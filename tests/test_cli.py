@@ -95,13 +95,16 @@ def test_unknown_market_path_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve-open-loop", "--tol-range", "-1.0"], "tolerances must be positive"),
-        (["solve-open-loop", "--tol-psd", "0"], "tolerances must be positive"),
+        (["solve-open-loop", "--tol-range", "-1.0"], "tolerances must be positive and finite"),
+        (["solve-open-loop", "--tol-psd", "0"], "tolerances must be positive and finite"),
+        (["solve-open-loop", "--tol-range", "nan"], "tolerances must be positive and finite"),
+        (["solve-feedback", "--tol-psd", "nan"], "tolerances must be positive and finite"),
+        (["solve-open-loop", "--tol-range", "inf"], "tolerances must be positive and finite"),
         (["simulate", "--paths", "1"], "--paths must be at least 2"),
         (["batch", "--draws", "0"], "--draws must be at least 1"),
         (["verify", "--atoms", "0"], "--atoms must be at least 1"),
     ],
-    ids=["tol-range", "tol-psd", "paths", "draws", "atoms"],
+    ids=["tol-range", "tol-psd", "tol-range-nan", "tol-psd-nan", "tol-range-inf", "paths", "draws", "atoms"],
 )
 def test_bad_flag_value_exits_2(argv, message, capsys):
     assert main(argv) == 2

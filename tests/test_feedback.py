@@ -185,8 +185,7 @@ def test_feedback_can_exist_where_open_loop_does_not():
 
     moments = mv.derive_excess_moments(spec)
     tree = mv.build_matched_tree(moments)
-    reports = mv.verify_equilibrium(tree, spec, sol.policy)
-    assert all(r.passed for r in reports)
+    assert mv.verify_equilibrium(tree, spec, sol.policy).passed.all()
 
 
 def test_trace_csv_has_one_row_per_stage(preset_solution):

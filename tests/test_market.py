@@ -92,7 +92,7 @@ def test_round_trip_json(tmp_path):
         initial_wealth=2.5,
     )
     path = tmp_path / "market.json"
-    mv.dump_market_spec(spec, path)
+    path.write_text(mv.dump_market_spec(spec))
     loaded = mv.load_market_spec(path)
     assert loaded.horizon == spec.horizon
     assert loaded.num_assets == spec.num_assets

@@ -177,6 +177,27 @@ def test_spike_at_own_action_reproduces_exact_cost(preset_setup):
         assert j == pytest.approx(mv.evaluate_cost_exact(tree, spec, sol.policy, 1, 1.3), abs=1e-10)
 
 
+@pytest.mark.parametrize("past_end", [False, True], ids=["before-start", "at-horizon"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tree, spec, pol, k: mv.spike_cost(tree, spec, pol, k, 1.0, np.zeros(spec.num_assets)),
+        lambda tree, spec, pol, k: mv.best_spike_deviation(tree, spec, pol, k, 1.0),
+        lambda tree, spec, pol, k: mv.evaluate_cost_exact(tree, spec, pol, k, 1.0),
+        lambda tree, spec, pol, k: pol.control(k, 1.0),
+    ],
+    ids=["spike_cost", "best_spike_deviation", "evaluate_cost_exact", "control"],
+)
+def test_stage_outside_the_policy_raises(preset_setup, call, past_end):
+    # a policy solved from t = 2 has no row for stage 1 or for the horizon
+    spec, moments, tree = preset_setup
+    tail = mv.with_initial_state(spec, t=2)
+    policy = mv.solve_open_loop(tail, moments).policy
+    k = policy.horizon if past_end else policy.start_stage - 1
+    with pytest.raises(ValueError, match="outside the policy's stages 2..3"):
+        call(tree, tail, policy, k)
+
+
 def test_best_spike_quadratic_fit_fidelity(preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_open_loop(spec)
@@ -230,9 +251,12 @@ def test_unbounded_deviation_reports_minus_infinity():
     )
     _, j_dev = mv.best_spike_deviation(tree, spec, policy, 0, 1.0)
     assert j_dev == -math.inf
-    reports = mv.verify_equilibrium(tree, spec, policy)
-    assert not reports[0].passed
-    assert reports[0].gap == -math.inf
+    result = mv.verify_equilibrium(tree, spec, policy)
+    assert not result.passed[0]
+    assert result.gap[0] == -math.inf
+    node_line, summary_line = mv.export_verification_jsonl(result).splitlines()
+    assert '"gap": -Infinity' in node_line and '"passed": false' in node_line
+    assert '"min_gap": -Infinity' in summary_line
 
 
 def test_nonconvex_fit_raises(monkeypatch, preset_setup):
@@ -253,7 +277,7 @@ def test_nonconvex_fit_raises(monkeypatch, preset_setup):
 
 
 def _node_wealths(tree, spec, policy):
-    """Undeviated wealth at every node, stage by stage, in report order."""
+    """Undeviated wealth at every node, stage by stage, in verification order."""
     states = [np.array([spec.initial_wealth])]
     for k in range(policy.start_stage, spec.horizon - 1):
         x = states[-1]
@@ -263,20 +287,21 @@ def _node_wealths(tree, spec, policy):
 
 
 def _spike_cost_cross_check(tree, spec, target, semantics):
-    """Largest normalized distance of each report from brute-force spike costs."""
+    """Largest normalized distance of each node's costs from brute-force spike costs."""
     applied = target if isinstance(target, AffinePolicy) else target.policy
     states = _node_wealths(tree, spec, applied)
-    reports = mv.verify_equilibrium(tree, spec, target, semantics)
+    result = mv.verify_equilibrium(tree, spec, target, semantics)
     worst = 0.0
-    for r in reports:
-        x = float(states[r.stage - applied.start_stage][r.node])
-        scale = max(1.0, abs(r.j_star))
-        own = mv.spike_cost(tree, spec, target, r.stage, x, applied.control(r.stage, x), semantics)
-        worst = max(worst, abs(own - r.j_star) / scale)
-        if math.isfinite(r.j_dev):
-            dev = mv.spike_cost(tree, spec, target, r.stage, x, r.deviation, semantics)
-            worst = max(worst, abs(dev - r.j_dev) / scale)
-    return worst, reports
+    nodes = zip(result.stage.tolist(), result.node.tolist(), result.j_star.tolist(), result.j_dev.tolist())
+    for (k, node, j_star, j_dev), deviation in zip(nodes, result.deviation):
+        x = float(states[k - applied.start_stage][node])
+        scale = max(1.0, abs(j_star))
+        own = mv.spike_cost(tree, spec, target, k, x, applied.control(k, x), semantics)
+        worst = max(worst, abs(own - j_star) / scale)
+        if math.isfinite(j_dev):
+            dev = mv.spike_cost(tree, spec, target, k, x, deviation, semantics)
+            worst = max(worst, abs(dev - j_dev) / scale)
+    return worst, result
 
 
 def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
@@ -298,9 +323,9 @@ def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
         if not isinstance(mixed, mv.NonexistenceReport):
             pairs += [(mixed, DeviationSemantics.MIXED), (mixed, DeviationSemantics.FEEDBACK)]
         for target, semantics in pairs:
-            err, reports = _spike_cost_cross_check(tree, spec, target, semantics)
+            err, result = _spike_cost_cross_check(tree, spec, target, semantics)
             worst = max(worst, err)
-            cross_failures += not all(r.passed for r in reports)
+            cross_failures += not result.passed.all()
     assert worst <= 1e-10, f"closed-form costs differ from spike_cost by {worst:.2e}"
     assert cross_failures > 0  # the cross-semantics pairs do exercise improving deviations
 
@@ -324,9 +349,9 @@ def test_verify_all_solvers_on_six_stage_tree():
         mv.solve_mixed(spec, mv.sample_pure_feedback(3, 6, 3), moments),
     )
     for target in solutions:
-        reports = mv.verify_equilibrium(tree, spec, target)
-        assert len(reports) == sum(7**k for k in range(6)) == 19_608
-        assert all(r.passed for r in reports)
+        result = mv.verify_equilibrium(tree, spec, target)
+        assert len(result) == sum(7**k for k in range(6)) == 19_608
+        assert result.passed.all()
 
 
 def test_verify_each_solver_under_own_semantics(preset_setup):
@@ -336,17 +361,17 @@ def test_verify_each_solver_under_own_semantics(preset_setup):
     mixed = mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets))
     assert mv.DeviationSemantics.MIXED is mv.PolicyKind.MIXED
     for target in (open_loop, open_loop.policy, feedback, feedback.policy, mixed):
-        reports = mv.verify_equilibrium(tree, spec, target)
-        assert len(reports) == 1 + 7 + 49 + 343
-        assert all(r.passed for r in reports)
-        summary = mv.verification_summary(reports)
+        result = mv.verify_equilibrium(tree, spec, target)
+        assert len(result) == 1 + 7 + 49 + 343
+        assert result.passed.all()
+        summary = mv.verification_summary(result)
         assert summary["passed"] and summary["count"] == 400
     # a whole solution and its bare policy are the same target
     for sol in (open_loop, feedback):
         whole, bare = mv.verify_equilibrium(tree, spec, sol), mv.verify_equilibrium(tree, spec, sol.policy)
-        for a, b in zip(whole, bare, strict=True):
-            assert dataclasses.replace(a, deviation=None) == dataclasses.replace(b, deviation=None)
-            assert np.array_equal(a.deviation, b.deviation)
+        assert whole.semantics is bare.semantics
+        for field in dataclasses.fields(whole)[1:]:
+            assert np.array_equal(getattr(whole, field.name), getattr(bare, field.name))
         assert mv.evaluate_cost_exact(tree, spec, sol) == mv.evaluate_cost_exact(tree, spec, sol.policy)
         sims = [mv.simulate_monte_carlo(spec, t, 1000, seed=2, distribution=tree) for t in (sol, sol.policy)]
         assert sims[0] == sims[1]
@@ -358,9 +383,9 @@ def test_semantics_are_not_interchangeable(preset_setup):
     open_loop = mv.solve_open_loop(spec)
     feedback = mv.solve_feedback(spec)
     fb_as_ol = mv.verify_equilibrium(tree, spec, feedback.policy, DeviationSemantics.OPEN_LOOP)
-    assert min(r.gap for r in fb_as_ol) < -1e-4
+    assert fb_as_ol.gap.min() < -1e-4
     ol_as_fb = mv.verify_equilibrium(tree, spec, open_loop.policy, DeviationSemantics.FEEDBACK)
-    assert min(r.gap for r in ol_as_fb) < -1e-4
+    assert ol_as_fb.gap.min() < -1e-4
 
 
 def test_perturbed_policy_fails_only_at_the_perturbed_stage(preset_setup):
@@ -371,14 +396,12 @@ def test_perturbed_policy_fails_only_at_the_perturbed_stage(preset_setup):
     bad = AffinePolicy(
         kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=gains, offsets=sol.policy.offsets
     )
-    reports = mv.verify_equilibrium(tree, spec, bad)
-    by_stage = {}
-    for r in reports:
-        by_stage.setdefault(r.stage, []).append(r.passed)
-    assert not all(by_stage[0])
+    result = mv.verify_equilibrium(tree, spec, bad)
+    assert not result.passed[result.stage == 0].all()
     # stage k >= 1 actions satisfy the stationarity system at any wealth
-    assert all(all(by_stage[k]) for k in (1, 2, 3))
-    assert min(r.gap for r in reports) < -1e-6
+    assert set(result.stage.tolist()) == {0, 1, 2, 3}
+    assert result.passed[result.stage >= 1].all()
+    assert result.gap.min() < -1e-6
 
 
 def test_mixed_semantics_requires_decomposition(preset_setup):
@@ -409,22 +432,23 @@ def test_leaf_cap_guards_exact_evaluation():
     assert mv.evaluate_cost_exact(tree, spec, policy, 12, 1.0) < 0
 
 
-def test_jsonl_export(preset_setup, tmp_path):
+def test_jsonl_export(preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_open_loop(spec)
-    reports = mv.verify_equilibrium(tree, spec, sol.policy)
-    path = tmp_path / "reports.jsonl"
-    text = mv.export_verification_jsonl(reports, path)
-    assert path.read_text() == text
-    lines = text.strip().splitlines()
-    assert len(lines) == len(reports) + 1
+    result = mv.verify_equilibrium(tree, spec, sol.policy)
+    lines = mv.export_verification_jsonl(result).strip().splitlines()
+    assert len(lines) == len(result) + 1
     first = json.loads(lines[0])
+    assert list(first) == ["stage", "node", "j_star", "j_dev", "gap", "passed", "semantics", "deviation", "tol"]
     assert first["stage"] == 0 and first["semantics"] == "open_loop"
     assert len(first["deviation"]) == 3
+    last = json.loads(lines[-2])
+    assert (last["stage"], last["node"]) == (3, 342)
+    assert last["gap"] == result.gap[-1] and last["deviation"] == result.deviation[-1].tolist()
     summary = json.loads(lines[-1])
     assert summary["summary"] is True
-    assert summary["count"] == len(reports)
-    assert summary["min_gap"] == pytest.approx(min(r.gap for r in reports))
+    assert summary["count"] == len(result)
+    assert summary["min_gap"] == result.gap.min()
 
 
 def test_monte_carlo_is_deterministic_per_seed(preset_setup):
