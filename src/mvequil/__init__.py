@@ -5,15 +5,15 @@ Var_t(X_N) - (mu1 x + mu2) E_t X_N changes with the evaluation point: the
 open-loop equilibrium control, the feedback equilibrium strategy, and the
 mixed equilibrium that re-applies a chosen pure-feedback part while freezing
 the rest. All three are solved by one backward scalar-weight recursion, which
-differs only in the part re-applied after a deviation and uses pseudoinverses
-throughout, so a degenerate excess-return covariance is fine;
-existence is governed by a per-stage range condition on the mean excess
-return. The oracle module checks any claimed solution against exact costs on
+differs only in the part re-applied after a deviation and solves each stage
+by least norm on the range of its gain matrix, so a degenerate excess-return
+covariance is fine; existence is governed by a per-stage range condition on
+the mean excess return. The oracle module checks any claimed solution against exact costs on
 moment-matched scenario trees and by Monte Carlo.
 """
 
 from .feedback import FeedbackSolution, solve_feedback
-from .linalg import PinvResult, is_psd, pseudoinverse, range_membership
+from .linalg import Eigenbasis, eigenbasis, is_psd_spectrum
 from .market import (
     ExcessMoments,
     ExistenceReport,
@@ -71,6 +71,7 @@ __all__ = [
     "AffinePolicy",
     "DeviationSemantics",
     "EquilibriumSolution",
+    "Eigenbasis",
     "EquilibriumStructureError",
     "ExcessMoments",
     "ExistenceReport",
@@ -82,7 +83,6 @@ __all__ = [
     "MixedSolution",
     "NonexistenceReport",
     "OpenLoopSolution",
-    "PinvResult",
     "PolicyKind",
     "PRESETS",
     "PureFeedbackPart",
@@ -96,18 +96,17 @@ __all__ = [
     "build_matched_tree",
     "check_open_loop_existence",
     "derive_excess_moments",
+    "eigenbasis",
     "dump_market_spec",
     "equilibrium_wealth_coefficients",
     "evaluate_cost_exact",
     "export_verification_jsonl",
     "get_preset",
-    "is_psd",
+    "is_psd_spectrum",
     "load_market_spec",
     "load_pure_feedback",
     "make_market_spec",
     "mean_wealth_path",
-    "pseudoinverse",
-    "range_membership",
     "resolve_market",
     "sample_pure_feedback",
     "simulate_monte_carlo",

@@ -124,7 +124,7 @@ def _check_args(args: argparse.Namespace) -> None:
     """Range checks argparse's types do not state; options the command lacks are skipped."""
     if not all(0 < getattr(args, name, 1.0) < math.inf for name in ("tol_range", "tol_psd")):
         raise ValidationError("tolerances must be positive and finite")
-    for name, low in (("paths", 2), ("draws", 1), ("atoms", 1)):
+    for name, low in (("paths", 2), ("draws", 1), ("atoms", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ValidationError(f"--{name} must be at least {low}")

@@ -11,7 +11,7 @@ nonexistence.
 
 from __future__ import annotations
 
-from .linalg import DEFAULT_PINV_RTOL, DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec
 from .policy import NonexistenceReport, PolicyKind
 from .recursion import EquilibriumSolution, backward_recursion
@@ -24,13 +24,10 @@ def solve_feedback(
     moments: ExcessMoments | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
     psd_tol: float = DEFAULT_PSD_TOL,
-    pinv_rtol: float = DEFAULT_PINV_RTOL,
 ) -> FeedbackSolution | NonexistenceReport:
     """The shared backward recursion with each stage's own gain re-applied after a deviation.
 
     Each stage checks, in order, that the gain matrix is PSD and that the gain
     and offset targets lie in its column space.
     """
-    return backward_recursion(
-        spec, moments, PolicyKind.FEEDBACK, range_tol=range_tol, psd_tol=psd_tol, pinv_rtol=pinv_rtol
-    )
+    return backward_recursion(spec, moments, PolicyKind.FEEDBACK, range_tol=range_tol, psd_tol=psd_tol)

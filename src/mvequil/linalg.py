@@ -1,10 +1,15 @@
-"""Pseudoinverse, range membership and PSD primitives.
+"""One eigendecomposition per symmetric matrix, and the rules stated on it.
 
 Every backward recursion in this package solves stage equations of the form
-``G u = -target`` where G is symmetric (usually PSD, possibly singular). The
-helpers here centralize the tolerance semantics of those solves. One
-eigendecomposition serves all three: ``pseudoinverse`` keeps the eigenvalues
-it computes, and ``range_membership`` and ``is_psd`` accept its result.
+``G u = -target`` where G is symmetric (usually PSD, possibly singular), and
+existence is a range condition on G. ``eigenbasis`` decomposes G once and
+keeps what every rule needs: all eigenvalues, which the PSD test
+(``is_psd_spectrum``) reads, and the eigenvectors above the cutoff, through
+which ``Eigenbasis.solve`` returns the least-norm solutions of a stack of
+right-hand sides together with their range residuals. The m x m matrix G^+
+is never formed: inverting every kept eigenvalue overflows once they are
+subnormal, while the solve divides each right-hand side's coordinates
+directly.
 """
 
 from __future__ import annotations
@@ -20,21 +25,6 @@ DEFAULT_PSD_TOL = 1e-10
 _SYM_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PinvResult:
-    """Moore-Penrose pseudoinverse of a symmetric matrix.
-
-    rank is the count of eigenvalues whose magnitude exceeds cutoff, cutoff
-    is the absolute threshold actually applied (rel_tol * spectral radius),
-    and eigenvalues are all eigenvalues of the matrix in ascending order.
-    """
-
-    pinv: np.ndarray
-    rank: int
-    cutoff: float
-    eigenvalues: np.ndarray
-
-
 def _norm(a: np.ndarray) -> float:
     """Euclidean (Frobenius) norm of a, taken of a scaled by a power of two so
     the sum of squares cannot overflow; dividing by a power of two is exact."""
@@ -44,6 +34,16 @@ def _norm(a: np.ndarray) -> float:
     scale = math.ldexp(1.0, math.frexp(big)[1] - 1)
     scaled = a / scale
     return scale * math.sqrt(float(np.vdot(scaled, scaled)))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """_norm of each row (along the last axis) in one vectorized pass, each row
+    scaled by its own power of two; a row with a non-finite entry has a
+    non-finite norm."""
+    big = np.abs(rows).max(axis=-1, keepdims=True, initial=0.0)
+    scale = np.ldexp(1.0, np.frexp(big)[1] - 1)
+    scaled = rows / scale
+    return scale[..., 0] * np.sqrt(np.einsum("...i,...i->...", scaled, scaled))
 
 
 def _require_symmetric(M: np.ndarray, what: str) -> np.ndarray:
@@ -60,55 +60,61 @@ def _require_symmetric(M: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def pseudoinverse(M: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> PinvResult:
-    """Pseudoinverse of a symmetric matrix via eigendecomposition.
+def is_psd_spectrum(eigenvalues: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> bool:
+    """Whether ascending eigenvalues are PSD within a relative slack:
+    lambda_min >= -tol * max(1, lambda_max)."""
+    return bool(eigenvalues[0] >= -tol * max(1.0, float(eigenvalues[-1])))
 
-    Eigenvalues with magnitude below rel_tol times the spectral radius are
-    treated as zero. The result is exactly symmetric.
+
+@dataclass(frozen=True)
+class Eigenbasis:
+    """A symmetric matrix M through its eigendecomposition.
+
+    eigenvalues are all of M's eigenvalues in ascending order; basis (m, rank)
+    holds the eigenvectors whose eigenvalue exceeds cutoff in magnitude, and
+    kept those eigenvalues. cutoff is the absolute threshold applied,
+    rel_tol times the spectral radius.
     """
+
+    eigenvalues: np.ndarray
+    basis: np.ndarray
+    kept: np.ndarray
+    cutoff: float
+
+    @property
+    def rank(self) -> int:
+        return self.kept.size
+
+    def solve(
+        self, V: np.ndarray, rel_tol: float = DEFAULT_RANGE_RTOL
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Least-norm solutions X = M^+ v for the rows v of V, with range tests.
+
+        Returns (X, residual, ok), one entry per row: residual = ||v - B B^T v||
+        for B the kept basis, and ok means residual <= rel_tol * max(1, ||v||);
+        a non-finite residual never passes. A solution too large for a float
+        comes back non-finite without a warning; residual and ok do not depend
+        on X.
+        """
+        V = np.asarray(V, dtype=float)
+        coords = V @ self.basis
+        residual = _row_norms(V - coords @ self.basis.T)
+        # residual <= rel_tol * max(1, ||v||); ||v|| is only needed past rel_tol
+        ok = residual <= rel_tol
+        if not ok.all():
+            ok |= np.isfinite(residual) & (residual <= rel_tol * _row_norms(V))
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = (coords / self.kept) @ self.basis.T
+        return X, residual, ok
+
+
+def eigenbasis(M: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> Eigenbasis:
+    """Decompose symmetric M with one eigh; eigenvalues with magnitude at most
+    rel_tol times the spectral radius count as zero."""
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
-    M = _require_symmetric(M, "pseudoinverse")
+    M = _require_symmetric(M, "eigenbasis")
     w, Q = np.linalg.eigh(M)
-    cutoff = rel_tol * float(np.max(np.abs(w))) if w.size else 0.0
+    cutoff = rel_tol * max(-float(w[0]), float(w[-1])) if w.size else 0.0
     keep = np.abs(w) > cutoff
-    inv_w = np.zeros_like(w)
-    inv_w[keep] = 1.0 / w[keep]
-    P = (Q * inv_w) @ Q.T
-    return PinvResult(
-        pinv=0.5 * (P + P.T), rank=int(np.count_nonzero(keep)), cutoff=cutoff, eigenvalues=w
-    )
-
-
-def range_membership(
-    v: np.ndarray,
-    M: np.ndarray,
-    rel_tol: float = DEFAULT_RANGE_RTOL,
-    pinv: PinvResult | None = None,
-) -> tuple[bool, float]:
-    """Whether v lies in the column space of symmetric M, with the residual.
-
-    Returns (ok, residual) where residual = ||M M^+ v - v|| and ok means
-    residual <= rel_tol * max(1, ||v||); a non-finite residual never passes.
-    pinv, when given, is M's pseudoinverse and saves decomposing M again.
-    """
-    v = np.asarray(v, dtype=float)
-    if pinv is None:
-        pinv = pseudoinverse(M)
-    residual = _norm(M @ (pinv.pinv @ v) - v)
-    # residual <= rel_tol * max(1, ||v||); ||v|| is only needed past rel_tol
-    ok = math.isfinite(residual) and (residual <= rel_tol or residual <= rel_tol * _norm(v))
-    return ok, residual
-
-
-def is_psd(M: np.ndarray, tol: float = DEFAULT_PSD_TOL, pinv: PinvResult | None = None) -> bool:
-    """Whether symmetric M is positive semidefinite within a relative slack.
-
-    Passes iff lambda_min >= -tol * max(1, lambda_max). pinv, when given, is
-    M's pseudoinverse, whose eigenvalues are used instead of decomposing M.
-    """
-    if pinv is None:
-        w = np.linalg.eigvalsh(_require_symmetric(M, "is_psd"))
-    else:
-        w = pinv.eigenvalues
-    return bool(w[0] >= -tol * max(1.0, float(w[-1])))
+    return Eigenbasis(eigenvalues=w, basis=Q[:, keep], kept=w[keep], cutoff=cutoff)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL, _require_symmetric, range_membership
+from .linalg import DEFAULT_RANGE_RTOL, _require_symmetric, eigenbasis, is_psd_spectrum
 
 
 class ValidationError(ValueError):
@@ -177,7 +177,7 @@ def make_market_spec(
         except np.linalg.LinAlgError:
             raise ValidationError(f"covariance not symmetric at stage {k}") from None
         w = np.linalg.eigvalsh(Ms)
-        if w[0] < -DEFAULT_PSD_TOL * max(1.0, float(w[-1])):
+        if not is_psd_spectrum(w):
             raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[0]:.3e})")
         covs[k] = Ms  # covs is already a private copy
 
@@ -253,9 +253,9 @@ def check_open_loop_existence(
     ok: list[bool] = []
     res: list[float] = []
     for k in range(moments.horizon):
-        passed, residual = range_membership(moments.mean_excess[k], moments.cov_excess[k], tol)
-        ok.append(passed)
-        res.append(residual)
+        _, residual, passed = eigenbasis(moments.cov_excess[k]).solve(moments.mean_excess[k], tol)
+        ok.append(bool(passed))
+        res.append(float(residual))
     overall = all(ok[t:])
     return ExistenceReport(per_stage=tuple(ok), residual_norms=tuple(res), overall=overall)
 

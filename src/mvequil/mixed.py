@@ -10,7 +10,7 @@ the applied affine policy u_k = K_k x + c_k returned here.
 
 from __future__ import annotations
 
-from .linalg import DEFAULT_PINV_RTOL, DEFAULT_RANGE_RTOL
+from .linalg import DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec
 from .policy import NonexistenceReport, PolicyKind, PureFeedbackPart
 from .recursion import EquilibriumSolution, backward_recursion
@@ -23,7 +23,6 @@ def solve_mixed(
     feedback_part: PureFeedbackPart,
     moments: ExcessMoments | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
-    pinv_rtol: float = DEFAULT_PINV_RTOL,
 ) -> MixedSolution | NonexistenceReport:
     """The shared backward recursion with the strategy part re-applied after a deviation.
 
@@ -33,6 +32,4 @@ def solve_mixed(
     shape = (spec.horizon, spec.num_assets)
     if feedback_part.gains.shape != shape:
         raise ValueError(f"strategy part shape {feedback_part.gains.shape} does not match market {shape}")
-    return backward_recursion(
-        spec, moments, PolicyKind.MIXED, feedback_part, range_tol=range_tol, pinv_rtol=pinv_rtol
-    )
+    return backward_recursion(spec, moments, PolicyKind.MIXED, feedback_part, range_tol=range_tol)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_PINV_RTOL, DEFAULT_RANGE_RTOL
+from .linalg import DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec, derive_excess_moments
 from .policy import NonexistenceReport, PolicyKind
 from .recursion import EquilibriumSolution, backward_recursion
@@ -23,14 +23,13 @@ def solve_open_loop(
     spec: MarketSpec,
     moments: ExcessMoments | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
-    pinv_rtol: float = DEFAULT_PINV_RTOL,
 ) -> OpenLoopSolution | NonexistenceReport:
     """The shared backward recursion with nothing re-applied after a deviation.
 
     The stage gain matrix is cov_weight[k+1] * Cov(O_k), and each stage checks
     the range condition on the mean excess return.
     """
-    return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP, range_tol=range_tol, pinv_rtol=pinv_rtol)
+    return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP, range_tol=range_tol)
 
 
 def equilibrium_wealth_coefficients(

@@ -29,7 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .linalg import DEFAULT_PINV_RTOL, DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
+from .linalg import DEFAULT_PSD_TOL, eigenbasis
 from .market import ExcessMoments, MarketSpec, ValidationError
 from .policy import AffinePolicy, PolicyKind
 
@@ -285,7 +285,7 @@ def best_spike_deviation(
     x_star is the undeviated state at the node (defaults to x). The deviation
     cost is an exact quadratic in u (terminal wealth is affine in u per
     scenario); its gradient and Hessian come in closed form from the stage's
-    suffix-tree moments, and it is minimized with the pseudoinverse. An
+    suffix-tree moments, and it is minimized by a least-norm solve. An
     indefinite quadratic raises EquilibriumStructureError; an unbounded one
     (gradient outside the Hessian's column space) returns cost -inf.
     """
@@ -379,7 +379,8 @@ def _best_spikes(
     v = (beta, gamma, alpha) independent of w = (y, z, 1), so Var = tr(S_v C_w)
     + E[w]' C_v E[w]. The Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu') is
     shared by every node, so one eigendecomposition gives the convexity check,
-    the pseudoinverse and the range residual of every gradient.
+    and one least-norm solve through it gives every node's step and whether its
+    gradient lies in the Hessian's range.
     """
     k = moments.stage
     mu, sigma = moments.atom_mean, moments.atom_cov
@@ -401,20 +402,14 @@ def _best_spikes(
     grad = 2.0 * (second[0, 0] * sigma_u + second[0, 1] * sigma_u_star)
     grad += np.outer(2.0 * w_cov_mean[:, 0] - mean_weight * mean[0], mu)
     hess = 2.0 * (second[0, 0] * sigma + cov[0, 0] * np.outer(mu, mu))
-    hess = 0.5 * (hess + hess.T)
 
-    eigs, Q = np.linalg.eigh(hess)
-    radius = float(np.max(np.abs(eigs)))
-    if eigs[0] < -1e-8 * max(1.0, radius):
+    eig = eigenbasis(hess)
+    eigs = eig.eigenvalues
+    if eigs[0] < -1e-8 * max(1.0, float(np.max(np.abs(eigs)))):
         raise EquilibriumStructureError(
             f"deviation cost at stage {k} is not convex (min curvature {eigs[0]:.3e})"
         )
-    keep = np.abs(eigs) > DEFAULT_PINV_RTOL * radius
-    basis = Q[:, keep]
-    coords = grad @ basis
-    step = -(coords / eigs[keep]) @ basis.T
-    residual = np.linalg.norm(grad - coords @ basis.T, axis=1)
-    bounded = residual <= DEFAULT_RANGE_RTOL * np.maximum(1.0, np.linalg.norm(grad, axis=1))
+    step, _, bounded = eig.solve(-grad)
     j_dev = j_star + _rowdot(grad, step) + 0.5 * _rowdot(step @ hess, step)
     return u + step, np.where(bounded, j_dev, -np.inf), j_star
 

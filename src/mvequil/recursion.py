@@ -9,8 +9,9 @@ it. Stage k solves G K = -gain_target and G c = -offset_target with
 G = mean_outer_weight[k+1] outer(mean) + cov_weight[k+1] Cov(O_k), then
 carries the weights back through the re-applied mean multiplier
 cp = s_k + mean . P, the applied one cm = s_k + mean . K and the covariance
-cross term. One eigendecomposition of G per stage gives the pseudoinverse,
-the eigenvalues, the PSD test and every range residual.
+cross term. One eigendecomposition of G per stage gives the eigenvalues and
+the PSD test, and one least-norm solve through its kept eigenvectors gives the
+gains, the offsets and every range residual.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PINV_RTOL, DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
-from .linalg import is_psd, pseudoinverse, range_membership
+from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL, eigenbasis, is_psd_spectrum
 from .market import ExcessMoments, MarketSpec, check_open_loop_existence, derive_excess_moments
 from .policy import AffinePolicy, InternalInconsistencyError, NonexistenceReport, PolicyKind, PureFeedbackPart
 from .policy import FailingCondition as Cond
@@ -45,8 +45,9 @@ class RecursionTrace:
     mean_outer_weight = 0), mean_coupling and mean_offset carry the
     terminal-mean term, riskless_growth_sq is the squared product of the
     remaining riskless returns. Per-stage arrays have length N; the residuals
-    are ||G G^+ v - v|| for v the mean excess return (the open-loop range
-    condition) and the two targets. Stages before the initial time are NaN.
+    are ||v - B B^T v||, B the kept eigenvectors of G, for v the mean excess
+    return (the open-loop range condition) and the two targets. Stages before
+    the initial time are NaN.
     """
 
     cov_weight: np.ndarray
@@ -103,7 +104,6 @@ def backward_recursion(
     feedback_part: PureFeedbackPart | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
     psd_tol: float = DEFAULT_PSD_TOL,
-    pinv_rtol: float = DEFAULT_PINV_RTOL,
 ) -> EquilibriumSolution | NonexistenceReport:
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
@@ -127,37 +127,34 @@ def backward_recursion(
         s_k, mean_ex, cov_ex = spec.riskless[k], moments.mean_excess[k], moments.cov_excess[k]
         cw, mow = tr.cov_weight[k + 1], tr.mean_outer_weight[k + 1]
         G = mow * np.outer(mean_ex, mean_ex) + cw * cov_ex
-        target_gain = (s_k * mow + tr.mean_coupling[k + 1]) * mean_ex
-        target_offset = tr.mean_offset[k + 1] * mean_ex
-        tr.gain_matrix[k], tr.gain_target[k], tr.offset_target[k] = G, target_gain, target_offset
+        # rows: the range condition's mean excess return, then the gain and offset targets
+        rhs = np.outer((1.0, s_k * mow + tr.mean_coupling[k + 1], tr.mean_offset[k + 1]), mean_ex)
+        tr.gain_matrix[k], tr.gain_target[k], tr.offset_target[k] = G, rhs[1], rhs[2]
 
-        pinv = pseudoinverse(G, pinv_rtol)
-        tr.gain_eigenvalues[k] = pinv.eigenvalues
+        eig = eigenbasis(G)
+        w = tr.gain_eigenvalues[k] = eig.eigenvalues
+        (_, dag_gain, dag_offset), residual, ok = eig.solve(rhs, range_tol)
+        tr.range_residual[k], tr.gain_residual[k], tr.offset_residual[k] = residual
         outcome = {
-            Cond.PSD_CONDITION: (is_psd(G, psd_tol, pinv), max(-float(pinv.eigenvalues[0]), 0.0)),
-            Cond.RANGE_CONDITION: range_membership(mean_ex, G, range_tol, pinv),
-            Cond.GAIN_SOLVABILITY: range_membership(target_gain, G, range_tol, pinv),
-            Cond.OFFSET_SOLVABILITY: range_membership(target_offset, G, range_tol, pinv),
+            Cond.PSD_CONDITION: (is_psd_spectrum(w, psd_tol), max(-float(w[0]), 0.0)),
+            Cond.RANGE_CONDITION: (ok[0], float(residual[0])),
+            Cond.GAIN_SOLVABILITY: (ok[1], float(residual[1])),
+            Cond.OFFSET_SOLVABILITY: (ok[2], float(residual[2])),
         }
-        tr.range_residual[k] = outcome[Cond.RANGE_CONDITION][1]
-        tr.gain_residual[k] = outcome[Cond.GAIN_SOLVABILITY][1]
-        tr.offset_residual[k] = outcome[Cond.OFFSET_SOLVABILITY][1]
         for condition in _CHECKS[kind]:
-            ok, residual = outcome[condition]
-            if ok:
+            passed, failed_residual = outcome[condition]
+            if passed:
                 continue
             # feedback solvability is guaranteed when every range condition
             # holds, so tell genuine nonexistence from a numerics bug
             if kind is PolicyKind.FEEDBACK and check_open_loop_existence(moments, t, range_tol).overall:
                 raise InternalInconsistencyError(
-                    f"stage {k}: {condition.value} failed (residual {residual:.3e}) although "
+                    f"stage {k}: {condition.value} failed (residual {failed_residual:.3e}) although "
                     "the range condition holds at every stage"
                 )
-            return NonexistenceReport(failing_stage=k, failing_condition=condition, residual=residual)
+            return NonexistenceReport(failing_stage=k, failing_condition=condition, residual=failed_residual)
         tr.stage_ok[k] = True
 
-        dag_gain = pinv.pinv @ target_gain
-        dag_offset = pinv.pinv @ target_offset
         gains[k - t], offsets[k - t] = -dag_gain, -dag_offset
         if kind is PolicyKind.FEEDBACK:
             P = gains[k - t]

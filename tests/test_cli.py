@@ -103,8 +103,15 @@ def test_unknown_market_path_exits_2(tmp_path):
         (["simulate", "--paths", "1"], "--paths must be at least 2"),
         (["batch", "--draws", "0"], "--draws must be at least 1"),
         (["verify", "--atoms", "0"], "--atoms must be at least 1"),
+        (["verify", "--seed", "-1"], "--seed must be at least 0"),
+        (["simulate", "--seed", "-1"], "--seed must be at least 0"),
+        (["batch", "--seed", "-1"], "--seed must be at least 0"),
+        (["solve-mixed", "--phi", "sample", "--seed", "-1"], "--seed must be at least 0"),
     ],
-    ids=["tol-range", "tol-psd", "tol-range-nan", "tol-psd-nan", "tol-range-inf", "paths", "draws", "atoms"],
+    ids=[
+        "tol-range", "tol-psd", "tol-range-nan", "tol-psd-nan", "tol-range-inf", "paths", "draws", "atoms",
+        "verify-seed", "simulate-seed", "batch-seed", "solve-mixed-seed",
+    ],
 )
 def test_bad_flag_value_exits_2(argv, message, capsys):
     assert main(argv) == 2

@@ -5,7 +5,7 @@ import pytest
 
 import mvequil as mv
 from mvequil import FailingCondition, NonexistenceReport
-from mvequil.linalg import pseudoinverse
+from mvequil.linalg import eigenbasis
 
 from instgen import random_market
 
@@ -62,7 +62,8 @@ def test_terminal_stage_closed_form():
         moments = mv.derive_excess_moments(spec)
         sol = mv.solve_open_loop(spec, moments)
         k = spec.horizon - 1
-        expected = 0.5 * spec.mu1 * (pseudoinverse(moments.cov_excess[k]).pinv @ moments.mean_excess[k])
+        cov_pinv = np.linalg.pinv(moments.cov_excess[k], rcond=1e-10)
+        expected = 0.5 * spec.mu1 * (cov_pinv @ moments.mean_excess[k])
         assert np.allclose(sol.policy.gain(k), expected, atol=1e-12)
 
 
@@ -101,10 +102,37 @@ def test_nonexistence_on_mean_outside_covariance_range():
 
 
 def test_gains_stable_across_pinv_cutoffs(preset_solution):
-    spec, base = preset_solution
+    _, base = preset_solution
+    tr = base.trace
     for rtol in (1e-8, 1e-12):
-        sol = mv.solve_open_loop(spec, pinv_rtol=rtol)
-        assert np.allclose(sol.policy.gains, base.policy.gains, atol=1e-9)
+        for k in range(4):
+            targets = np.stack([tr.gain_target[k], tr.offset_target[k]])
+            X, _, ok = eigenbasis(tr.gain_matrix[k], rtol).solve(targets)
+            assert ok.all()
+            assert np.allclose(-X, [base.policy.gain(k), base.policy.offset(k)], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [mv.solve_open_loop, lambda spec: mv.solve_mixed(spec, mv.zero_pure_feedback(2, 2))],
+    ids=["open-loop", "zero-part-mixed"],
+)
+def test_subnormal_covariance_gives_finite_gains(solve):
+    # inverting the eigenvalues near 1e-310 would overflow; the eigenbasis solve does not
+    spec = mv.make_market_spec(
+        horizon=2,
+        num_assets=2,
+        riskless=1.02,
+        mean_returns=[1.05, 1.03],
+        return_cov=[[1e-310, 0], [0, 2e-310]],
+        mu1=1,
+        mu2=1,
+    )
+    sol = solve(spec)
+    assert not isinstance(sol, NonexistenceReport)
+    assert np.all(np.isfinite(sol.policy.gains)) and np.all(np.isfinite(sol.policy.offsets))
+    # last stage: the closed form 0.5 * mu1 * Sigma^+ mu
+    assert np.allclose(sol.policy.gain(1), [1.5e308, 2.5e307], rtol=1e-12)
 
 
 def test_cov_weight_positive_on_random_instances():
