@@ -29,7 +29,7 @@ from .market import (
     resolve_market,
     with_initial_state,
 )
-from .mixed import MixedSolution, solve_mixed
+from .mixed import MixedSolution, solve_mixed, solve_mixed_batch
 from .open_loop import (
     OpenLoopSolution,
     equilibrium_wealth_coefficients,
@@ -112,6 +112,7 @@ __all__ = [
     "simulate_monte_carlo",
     "solve_feedback",
     "solve_mixed",
+    "solve_mixed_batch",
     "solve_open_loop",
     "spike_cost",
     "trace_csv",

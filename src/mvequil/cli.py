@@ -35,7 +35,7 @@ from .market import (
     resolve_market,
     with_initial_state,
 )
-from .mixed import solve_mixed
+from .mixed import solve_mixed, solve_mixed_batch
 from .open_loop import solve_open_loop
 from .oracle import (
     EquilibriumStructureError,
@@ -156,6 +156,12 @@ def _resolve_phi(args: argparse.Namespace, spec) -> PureFeedbackPart:
         raise ValidationError(f"cannot load strategy part from {args.phi!r}: {exc}") from exc
 
 
+def _cell(v: float) -> str:
+    """v in a 10-character column: four decimals where they fit, else a general format."""
+    text = f"{v:10.4f}"
+    return text if len(text) <= 10 else f"{v:10.2e}"
+
+
 def _policy_pretty(title: str, policy, extra_lines=()) -> str:
     m = policy.num_assets
     lines = [title]
@@ -165,8 +171,8 @@ def _policy_pretty(title: str, policy, extra_lines=()) -> str:
     lines.append(header)
     for k in range(policy.start_stage, policy.horizon):
         row = f"{k:3d}"
-        row += "".join(f"{v:10.4f}" for v in policy.gain(k))
-        row += "".join(f"{v:10.4f}" for v in policy.offset(k))
+        row += "".join(_cell(v) for v in policy.gain(k))
+        row += "".join(_cell(v) for v in policy.offset(k))
         lines.append(row)
     lines.extend(extra_lines)
     return "\n".join(lines) + "\n"
@@ -353,10 +359,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     header += [f"gain_eig_{i}" for i in range(m)]
     header += ["psd_ok", "stage_ok"]
     writer.writerow(header)
-    for draw in range(args.draws):
-        phi_seed = args.seed + draw
-        phi = sample_pure_feedback(phi_seed, spec.horizon, spec.num_assets)
-        result = solve_mixed(spec, phi, moments, range_tol=args.tol_range)
+    seeds = [args.seed + draw for draw in range(args.draws)]
+    parts = [sample_pure_feedback(phi_seed, spec.horizon, m) for phi_seed in seeds]
+    results = solve_mixed_batch(spec, parts, moments, range_tol=args.tol_range)
+    for draw, (phi_seed, result) in enumerate(zip(seeds, results)):
         if isinstance(result, NonexistenceReport):
             status = f"nonexistent:{result.failing_condition.name}"
             writer.writerow([draw, phi_seed, status, result.failing_stage] + [""] * (m + 2))

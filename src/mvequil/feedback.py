@@ -30,4 +30,4 @@ def solve_feedback(
     Each stage checks, in order, that the gain matrix is PSD and that the gain
     and offset targets lie in its column space.
     """
-    return backward_recursion(spec, moments, PolicyKind.FEEDBACK, range_tol=range_tol, psd_tol=psd_tol)
+    return backward_recursion(spec, moments, PolicyKind.FEEDBACK, range_tol=range_tol, psd_tol=psd_tol)[0]

@@ -10,6 +10,8 @@ the applied affine policy u_k = K_k x + c_k returned here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .linalg import DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec
 from .policy import NonexistenceReport, PolicyKind, PureFeedbackPart
@@ -18,18 +20,31 @@ from .recursion import EquilibriumSolution, backward_recursion
 MixedSolution = EquilibriumSolution
 
 
+def solve_mixed_batch(
+    spec: MarketSpec,
+    parts: Sequence[PureFeedbackPart],
+    moments: ExcessMoments | None = None,
+    range_tol: float = DEFAULT_RANGE_RTOL,
+) -> list[MixedSolution | NonexistenceReport]:
+    """The mixed solution for each strategy part, in order, from one stacked recursion.
+
+    Each stage checks that the gain and offset targets lie in the gain
+    matrix's column space; the gain matrix need not be PSD. All parts share
+    each stage's one stacked eigendecomposition and solve, and a part that
+    fails a stage gets its own report there.
+    """
+    shape = (spec.horizon, spec.num_assets)
+    for part in parts:
+        if part.gains.shape != shape:
+            raise ValueError(f"strategy part shape {part.gains.shape} does not match market {shape}")
+    return backward_recursion(spec, moments, PolicyKind.MIXED, parts, range_tol=range_tol)
+
+
 def solve_mixed(
     spec: MarketSpec,
     feedback_part: PureFeedbackPart,
     moments: ExcessMoments | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
 ) -> MixedSolution | NonexistenceReport:
-    """The shared backward recursion with the strategy part re-applied after a deviation.
-
-    Each stage checks that the gain and offset targets lie in the gain
-    matrix's column space; the gain matrix need not be PSD.
-    """
-    shape = (spec.horizon, spec.num_assets)
-    if feedback_part.gains.shape != shape:
-        raise ValueError(f"strategy part shape {feedback_part.gains.shape} does not match market {shape}")
-    return backward_recursion(spec, moments, PolicyKind.MIXED, feedback_part, range_tol=range_tol)
+    """The mixed solution for one strategy part: solve_mixed_batch with a single part."""
+    return solve_mixed_batch(spec, [feedback_part], moments, range_tol)[0]

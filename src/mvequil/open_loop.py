@@ -29,7 +29,7 @@ def solve_open_loop(
     The stage gain matrix is cov_weight[k+1] * Cov(O_k), and each stage checks
     the range condition on the mean excess return.
     """
-    return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP, range_tol=range_tol)
+    return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP, range_tol=range_tol)[0]
 
 
 def equilibrium_wealth_coefficients(

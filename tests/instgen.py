@@ -1,8 +1,9 @@
-"""Seeded random solvable market instances shared by the test modules.
+"""Market instances shared by the test modules.
 
-Solvability is by construction: each stage's mean excess return is drawn
-inside the column space of that stage's covariance factor, so the range
-condition holds whether or not the covariance is full rank.
+The seeded random markets are solvable by construction: each stage's mean
+excess return is drawn inside the column space of that stage's covariance
+factor, so the range condition holds whether or not the covariance is full
+rank. off_range_market is the fixed exception.
 """
 
 import numpy as np
@@ -46,3 +47,20 @@ def random_market(
 
 def random_market_full_rank(seed: int, max_horizon: int = 4, max_assets: int = 3) -> MarketSpec:
     return random_market(seed, max_horizon, max_assets, allow_degenerate=False)
+
+
+def off_range_market() -> MarketSpec:
+    """Three stages whose mean excess return leaves the covariance's range at stages 0-1.
+
+    Open-loop fails the range condition there; a zero strategy part fails
+    mixed gain solvability at stage 1, while random parts solve.
+    """
+    return make_market_spec(
+        horizon=3,
+        num_assets=2,
+        riskless=1.0,
+        mean_returns=[[1.0, 1.1], [1.0, 1.1], [1.1, 1.05]],
+        return_cov=[np.diag([0.04, 0.0]), np.diag([0.04, 0.0]), np.diag([0.04, 0.05])],
+        mu1=1.0,
+        mu2=1.0,
+    )

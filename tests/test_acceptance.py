@@ -28,6 +28,7 @@ from mvequil.reference import (
     VERIFIED_FEEDBACK_OFFSETS,
 )
 
+from gainmatrix import gain_matrix
 from instgen import random_market
 
 PRESET = "li-duan-example-2"
@@ -250,7 +251,7 @@ def test_criterion_7_recursion_invariants(preset):
         all_pd = np.all(np.linalg.eigvalsh(spec.return_cov)[:, 0] > eig_floor)
         if all_pd:
             for k in range(spec.initial_time, spec.horizon):
-                if np.linalg.eigvalsh(fb.trace.gain_matrix[k])[0] <= 0:
+                if np.linalg.eigvalsh(gain_matrix(spec, fb.trace, k))[0] <= 0:
                     ok = False
                     details.append(f"feedback gain matrix not PD at stage {k}")
     _report(7, "recursion invariants across the corpus", ok)

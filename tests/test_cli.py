@@ -266,3 +266,22 @@ def test_log_level_from_env(monkeypatch, capsys):
     assert main(["solve-open-loop"]) == 0
     assert logging.getLogger().level == logging.WARNING
     capsys.readouterr()
+
+
+def test_pretty_table_keeps_its_columns_for_huge_gains(tmp_path, capsys):
+    # a 1e-310 covariance gives a gain near 1.5e308, too wide for four decimals
+    market = tmp_path / "subnormal.json"
+    spec = mv.make_market_spec(
+        horizon=2,
+        num_assets=2,
+        riskless=1.02,
+        mean_returns=[1.05, 1.03],
+        return_cov=[[1e-310, 0], [0, 2e-310]],
+        mu1=1,
+        mu2=1,
+    )
+    market.write_text(mv.dump_market_spec(spec))
+    assert main(["solve-open-loop", "--market", str(market)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    assert "1.50e+308" in rows[1]

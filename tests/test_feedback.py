@@ -7,6 +7,7 @@ import mvequil as mv
 from mvequil import FailingCondition, NonexistenceReport
 from mvequil.reference import VERIFIED_FEEDBACK_GAINS, VERIFIED_FEEDBACK_OFFSETS
 
+from gainmatrix import gain_matrix
 from instgen import random_market, random_market_full_rank
 
 PRESET = "li-duan-example-2"
@@ -57,7 +58,7 @@ def test_gain_matrix_positive_definite_under_pd_covariance(preset_solution):
         cases.append((rspec, mv.solve_feedback(rspec)))
     for ispec, isol in cases:
         for k in range(ispec.initial_time, ispec.horizon):
-            eigs = np.linalg.eigvalsh(isol.trace.gain_matrix[k])
+            eigs = np.linalg.eigvalsh(gain_matrix(ispec, isol.trace, k))
             assert eigs[0] > 0, f"stage {k}"
 
 

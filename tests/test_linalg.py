@@ -153,3 +153,31 @@ def test_huge_entries_do_not_pass_checks_vacuously():
             eigenbasis(np.array([[1e200, 1e200], [0.0, 1e200]]))
         _, residual, ok = eigenbasis(np.diag([1e200, 0.0])).solve(np.array([1e200, 0.0]))
         assert (ok, residual) == (True, 0.0)
+
+
+def test_stacked_solve_matches_each_matrix():
+    # one eigh for a stack mixing full-rank, rank-deficient, zero and indefinite matrices
+    rng = np.random.default_rng(3)
+    n = 4
+    full, _ = random_spd_spectrum(rng, n, zero_frac=0.0)
+    deficient, _ = random_spd_spectrum(rng, n, zero_frac=0.6)
+    indefinite = full - 5.0 * np.eye(n)
+    stack = np.stack([full, deficient, np.zeros((n, n)), indefinite, np.diag([1e-310, 2e-310, 0.0, 1.0])])
+    V = rng.standard_normal((len(stack), 3, n))
+    V[:, 0] = np.einsum("dij,dj->di", stack, rng.standard_normal((len(stack), n)))  # in range
+    stacked = eigenbasis(stack)
+    assert stacked.eigenvalues.shape == (len(stack), n) and stacked.cutoff.shape == (len(stack),)
+    for rows in (V, V[:, 1]):  # r rows per matrix, and one row per matrix
+        X, residual, ok = stacked.solve(rows)
+        for d, M in enumerate(stack):
+            single = eigenbasis(M)
+            assert np.array_equal(single.eigenvalues, stacked.eigenvalues[d]) and single.rank == stacked.rank[d]
+            x_d, residual_d, ok_d = single.solve(rows[d])
+            scale = max(float(np.abs(x_d).max()), np.finfo(float).tiny)
+            assert np.abs(X[d] - x_d).max() <= 1e-12 * scale
+            assert np.array_equal(residual[d], residual_d) and np.array_equal(ok[d], ok_d)
+    assert stacked.rank[2] == 0 and stacked.eigenvalues[3, 0] < 0  # the zero matrix; the indefinite one
+    bad = stack.copy()
+    bad[3, 0, 1] = bad[3, 1, 0] = np.inf
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        eigenbasis(bad)

@@ -8,6 +8,8 @@ import pytest
 import mvequil as mv
 from mvequil import ValidationError
 
+from instgen import off_range_market, random_market
+
 PRESET = "li-duan-example-2"
 
 
@@ -263,3 +265,18 @@ def test_resolve_market_prefers_preset(tmp_path):
     assert mv.resolve_market(PRESET).horizon == 4
     with pytest.raises(ValidationError, match="cannot read market JSON"):
         mv.resolve_market(str(tmp_path / "missing.json"))
+
+
+def test_stacked_existence_check_equals_a_per_stage_loop():
+    off_range = off_range_market()
+    specs = [mv.get_preset(PRESET), off_range] + [random_market(300 + i, 6, 4) for i in range(20)]
+    for spec in specs:
+        moments = mv.derive_excess_moments(spec)
+        loop = [mv.eigenbasis(moments.cov_excess[k]).solve(moments.mean_excess[k]) for k in range(spec.horizon)]
+        per_stage = tuple(bool(ok) for _, _, ok in loop)
+        residuals = tuple(float(residual) for _, residual, _ in loop)
+        for t in range(spec.horizon):
+            report = mv.check_open_loop_existence(moments, t)
+            assert report.per_stage == per_stage and report.residual_norms == residuals
+            assert report.overall == all(per_stage[t:])
+    assert mv.check_open_loop_existence(mv.derive_excess_moments(off_range)).per_stage == (False, False, True)

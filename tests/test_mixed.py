@@ -20,7 +20,8 @@ from mvequil.reference import (
     MIXED_STRATEGY,
 )
 
-from instgen import random_market
+from gainmatrix import gain_matrix
+from instgen import off_range_market, random_market
 
 PRESET = "li-duan-example-2"
 
@@ -116,7 +117,8 @@ def test_last_stage_independent_of_strategy():
         for seed in (1, 2)
     ]
     last = spec.horizon - 1
-    assert np.allclose(sols[0].trace.gain_matrix[last], sols[1].trace.gain_matrix[last], atol=1e-15)
+    G0, G1 = (gain_matrix(spec, sol.trace, last) for sol in sols)
+    assert np.allclose(G0, G1, atol=1e-15)
     assert np.allclose(sols[0].policy.gain(last), sols[1].policy.gain(last), atol=1e-15)
     open_loop = mv.solve_open_loop(spec)
     assert np.allclose(sols[0].policy.gain(last), open_loop.policy.gain(last), atol=1e-12)
@@ -233,3 +235,24 @@ def test_random_phi_experiment_script_verifies_every_draw():
     assert done.stdout.splitlines()[0].split(",") == header
     gaps = [float(row["min_gap"]) for row in rows if row["status"] == "solved" and row["min_gap"]]
     assert len(gaps) == 3 and min(gaps) >= -1e-6
+
+
+def test_batch_gives_each_part_its_own_outcome():
+    # the zero part fails gain solvability at stage 1 and leaves the stack
+    # there, while the seeded parts solve
+    spec = off_range_market()
+    zero = mv.zero_pure_feedback(spec.horizon, spec.num_assets)
+    parts = [mv.sample_pure_feedback(seed, spec.horizon, spec.num_assets) for seed in range(3)]
+    parts = parts[:1] + [zero] + parts[1:] + [zero]
+    batch = mv.solve_mixed_batch(spec, parts)
+    assert len(batch) == len(parts)
+    for part, together in zip(parts, batch):
+        alone = mv.solve_mixed(spec, part)
+        assert type(together) is type(alone)
+        if part is zero:
+            assert (together.failing_stage, together.failing_condition) == (1, mv.FailingCondition.GAIN_SOLVABILITY)
+            assert together == alone
+            continue
+        assert together.feedback_part is part and together.trace.stage_ok.all()
+        for got, want in ((together.policy.gains, alone.policy.gains), (together.policy.offsets, alone.policy.offsets)):
+            assert np.abs(got - want).max() <= 1e-8 * max(1.0, np.abs(want).max())

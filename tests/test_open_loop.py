@@ -7,6 +7,7 @@ import mvequil as mv
 from mvequil import FailingCondition, NonexistenceReport
 from mvequil.linalg import eigenbasis
 
+from gainmatrix import gain_matrix
 from instgen import random_market
 
 PRESET = "li-duan-example-2"
@@ -102,12 +103,12 @@ def test_nonexistence_on_mean_outside_covariance_range():
 
 
 def test_gains_stable_across_pinv_cutoffs(preset_solution):
-    _, base = preset_solution
+    spec, base = preset_solution
     tr = base.trace
     for rtol in (1e-8, 1e-12):
         for k in range(4):
             targets = np.stack([tr.gain_target[k], tr.offset_target[k]])
-            X, _, ok = eigenbasis(tr.gain_matrix[k], rtol).solve(targets)
+            X, _, ok = eigenbasis(gain_matrix(spec, tr, k), rtol).solve(targets)
             assert ok.all()
             assert np.allclose(-X, [base.policy.gain(k), base.policy.offset(k)], atol=1e-9)
 

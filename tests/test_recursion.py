@@ -5,6 +5,7 @@ import pytest
 
 import mvequil as mv
 from mvequil import NonexistenceReport
+from mvequil.cli import main
 
 from instgen import random_market
 
@@ -49,6 +50,19 @@ def test_one_eigendecomposition_per_solved_stage(monkeypatch, spec):
         counts[name] = len(calls)
     stages = spec.horizon - spec.initial_time
     assert counts == {name: stages for name in solves}
+
+
+@pytest.mark.parametrize("market", [PRESET, "rank-deficient"])
+def test_batch_decomposes_once_per_stage_for_all_draws(monkeypatch, tmp_path, market):
+    if market == "rank-deficient":
+        market = str(tmp_path / "market.json")
+        (tmp_path / "market.json").write_text(mv.dump_market_spec(random_market(13)))
+    horizon = mv.resolve_market(market).horizon
+    calls = _count_eigendecompositions(monkeypatch)
+    out = tmp_path / "batch.csv"
+    assert main(["batch", "--market", market, "--draws", "16", "--format", "csv", "--out", str(out)]) == 0
+    assert calls.count("eigh") == horizon  # one stacked eigh per stage, not one per draw and stage
+    assert out.read_text().count(",solved,") == 16 * horizon
 
 
 def test_trace_csv_columns_per_kind():
