@@ -12,7 +12,7 @@ the mean excess return. The oracle module checks any claimed solution against ex
 moment-matched scenario trees and by Monte Carlo.
 """
 
-from .feedback import FeedbackSolution, solve_feedback
+from .feedback import solve_feedback
 from .linalg import Eigenbasis, eigenbasis, is_psd_spectrum
 from .market import (
     ExcessMoments,
@@ -29,16 +29,10 @@ from .market import (
     resolve_market,
     with_initial_state,
 )
-from .mixed import MixedSolution, solve_mixed, solve_mixed_batch
-from .open_loop import (
-    OpenLoopSolution,
-    equilibrium_wealth_coefficients,
-    mean_wealth_path,
-    solve_open_loop,
-)
+from .mixed import solve_mixed, solve_mixed_batch
+from .open_loop import equilibrium_wealth_coefficients, mean_wealth_path, solve_open_loop
 from .oracle import (
     MAX_LEAF_PATHS,
-    DeviationSemantics,
     EquilibriumStructureError,
     ScenarioTree,
     SimulationSummary,
@@ -69,20 +63,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinePolicy",
-    "DeviationSemantics",
     "EquilibriumSolution",
     "Eigenbasis",
     "EquilibriumStructureError",
     "ExcessMoments",
     "ExistenceReport",
     "FailingCondition",
-    "FeedbackSolution",
     "InternalInconsistencyError",
     "MAX_LEAF_PATHS",
     "MarketSpec",
-    "MixedSolution",
     "NonexistenceReport",
-    "OpenLoopSolution",
     "PolicyKind",
     "PRESETS",
     "PureFeedbackPart",

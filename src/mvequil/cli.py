@@ -357,7 +357,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     writer = csv.writer(buf)
     header = ["draw", "phi_seed", "status", "stage"]
     header += [f"gain_eig_{i}" for i in range(m)]
-    header += ["psd_ok", "stage_ok"]
+    header.append("stage_ok")
     writer.writerow(header)
     seeds = [args.seed + draw for draw in range(args.draws)]
     parts = [sample_pure_feedback(phi_seed, spec.horizon, m) for phi_seed in seeds]
@@ -365,19 +365,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for draw, (phi_seed, result) in enumerate(zip(seeds, results)):
         if isinstance(result, NonexistenceReport):
             status = f"nonexistent:{result.failing_condition.name}"
-            writer.writerow([draw, phi_seed, status, result.failing_stage] + [""] * (m + 2))
+            writer.writerow([draw, phi_seed, status, result.failing_stage] + [""] * (m + 1))
             continue
         trace = result.trace
         for k in range(spec.initial_time, spec.horizon):
             row = [draw, phi_seed, "solved", k]
             row += list(trace.gain_eigenvalues[k])
-            # psd_ok is kept for the column layout and is always True: the
-            # strategy part's curvature matrix var * outer(mean) + sm * Cov has
-            # sm >= var >= 0 at every stage by induction (sm = 1 and var = 0 at
-            # the horizon; with cp = s_k + mean . P_k and q = P_k' Cov P_k >= 0,
-            # sm <- sm (cp^2 + q) and var <- var cp^2 + sm q, so
-            # sm - var <- (sm - var) cp^2 >= 0), hence it is PSD by construction.
-            row += [True, bool(trace.stage_ok[k])]
+            row.append(bool(trace.stage_ok[k]))
             writer.writerow(row)
     _emit(buf.getvalue(), args)
     return EXIT_OK

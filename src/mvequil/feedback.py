@@ -16,15 +16,13 @@ from .market import ExcessMoments, MarketSpec
 from .policy import NonexistenceReport, PolicyKind
 from .recursion import EquilibriumSolution, backward_recursion
 
-FeedbackSolution = EquilibriumSolution
-
 
 def solve_feedback(
     spec: MarketSpec,
     moments: ExcessMoments | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
     psd_tol: float = DEFAULT_PSD_TOL,
-) -> FeedbackSolution | NonexistenceReport:
+) -> EquilibriumSolution | NonexistenceReport:
     """The shared backward recursion with each stage's own gain re-applied after a deviation.
 
     Each stage checks, in order, that the gain matrix is PSD and that the gain

@@ -9,7 +9,9 @@ the cutoff, through which ``Eigenbasis.solve`` returns the least-norm
 solutions of a stack of right-hand sides together with their range
 residuals. The m x m matrix G^+ is never formed: inverting every kept
 eigenvalue overflows once they are subnormal, while the solve divides each
-right-hand side's coordinates directly.
+right-hand side's coordinates directly. The same cutoff, relative to the
+largest eigenvalue, sets the covariance ranks of the oracle's tree and
+Monte Carlo.
 
 Everything works on a stack of matrices (..., m, m) as well as on one: a
 stack is decomposed by one ``eigh`` call and solved by one batched product,
@@ -45,8 +47,9 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def _require_symmetric(M: np.ndarray, what: str) -> np.ndarray:
     """M, or each matrix of a stack (..., m, m), made exactly symmetric.
 
-    Raises LinAlgError on a non-square shape, a non-finite entry in any
-    matrix, or a matrix whose asymmetry exceeds _SYM_RTOL * max(1, ||M||)
+    An exactly symmetric M, the common case, comes back as is: no copy, no
+    norms. Raises LinAlgError on a non-square shape, a non-finite entry in
+    any matrix, or a matrix whose asymmetry exceeds _SYM_RTOL * max(1, ||M||)
     (Frobenius norms).
     """
     M = np.asarray(M, dtype=float)
@@ -55,13 +58,13 @@ def _require_symmetric(M: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise np.linalg.LinAlgError(f"{what}: matrix has non-finite entries")
     Mt = M.swapaxes(-1, -2)
-    skew = M - Mt
-    if skew.any():  # an exactly symmetric stack, the common case, needs no norms
-        flat = M.shape[:-2] + (-1,)
-        asymmetry = _row_norms(skew.reshape(flat))
-        too_big = (asymmetry > _SYM_RTOL) & (asymmetry > _SYM_RTOL * _row_norms(M.reshape(flat)))
-        if too_big.any():
-            raise np.linalg.LinAlgError(f"{what}: matrix is not symmetric")
+    if np.array_equal(M, Mt):
+        return M
+    flat = M.shape[:-2] + (-1,)
+    asymmetry = _row_norms((M - Mt).reshape(flat))
+    too_big = (asymmetry > _SYM_RTOL) & (asymmetry > _SYM_RTOL * _row_norms(M.reshape(flat)))
+    if too_big.any():
+        raise np.linalg.LinAlgError(f"{what}: matrix is not symmetric")
     # exact symmetry for eigh; asymmetry beyond tolerance was rejected above
     return 0.5 * (M + Mt)
 

@@ -109,7 +109,7 @@ def _broadcast_stagewise(value, horizon: int, inner_shape: tuple, what: str) -> 
         raise ValidationError(
             f"{what} must have shape {inner_shape} or {(horizon,) + inner_shape}, got {arr.shape}"
         )
-    return np.array(arr, dtype=float)
+    return arr  # possibly the caller's array or a broadcast view: MarketSpec keeps a copy
 
 
 def make_market_spec(
@@ -127,8 +127,9 @@ def make_market_spec(
 
     Scalar riskless, a single mean vector, or a single covariance matrix are
     expanded across all stages. Covariances are symmetrized as (M + M^T) / 2
-    before the PSD check. Raises ValidationError naming the first violated
-    invariant and the stage where it occurred.
+    before the PSD check; both checks, and the one eigvalsh of the PSD check,
+    cover all stages at once. Raises ValidationError naming the first violated
+    invariant and the first stage where it occurred.
     """
     try:
         horizon = int(horizon)
@@ -171,15 +172,19 @@ def make_market_spec(
     covs = _broadcast_stagewise(return_cov, horizon, (num_assets, num_assets), "return_cov")
     if not np.all(np.isfinite(covs)):
         raise ValidationError("return_cov must be finite")
-    for k in range(horizon):
-        try:
-            Ms = _require_symmetric(covs[k], "covariance")
-        except np.linalg.LinAlgError:
-            raise ValidationError(f"covariance not symmetric at stage {k}") from None
-        w = np.linalg.eigvalsh(Ms)
-        if not is_psd_spectrum(w):
-            raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[0]:.3e})")
-        covs[k] = Ms  # covs is already a private copy
+    try:
+        covs = _require_symmetric(covs, "covariance")
+    except np.linalg.LinAlgError:
+        for k in range(horizon):  # only this error path checks stage by stage, to name one
+            try:
+                _require_symmetric(covs[k], "covariance")
+            except np.linalg.LinAlgError:
+                raise ValidationError(f"covariance not symmetric at stage {k}") from None
+    w = np.linalg.eigvalsh(covs)
+    psd = is_psd_spectrum(w)
+    if not psd.all():
+        k = int(np.argmin(psd))  # the first stage that fails
+        raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[k, 0]:.3e})")
 
     return MarketSpec(
         horizon=horizon,

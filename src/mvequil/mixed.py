@@ -17,15 +17,13 @@ from .market import ExcessMoments, MarketSpec
 from .policy import NonexistenceReport, PolicyKind, PureFeedbackPart
 from .recursion import EquilibriumSolution, backward_recursion
 
-MixedSolution = EquilibriumSolution
-
 
 def solve_mixed_batch(
     spec: MarketSpec,
     parts: Sequence[PureFeedbackPart],
     moments: ExcessMoments | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
-) -> list[MixedSolution | NonexistenceReport]:
+) -> list[EquilibriumSolution | NonexistenceReport]:
     """The mixed solution for each strategy part, in order, from one stacked recursion.
 
     Each stage checks that the gain and offset targets lie in the gain
@@ -45,6 +43,6 @@ def solve_mixed(
     feedback_part: PureFeedbackPart,
     moments: ExcessMoments | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
-) -> MixedSolution | NonexistenceReport:
+) -> EquilibriumSolution | NonexistenceReport:
     """The mixed solution for one strategy part: solve_mixed_batch with a single part."""
     return solve_mixed_batch(spec, [feedback_part], moments, range_tol)[0]

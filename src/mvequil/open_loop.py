@@ -16,14 +16,12 @@ from .market import ExcessMoments, MarketSpec, derive_excess_moments
 from .policy import NonexistenceReport, PolicyKind
 from .recursion import EquilibriumSolution, backward_recursion
 
-OpenLoopSolution = EquilibriumSolution
-
 
 def solve_open_loop(
     spec: MarketSpec,
     moments: ExcessMoments | None = None,
     range_tol: float = DEFAULT_RANGE_RTOL,
-) -> OpenLoopSolution | NonexistenceReport:
+) -> EquilibriumSolution | NonexistenceReport:
     """The shared backward recursion with nothing re-applied after a deviation.
 
     The stage gain matrix is cov_weight[k+1] * Cov(O_k), and each stage checks

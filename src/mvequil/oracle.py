@@ -29,7 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, eigenbasis
+from .linalg import eigenbasis, is_psd_spectrum
 from .market import ExcessMoments, MarketSpec, ValidationError
 from .policy import AffinePolicy, PolicyKind
 
@@ -38,10 +38,6 @@ MAX_LEAF_PATHS = 10**7
 
 class EquilibriumStructureError(RuntimeError):
     """The deviation cost was not convex: solver bug or non-equilibrium policy."""
-
-
-# How the continuation reacts to a one-stage spike deviation is the notion itself.
-DeviationSemantics = PolicyKind
 
 
 @dataclass(frozen=True)
@@ -95,12 +91,13 @@ class ScenarioTree:
         return math.prod(len(p) for p in self.probabilities[start:])
 
 
-def _covariance_factor(cov: np.ndarray) -> np.ndarray:
-    """Factor F with F F^T = cov, one column per eigenpair above the PSD cutoff."""
-    w, Q = np.linalg.eigh(0.5 * (cov + cov.T))
-    cutoff = DEFAULT_PSD_TOL * max(1.0, float(np.max(np.abs(w)))) if w.size else 0.0
-    keep = w > cutoff
-    return Q[:, keep] * np.sqrt(w[keep])
+def _stage_factors(moments: ExcessMoments) -> list[np.ndarray]:
+    """Per stage, F with F F^T = Cov(O_k): one column per eigenpair that linalg keeps
+    and whose eigenvalue is positive (a kept eigenvalue can be slightly negative
+    inside the PSD slack). All stages come from one stacked decomposition."""
+    eig = eigenbasis(moments.cov_excess)
+    keep = eig.keep & (eig.eigenvalues > 0)
+    return [Q[:, kept] * np.sqrt(w[kept]) for w, Q, kept in zip(eig.eigenvalues, eig.vectors, keep)]
 
 
 def build_matched_tree(
@@ -111,23 +108,24 @@ def build_matched_tree(
     """Symmetric sigma-point tree matching each stage's mean and covariance.
 
     Per stage the covariance is factored through its eigendecomposition,
-    keeping the r eigenpairs above the PSD cutoff. A budget of exactly 2r
-    atoms gives the pairs mean +/- sqrt(r) * factor column with equal weights;
+    keeping the r positive eigenpairs above linalg's cutoff. The cutoff is
+    relative to the largest eigenvalue, so scaling a covariance keeps r and
+    scales the spread of the atoms. A budget of exactly 2r atoms gives the
+    pairs mean +/- sqrt(r) * factor column with equal weights;
     a budget of 2r + 1 or more adds the mean point, keeps all weights equal
     and rescales the columns so both moments stay exact (at most 2r + 1 atoms
     are ever generated). A seed mixes the factor columns by a Haar-random
     rotation, which changes the atoms but not the matched moments. Budgets
     below the minimum (2r, or 1 for a zero covariance) raise ValidationError.
     """
-    N, m = moments.horizon, moments.num_assets
+    m = moments.num_assets
     if atoms_per_stage is None:
         atoms_per_stage = 2 * m + 1
     rng = np.random.default_rng(seed) if seed is not None else None
     probs = []
     atoms = []
-    for k in range(N):
+    for k, factor in enumerate(_stage_factors(moments)):
         mean = moments.mean_excess[k]
-        factor = _covariance_factor(moments.cov_excess[k])
         r = factor.shape[1]
         if rng is not None and r > 1:
             # Haar rotation within the range subspace; cov = F F^T is preserved
@@ -164,7 +162,7 @@ def _policy_of(target) -> AffinePolicy:
     return applied
 
 
-def _continuation(target, semantics: DeviationSemantics | None = None):
+def _continuation(target, semantics: PolicyKind | None = None):
     """The applied policy, the semantics and the gain rows P re-applied after a deviation.
 
     target is an AffinePolicy or a solution holding one; semantics defaults to
@@ -179,7 +177,7 @@ def _continuation(target, semantics: DeviationSemantics | None = None):
         return applied, semantics, applied.gains
     part = getattr(target, "feedback_part", None)
     if part is None:
-        raise TypeError("mixed semantics needs the MixedSolution, not just the applied policy")
+        raise TypeError("mixed semantics needs the solution holding the strategy part, not a bare policy")
     return applied, semantics, part.gains[applied.start_stage :]
 
 
@@ -210,9 +208,13 @@ def _suffix_weights(tree: ScenarioTree, k: int) -> tuple[int, list[int], np.ndar
 def _cost_from_terminal(weights: np.ndarray, terminal: np.ndarray, spec: MarketSpec, x: float) -> float:
     mean = float(weights @ terminal)
     var = float(weights @ (terminal - mean) ** 2)
-    return var - (spec.mu1 * x + spec.mu2) * mean
+    cost = var - (spec.mu1 * x + spec.mu2) * mean
+    if not math.isfinite(cost):
+        raise ValidationError(f"wealth {x:g}: the policy's cost overflows")
+    return cost
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _cost_from_terminal rejects an overflowing cost
 def evaluate_cost_exact(
     tree: ScenarioTree, spec: MarketSpec, policy, k: int | None = None, x: float | None = None
 ) -> float:
@@ -220,7 +222,8 @@ def evaluate_cost_exact(
 
     Returns E(X_N - E X_N)^2 - (mu1 x + mu2) E X_N with both moments computed
     as probability-weighted sums over all suffix scenarios. policy is an
-    AffinePolicy or a solution holding one.
+    AffinePolicy or a solution holding one. A cost that overflows a float
+    raises ValidationError naming the wealth.
     """
     applied = _policy_of(policy)
     k = applied.start_stage if k is None else int(k)
@@ -236,6 +239,7 @@ def evaluate_cost_exact(
     return _cost_from_terminal(weights, X, spec, x)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _cost_from_terminal rejects an overflowing cost
 def spike_cost(
     tree: ScenarioTree,
     spec: MarketSpec,
@@ -243,13 +247,14 @@ def spike_cost(
     k: int,
     x: float,
     u: np.ndarray,
-    semantics: DeviationSemantics | None = None,
+    semantics: PolicyKind | None = None,
     x_star: float | None = None,
 ) -> float:
     """Exact cost of deviating to u at (k, x), continuation per the semantics.
 
     x_star is the undeviated state at the node (defaults to x); the frozen
-    continuations replay the undeviated path grown from it per scenario.
+    continuations replay the undeviated path grown from it per scenario. A
+    cost that overflows a float raises ValidationError naming the wealth.
     """
     applied, _, reapplied = _continuation(policy, semantics)
     x_star = x if x_star is None else float(x_star)
@@ -277,7 +282,7 @@ def best_spike_deviation(
     policy,
     k: int,
     x: float,
-    semantics: DeviationSemantics | None = None,
+    semantics: PolicyKind | None = None,
     x_star: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Globally best one-stage deviation at (k, x) and its exact cost.
@@ -365,6 +370,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
 def _best_spikes(
     moments: _StageMoments,
     spec: MarketSpec,
@@ -399,13 +405,16 @@ def _best_spikes(
     )
     mean_weight = spec.mu1 * x + spec.mu2
     j_star = var - mean_weight * (w_mean @ mean)
+    overflow = ~np.isfinite(j_star)
+    if overflow.any():
+        raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the policy's cost overflows")
     grad = 2.0 * (second[0, 0] * sigma_u + second[0, 1] * sigma_u_star)
     grad += np.outer(2.0 * w_cov_mean[:, 0] - mean_weight * mean[0], mu)
     hess = 2.0 * (second[0, 0] * sigma + cov[0, 0] * np.outer(mu, mu))
 
     eig = eigenbasis(hess)
     eigs = eig.eigenvalues
-    if eigs[0] < -1e-8 * max(1.0, float(np.max(np.abs(eigs)))):
+    if not is_psd_spectrum(eigs, 1e-8):
         raise EquilibriumStructureError(
             f"deviation cost at stage {k} is not convex (min curvature {eigs[0]:.3e})"
         )
@@ -423,7 +432,7 @@ class VerificationResult:
     deviation (n, m): the best deviation at each node, of cost j_dev.
     """
 
-    semantics: DeviationSemantics
+    semantics: PolicyKind
     stage: np.ndarray
     node: np.ndarray
     j_star: np.ndarray
@@ -441,14 +450,15 @@ def verify_equilibrium(
     tree: ScenarioTree,
     spec: MarketSpec,
     policy,
-    semantics: DeviationSemantics | None = None,
+    semantics: PolicyKind | None = None,
 ) -> VerificationResult:
     """Spike-deviation test at every reachable node of every stage.
 
     Nodes are the undeviated wealth values reached from (initial_time,
     initial_wealth) along tree scenarios; all nodes of a stage are tested in one
     pass from that stage's suffix moments. gap = J_dev - J* clears -tol, with
-    tol = 1e-7 * max(1, |J*|), at a node that passes.
+    tol = 1e-7 * max(1, |J*|), at a node that passes. A policy cost that
+    overflows a float at some node raises ValidationError naming its wealth.
     """
     applied, semantics, reapplied = _continuation(policy, semantics)
     t = applied.start_stage
@@ -518,6 +528,7 @@ class SimulationSummary:
     se_cost: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing estimate is rejected, not warned about
 def simulate_monte_carlo(
     spec: MarketSpec,
     policy,
@@ -532,7 +543,8 @@ def simulate_monte_carlo(
     the market's exact mean and covariance) or a ScenarioTree to sample atoms
     from, which makes the estimates converge to evaluate_cost_exact on that
     same tree. The cost standard error uses the influence function of
-    Var - (mu1 x + mu2) * Mean.
+    Var - (mu1 x + mu2) * Mean. An estimate that overflows a float raises
+    ValidationError naming the initial wealth.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
@@ -546,7 +558,7 @@ def simulate_monte_carlo(
         from .market import derive_excess_moments
 
         moments = derive_excess_moments(spec) if moments is None else moments
-        factors = [_covariance_factor(cov) for cov in moments.cov_excess]
+        factors = _stage_factors(moments)
 
     X = np.full(n_paths, x0)
     for k in range(t, spec.horizon):
@@ -560,24 +572,23 @@ def simulate_monte_carlo(
         u = np.outer(X, applied.gain(k)) + applied.offset(k)
         X = spec.riskless[k] * X + np.einsum("ij,ij->i", o, u)
 
-    mean = float(X.mean())
-    var = float(X.var(ddof=1))
+    # numpy scalars: an overflow gives inf, rejected below, where a float ** 2 raises OverflowError
+    mean = X.mean()
+    var = X.var(ddof=1)
     cmu = spec.mu1 * x0 + spec.mu2
     cost = var - cmu * mean
     centered = X - mean
-    se_mean = float(centered.std(ddof=1) / math.sqrt(n_paths))
-    m4 = float(np.mean(centered**4))
+    se_mean = centered.std(ddof=1) / math.sqrt(n_paths)
+    m4 = np.mean(centered**4)
     se_var = math.sqrt(max(m4 - (n_paths - 3) / (n_paths - 1) * var**2, 0.0) / n_paths)
     influence = centered**2 - var - cmu * centered
-    se_cost = float(influence.std(ddof=1) / math.sqrt(n_paths))
+    se_cost = influence.std(ddof=1) / math.sqrt(n_paths)
+    estimates = (mean, var, cost, se_mean, se_var, se_cost)
+    if not np.isfinite(estimates).all():
+        raise ValidationError(f"initial wealth {x0:g}: the terminal wealth's moments overflow")
     return SimulationSummary(
-        n_paths=n_paths,
-        seed=seed,
-        distribution="tree" if sampling_tree is not None else "gaussian",
-        mean_terminal=mean,
-        var_terminal=var,
-        cost=cost,
-        se_mean=se_mean,
-        se_var=se_var,
-        se_cost=se_cost,
+        n_paths,
+        seed,
+        "tree" if sampling_tree is not None else "gaussian",
+        *map(float, estimates),
     )

@@ -64,3 +64,25 @@ def off_range_market() -> MarketSpec:
         mu1=1.0,
         mu2=1.0,
     )
+
+
+# Covariance scales at and below the old absolute eigenvalue cutoff of 1e-10.
+SMALL_SCALES = (1e-8, 1e-10, 1e-11, 1e-12)
+
+
+def small_scale_market(scale: float) -> MarketSpec:
+    """Three stages, two assets, covariance scale * diag(1, 2): full rank at every scale.
+
+    Every eigenvalue counts, however small, because the cutoff is relative to
+    the largest: the matched tree keeps 5 atoms per stage (31 nodes) and the
+    terminal variance scales as 1 / scale.
+    """
+    return make_market_spec(
+        horizon=3,
+        num_assets=2,
+        riskless=1.02,
+        mean_returns=[1.05, 1.03],
+        return_cov=scale * np.diag([1.0, 2.0]),
+        mu1=1.0,
+        mu2=1.0,
+    )

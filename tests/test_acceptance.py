@@ -78,7 +78,7 @@ def _oracle_feedback_table(tree, spec):
     for k in reversed(range(N)):
         rule = mv.AffinePolicy(mv.PolicyKind.FEEDBACK, k, gains[k:].copy(), offsets[k:].copy())
         u0, u1, u_probe = (
-            mv.best_spike_deviation(tree, spec, rule, k, x, mv.DeviationSemantics.FEEDBACK)[0]
+            mv.best_spike_deviation(tree, spec, rule, k, x, mv.PolicyKind.FEEDBACK)[0]
             for x in (0.0, 1.0, 2.5)
         )
         offsets[k], gains[k] = u0, u1 - u0

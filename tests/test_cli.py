@@ -9,6 +9,8 @@ import pytest
 import mvequil as mv
 from mvequil.cli import main
 
+from instgen import SMALL_SCALES, small_scale_market
+
 PRESET = "li-duan-example-2"
 
 
@@ -151,6 +153,23 @@ def test_tree_size_limits_exit_2(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--x", "1e160"],
+        ["simulate", "--x", "1e308", "--paths", "100"],
+        ["simulate", "--x", "1e308", "--paths", "100", "--distribution", "tree"],
+    ],
+    ids=["verify", "simulate-gaussian", "simulate-tree"],
+)
+def test_wealth_whose_cost_overflows_exits_2(argv, capsys):
+    # a cost or moment beyond a float is invalid input, not a FAIL, a NaN or a RuntimeWarning
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"wealth {float(argv[2]):g}" in captured.err and "overflow" in captured.err
+
+
 def test_market_warnings_logged_not_printed(tmp_path, monkeypatch, capsys):
     market = _preset_market_file(tmp_path / "riskless1.json", riskless=1.0)
     argv = ["solve-open-loop", "--market", market, "--format", "csv"]
@@ -176,6 +195,18 @@ def test_verify_preset_passes(tmp_path, capsys):
     assert all(s["passed"] for s in summaries)
     semantics = {r["semantics"] for r in records if not r.get("summary")}
     assert semantics == {"open_loop", "feedback", "mixed"}
+
+
+@pytest.mark.parametrize("scale", SMALL_SCALES)
+def test_verify_small_scale_market_passes(tmp_path, capsys, scale):
+    # the rank rule is relative to the largest eigenvalue: 5 atoms per stage, 31 nodes
+    market = tmp_path / "market.json"
+    market.write_text(mv.dump_market_spec(small_scale_market(scale)))
+    assert main(["verify", "--market", str(market)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" min_gap=")[0] for line in lines] == [
+        f"{name}: PASS nodes=31" for name in ("open-loop", "feedback", "mixed")
+    ]
 
 
 def test_verify_nonexistent_market_exits_3(range_fail_market):
@@ -211,7 +242,7 @@ def test_batch_csv_shape(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     header = lines[0].split(",")
     assert header[:4] == ["draw", "phi_seed", "status", "stage"]
-    assert "gain_eig_0" in header and "psd_ok" in header
+    assert header[4:] == [f"gain_eig_{i}" for i in range(3)] + ["stage_ok"]
     solved = [line for line in lines[1:] if ",solved," in line]
     assert len(solved) == 4 * 4  # four draws, four stages each
 

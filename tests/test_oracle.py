@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import mvequil as mv
-from mvequil import AffinePolicy, DeviationSemantics, PolicyKind, ScenarioTree
+from mvequil import AffinePolicy, PolicyKind, ScenarioTree
 from mvequil import oracle as oracle_module
 
-from instgen import random_market
+from instgen import SMALL_SCALES, random_market, small_scale_market
 
 PRESET = "li-duan-example-2"
 
@@ -51,6 +51,15 @@ def test_matched_tree_moments_are_exact(preset_setup):
     for k in range(4):
         assert np.allclose(tree.implied_mean(k), moments.mean_excess[k], atol=1e-12)
         assert np.allclose(tree.implied_cov(k), moments.cov_excess[k], atol=1e-12)
+    # eigenvalues below the old absolute cutoff of 1e-10 count too: full rank, 5 atoms
+    for scale in SMALL_SCALES:
+        moments = mv.derive_excess_moments(small_scale_market(scale))
+        tree = mv.build_matched_tree(moments)
+        assert [len(p) for p in tree.probabilities] == [5, 5, 5], scale
+        for k in range(3):
+            cov = moments.cov_excess[k]
+            assert np.allclose(tree.implied_mean(k), moments.mean_excess[k], atol=1e-12)
+            assert np.allclose(tree.implied_cov(k), cov, rtol=0, atol=1e-12 * np.abs(cov).max()), scale
 
 
 def test_matched_tree_tight_budget(preset_setup):
@@ -172,7 +181,7 @@ def test_deterministic_single_stage_zero_policy():
 def test_spike_at_own_action_reproduces_exact_cost(preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_feedback(spec)
-    for semantics in (DeviationSemantics.OPEN_LOOP, DeviationSemantics.FEEDBACK):
+    for semantics in (PolicyKind.OPEN_LOOP, PolicyKind.FEEDBACK):
         j = mv.spike_cost(tree, spec, sol.policy, 1, 1.3, sol.policy.control(1, 1.3), semantics)
         assert j == pytest.approx(mv.evaluate_cost_exact(tree, spec, sol.policy, 1, 1.3), abs=1e-10)
 
@@ -259,6 +268,16 @@ def test_unbounded_deviation_reports_minus_infinity():
     assert '"min_gap": -Infinity' in summary_line
 
 
+def test_overflowing_cost_raises_validation_error(preset_setup):
+    # unlike an unbounded deviation, a cost beyond a float is not a verdict on the policy
+    spec, _, tree = preset_setup
+    sol = mv.solve_open_loop(spec)
+    with pytest.raises(mv.ValidationError, match=r"wealth 1e\+160 at stage 0: the policy's cost overflows"):
+        mv.best_spike_deviation(tree, spec, sol, 0, 1e160)
+    with pytest.raises(mv.ValidationError, match=r"wealth 1e\+308: the policy's cost overflows"):
+        mv.evaluate_cost_exact(tree, spec, sol, x=1e308)
+
+
 def test_nonconvex_fit_raises(monkeypatch, preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_open_loop(spec)
@@ -315,13 +334,13 @@ def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
         feedback = mv.solve_feedback(spec, moments)
         mixed = mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets), moments)
         pairs = [
-            (open_loop.policy, DeviationSemantics.OPEN_LOOP),
-            (feedback.policy, DeviationSemantics.FEEDBACK),
-            (open_loop.policy, DeviationSemantics.FEEDBACK),
-            (feedback.policy, DeviationSemantics.OPEN_LOOP),
+            (open_loop.policy, PolicyKind.OPEN_LOOP),
+            (feedback.policy, PolicyKind.FEEDBACK),
+            (open_loop.policy, PolicyKind.FEEDBACK),
+            (feedback.policy, PolicyKind.OPEN_LOOP),
         ]
         if not isinstance(mixed, mv.NonexistenceReport):
-            pairs += [(mixed, DeviationSemantics.MIXED), (mixed, DeviationSemantics.FEEDBACK)]
+            pairs += [(mixed, PolicyKind.MIXED), (mixed, PolicyKind.FEEDBACK)]
         for target, semantics in pairs:
             err, result = _spike_cost_cross_check(tree, spec, target, semantics)
             worst = max(worst, err)
@@ -359,7 +378,7 @@ def test_verify_each_solver_under_own_semantics(preset_setup):
     open_loop = mv.solve_open_loop(spec)
     feedback = mv.solve_feedback(spec)
     mixed = mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets))
-    assert mv.DeviationSemantics.MIXED is mv.PolicyKind.MIXED
+    assert mixed.policy.kind is mv.PolicyKind.MIXED
     for target in (open_loop, open_loop.policy, feedback, feedback.policy, mixed):
         result = mv.verify_equilibrium(tree, spec, target)
         assert len(result) == 1 + 7 + 49 + 343
@@ -382,9 +401,9 @@ def test_semantics_are_not_interchangeable(preset_setup):
     spec, _, tree = preset_setup
     open_loop = mv.solve_open_loop(spec)
     feedback = mv.solve_feedback(spec)
-    fb_as_ol = mv.verify_equilibrium(tree, spec, feedback.policy, DeviationSemantics.OPEN_LOOP)
+    fb_as_ol = mv.verify_equilibrium(tree, spec, feedback.policy, PolicyKind.OPEN_LOOP)
     assert fb_as_ol.gap.min() < -1e-4
-    ol_as_fb = mv.verify_equilibrium(tree, spec, open_loop.policy, DeviationSemantics.FEEDBACK)
+    ol_as_fb = mv.verify_equilibrium(tree, spec, open_loop.policy, PolicyKind.FEEDBACK)
     assert ol_as_fb.gap.min() < -1e-4
 
 
@@ -407,7 +426,7 @@ def test_perturbed_policy_fails_only_at_the_perturbed_stage(preset_setup):
 def test_mixed_semantics_requires_decomposition(preset_setup):
     spec, _, tree = preset_setup
     mixed = mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets))
-    with pytest.raises(TypeError, match="MixedSolution"):
+    with pytest.raises(TypeError, match="needs the solution holding the strategy part"):
         mv.verify_equilibrium(tree, spec, mixed.policy)
 
 
@@ -482,6 +501,17 @@ def test_monte_carlo_gaussian_matches_tree_cost(preset_setup):
     sim = mv.simulate_monte_carlo(spec, sol.policy, 200_000, seed=21)
     assert sim.distribution == "gaussian"
     assert abs(sim.cost - exact) <= 4 * sim.se_cost
+
+
+def test_monte_carlo_gaussian_variance_scales_inversely_with_the_covariance():
+    # gains scale as 1 / scale and return deviations as sqrt(scale)
+    scaled = []
+    for scale in SMALL_SCALES:
+        spec = small_scale_market(scale)
+        sim = mv.simulate_monte_carlo(spec, mv.solve_open_loop(spec), 20_000, seed=1)
+        assert sim.var_terminal > 0
+        scaled.append(scale * sim.var_terminal)
+    assert np.allclose(scaled, scaled[0], rtol=1e-3)
 
 
 def test_monte_carlo_standard_error_scaling(preset_setup):

@@ -1,4 +1,7 @@
-"""The shared backward recursion: one eigendecomposition per stage, one trace, one CSV writer."""
+"""The shared backward recursion: one eigendecomposition per stage, one trace, one CSV writer.
+
+The covariance readers outside the recursion decompose all stages with one stacked call.
+"""
 
 import numpy as np
 import pytest
@@ -63,6 +66,37 @@ def test_batch_decomposes_once_per_stage_for_all_draws(monkeypatch, tmp_path, ma
     assert main(["batch", "--market", market, "--draws", "16", "--format", "csv", "--out", str(out)]) == 0
     assert calls.count("eigh") == horizon  # one stacked eigh per stage, not one per draw and stage
     assert out.read_text().count(",solved,") == 16 * horizon
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        mv.get_preset(PRESET),
+        mv.make_market_spec(12, 3, 1.04, [1.162, 1.246, 1.228], mv.get_preset(PRESET).return_cov[0], 1, 1),
+        random_market(13),  # covariance ranks 3, 1, 2, 1
+    ],
+    ids=["preset", "preset-12-stages", "rank-deficient"],
+)
+def test_one_stacked_decomposition_per_covariance_reader(monkeypatch, spec):
+    moments = mv.derive_excess_moments(spec)
+    solution = mv.solve_open_loop(spec, moments)
+    calls = _count_eigendecompositions(monkeypatch)
+    readers = {
+        "make_market_spec": lambda: mv.make_market_spec(**spec.to_json_dict()),
+        "build_matched_tree": lambda: mv.build_matched_tree(moments),
+        "simulate_monte_carlo": lambda: mv.simulate_monte_carlo(spec, solution, 100, seed=0, moments=moments),
+    }
+    counts = {}
+    for name, read in readers.items():
+        calls.clear()
+        read()
+        counts[name] = calls.copy()
+    # one stacked call each, whatever the horizon
+    assert counts == {
+        "make_market_spec": ["eigvalsh"],
+        "build_matched_tree": ["eigh"],
+        "simulate_monte_carlo": ["eigh"],
+    }
 
 
 def test_trace_csv_columns_per_kind():
