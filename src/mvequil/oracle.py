@@ -18,6 +18,12 @@ The deviation notions differ only in the part P of each later control that is
 re-applied to the deviated wealth, u_dev = P X_dev + (u* - P X*): P = 0 (open
 loop), the own gain K (feedback) or the given strategy part (mixed).
 _continuation derives P from the semantics, never from a solver's trace.
+
+Monte Carlo carries each path as a deterministic mean path m plus its own
+deviation D. With mu the stage's mean excess return under the sampling law,
+m' = (s + mu.K) m + mu.c and D' = (s + o.K) D + (o - mu).(K m + c), so a stage
+is one scalar growth and one shock per path, and the spread keeps its digits
+however far the mean lies from zero.
 """
 
 from __future__ import annotations
@@ -528,6 +534,14 @@ class SimulationSummary:
     se_cost: float
 
 
+def _atom_indices(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
+    """n atom indices drawn with probabilities p by rng.choice's own inverse-CDF rule,
+    so the same generator state gives the same indices as rng.choice(len(p), n, p=p)."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return np.count_nonzero(rng.random(n) >= cdf[:-1, None], axis=0)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing estimate is rejected, not warned about
 def simulate_monte_carlo(
     spec: MarketSpec,
@@ -542,7 +556,9 @@ def simulate_monte_carlo(
     distribution is either the string "gaussian" (normal excess returns with
     the market's exact mean and covariance) or a ScenarioTree to sample atoms
     from, which makes the estimates converge to evaluate_cost_exact on that
-    same tree. The cost standard error uses the influence function of
+    same tree. Tree atoms are drawn by rng.choice's rule and normals in the
+    same order as an (n_paths, rank) array per stage, so a seed fixes the
+    returns. The cost standard error uses the influence function of
     Var - (mu1 x + mu2) * Mean. An estimate that overflows a float raises
     ValidationError naming the initial wealth.
     """
@@ -560,28 +576,37 @@ def simulate_monte_carlo(
         moments = derive_excess_moments(spec) if moments is None else moments
         factors = _stage_factors(moments)
 
-    X = np.full(n_paths, x0)
+    mean_path, dev = x0, np.zeros(n_paths)
     for k in range(t, spec.horizon):
+        gain, offset = applied.gain(k), applied.offset(k)
+        mu = moments.mean_excess[k] if sampling_tree is None else sampling_tree.implied_mean(k)
+        mean_growth = spec.riskless[k] + mu @ gain
+        # per unit of o - mu, the rows give a path's growth beyond the mean path's and its shock
+        coeffs = np.stack([gain, gain * mean_path + offset])
         if sampling_tree is not None:
-            p = sampling_tree.probabilities[k]
-            idx = rng.choice(len(p), size=n_paths, p=p)
-            o = sampling_tree.atoms[k][idx]
+            idx = _atom_indices(rng, sampling_tree.probabilities[k], n_paths)
+            growth, shock = np.take(coeffs @ (sampling_tree.atoms[k] - mu).T, idx, axis=1)
         else:
             F = factors[k]
-            o = moments.mean_excess[k] + rng.standard_normal((n_paths, F.shape[1])) @ F.T
-        u = np.outer(X, applied.gain(k)) + applied.offset(k)
-        X = spec.riskless[k] * X + np.einsum("ij,ij->i", o, u)
+            growth, shock = (coeffs @ F) @ rng.standard_normal((n_paths, F.shape[1])).T
+        growth += mean_growth
+        dev *= growth
+        dev += shock
+        mean_path = mean_growth * mean_path + mu @ offset
 
-    # numpy scalars: an overflow gives inf, rejected below, where a float ** 2 raises OverflowError
-    mean = X.mean()
-    var = X.var(ddof=1)
+    # numpy scalars: an overflow gives inf, rejected below
+    dev_mean = dev.mean()
+    mean = mean_path + dev_mean
+    centered = dev - dev_mean
+    sq = centered * centered
+    var = sq.sum() / (n_paths - 1)
     cmu = spec.mu1 * x0 + spec.mu2
     cost = var - cmu * mean
-    centered = X - mean
-    se_mean = centered.std(ddof=1) / math.sqrt(n_paths)
-    m4 = np.mean(centered**4)
-    se_var = math.sqrt(max(m4 - (n_paths - 3) / (n_paths - 1) * var**2, 0.0) / n_paths)
-    influence = centered**2 - var - cmu * centered
+    se_mean = np.sqrt(var / n_paths)
+    # the fourth moment in units of var**2, so se_var is finite whenever var is
+    kurtosis = np.mean(np.square(sq / var)) if var > 0 else 0.0
+    se_var = var * math.sqrt(max(kurtosis - (n_paths - 3) / (n_paths - 1), 0.0) / n_paths)
+    influence = sq - var - cmu * centered
     se_cost = influence.std(ddof=1) / math.sqrt(n_paths)
     estimates = (mean, var, cost, se_mean, se_var, se_cost)
     if not np.isfinite(estimates).all():

@@ -209,6 +209,15 @@ def test_verify_small_scale_market_passes(tmp_path, capsys, scale):
     ]
 
 
+def test_simulate_tiny_covariance_keeps_the_spread(tmp_path, capsys):
+    # the spread is 1e-50 of the mean: whole wealths would keep only its rounding noise
+    market = tmp_path / "market.json"
+    market.write_text(mv.dump_market_spec(small_scale_market(1e-100)))
+    assert main(["simulate", "--market", str(market), "--paths", "1000", "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert all(np.isfinite(record[key]) and record[key] > 0 for key in ("se_mean", "se_var"))
+
+
 def test_verify_nonexistent_market_exits_3(range_fail_market):
     assert main(["verify", "--market", range_fail_market]) == 3
 

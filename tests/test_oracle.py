@@ -482,14 +482,75 @@ def test_monte_carlo_is_deterministic_per_seed(preset_setup):
 
 def test_monte_carlo_tree_sampling_converges_to_exact(preset_setup):
     spec, _, tree = preset_setup
-    for solved, target in (
-        (mv.solve_open_loop(spec), None),
-        (mv.solve_feedback(spec), None),
+    for solved in (
+        mv.solve_open_loop(spec),
+        mv.solve_feedback(spec),
+        mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)),
     ):
         exact = mv.evaluate_cost_exact(tree, spec, solved.policy)
         sim = mv.simulate_monte_carlo(spec, solved.policy, 100_000, seed=7, distribution=tree)
         assert abs(sim.cost - exact) <= 4 * sim.se_cost
-        assert abs(sim.mean_terminal * 0 + sim.var_terminal) > 0
+        assert abs(sim.mean_terminal - mv.mean_wealth_path(solved, spec)[-1]) <= 4 * sim.se_mean
+
+
+@pytest.mark.parametrize(
+    "probabilities",
+    [None, [0.2, 0.5, 0.3], [1.0]],
+    ids=["preset-tree", "unequal", "one-atom"],
+)
+def test_atom_indices_match_rng_choice(preset_setup, probabilities):
+    # the same generator state gives rng.choice's indices and leaves the same stream behind
+    _, _, tree = preset_setup
+    if probabilities is not None:
+        tree = ScenarioTree(probabilities=[probabilities], atoms=[np.arange(len(probabilities))[:, None]])
+    for p in tree.probabilities:
+        ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+        drawn = oracle_module._atom_indices(ours, p, 10_000)
+        assert np.array_equal(drawn, theirs.choice(len(p), size=10_000, p=p))
+        assert ours.random() == theirs.random()
+
+
+def _reference_monte_carlo(spec, policy, n_paths, seed, tree, moments):
+    """The per-path recursion X' = s X + o.(K X + c) on an (n, m) return matrix, fed the same draws."""
+    rng, factors = np.random.default_rng(seed), oracle_module._stage_factors(moments)
+    X = np.full(n_paths, spec.initial_wealth)
+    for k in range(policy.start_stage, spec.horizon):
+        if tree is not None:
+            p = tree.probabilities[k]
+            o = tree.atoms[k][rng.choice(len(p), size=n_paths, p=p)]
+        else:
+            F = factors[k]
+            o = moments.mean_excess[k] + rng.standard_normal((n_paths, F.shape[1])) @ F.T
+        X = spec.riskless[k] * X + np.einsum("ij,ij->i", o, np.outer(X, policy.gain(k)) + policy.offset(k))
+    mean, var = X.mean(), X.var(ddof=1)
+    return mean, var, var - (spec.mu1 * spec.initial_wealth + spec.mu2) * mean
+
+
+@pytest.mark.parametrize("sampling", ["tree", "gaussian"])
+def test_monte_carlo_matches_the_per_path_recursion(preset_setup, sampling):
+    spec, moments, tree = preset_setup
+    tree = tree if sampling == "tree" else None
+    for solved in (
+        mv.solve_open_loop(spec),
+        mv.solve_feedback(spec),
+        mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)),
+    ):
+        sim = mv.simulate_monte_carlo(
+            spec, solved, 20_000, seed=11, distribution=tree or "gaussian", moments=moments
+        )
+        expected = _reference_monte_carlo(spec, solved.policy, 20_000, 11, tree, moments)
+        assert np.allclose([sim.mean_terminal, sim.var_terminal, sim.cost], expected, rtol=1e-12, atol=0)
+
+
+def test_monte_carlo_of_a_riskless_policy_has_no_spread(preset_setup):
+    # no risky holding: every path is the mean path, and the standard errors are 0, not NaN
+    spec, _, tree = preset_setup
+    zeros = np.zeros((spec.horizon, spec.num_assets))
+    policy = AffinePolicy(kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=zeros, offsets=zeros)
+    for distribution in ("gaussian", tree):
+        sim = mv.simulate_monte_carlo(spec, policy, 100, seed=0, distribution=distribution)
+        assert (sim.var_terminal, sim.se_mean, sim.se_var, sim.se_cost) == (0.0, 0.0, 0.0, 0.0)
+        assert sim.mean_terminal == pytest.approx(np.prod(spec.riskless), rel=1e-15)
 
 
 def test_monte_carlo_gaussian_matches_tree_cost(preset_setup):
@@ -505,8 +566,9 @@ def test_monte_carlo_gaussian_matches_tree_cost(preset_setup):
 
 def test_monte_carlo_gaussian_variance_scales_inversely_with_the_covariance():
     # gains scale as 1 / scale and return deviations as sqrt(scale)
+    # deviations from the mean path keep their digits where the spread is 1e-50 of the mean
     scaled = []
-    for scale in SMALL_SCALES:
+    for scale in SMALL_SCALES + (1e-40, 1e-100):
         spec = small_scale_market(scale)
         sim = mv.simulate_monte_carlo(spec, mv.solve_open_loop(spec), 20_000, seed=1)
         assert sim.var_terminal > 0
