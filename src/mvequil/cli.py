@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import fields as dataclass_fields
@@ -27,7 +26,6 @@ import numpy as np
 
 from . import reference
 from .feedback import solve_feedback
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
 from .market import (
     ValidationError,
     derive_excess_moments,
@@ -74,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--t", type=int, default=None, help="initial stage (default: market's)")
     shared.add_argument("--x", type=float, default=None, help="initial wealth (default: market's)")
-    shared.add_argument("--tol-range", type=float, default=DEFAULT_RANGE_RTOL, dest="tol_range")
-    shared.add_argument("--tol-psd", type=float, default=DEFAULT_PSD_TOL, dest="tol_psd")
     shared.add_argument("--seed", type=int, default=0)
     shared.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty", dest="fmt")
     shared.add_argument("--out", default=None, help="write the primary output to this file")
@@ -122,8 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Range checks argparse's types do not state; options the command lacks are skipped."""
-    if not all(0 < getattr(args, name, 1.0) < math.inf for name in ("tol_range", "tol_psd")):
-        raise ValidationError("tolerances must be positive and finite")
     for name, low in (("paths", 2), ("draws", 1), ("atoms", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
@@ -193,12 +187,12 @@ def _solution_json(solution) -> str:
 
 
 def _solve(solver: str, args: argparse.Namespace, spec, moments):
-    """Run one solver ("open-loop", "feedback" or "mixed") with the configured tolerances."""
+    """Run one solver: "open-loop", "feedback" or "mixed" (with the --phi strategy part)."""
     if solver == "open-loop":
-        return solve_open_loop(spec, moments, range_tol=args.tol_range)
+        return solve_open_loop(spec, moments)
     if solver == "feedback":
-        return solve_feedback(spec, moments, range_tol=args.tol_range, psd_tol=args.tol_psd)
-    return solve_mixed(spec, _resolve_phi(args, spec), moments, range_tol=args.tol_range)
+        return solve_feedback(spec, moments)
+    return solve_mixed(spec, _resolve_phi(args, spec), moments)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -218,24 +212,28 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    """One line per notion: its verification, or its nonexistence report.
+
+    Exits 4 if a solution fails verification, else 3 if a notion has no
+    solution, else 0; --out gets the reports of the verified notions.
+    """
     spec = _load_spec(args)
     moments = derive_excess_moments(spec)
     tree = build_matched_tree(moments, atoms_per_stage=args.atoms, seed=args.seed)
 
-    solved = {}
-    for name in ("open-loop", "feedback", "mixed"):
-        solved[name] = _solve(name, args, spec, moments)
-        if isinstance(solved[name], NonexistenceReport):
-            print(solved[name].describe())
-            return EXIT_NONEXISTENT
-
-    all_ok = True
+    code = EXIT_OK
     lines = []
     blocks = []
-    for name, solution in solved.items():
+    for name in ("open-loop", "feedback", "mixed"):
+        solution = _solve(name, args, spec, moments)
+        if isinstance(solution, NonexistenceReport):
+            lines.append(f"{name}: {solution.describe()}")
+            code = max(code, EXIT_NONEXISTENT)  # EXIT_VERIFICATION outranks it
+            continue
         result = verify_equilibrium(tree, spec, solution)
         summary = verification_summary(result)
-        all_ok = all_ok and summary["passed"]
+        if not summary["passed"]:
+            code = EXIT_VERIFICATION
         lines.append(
             f"{name}: {'PASS' if summary['passed'] else 'FAIL'}"
             f" nodes={summary['count']} min_gap={summary['min_gap']:.3e}"
@@ -245,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         with open(args.out, "w") as fh:
             fh.writelines(blocks)
     print("\n".join(lines))
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+    return code
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -361,7 +359,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     writer.writerow(header)
     seeds = [args.seed + draw for draw in range(args.draws)]
     parts = [sample_pure_feedback(phi_seed, spec.horizon, m) for phi_seed in seeds]
-    results = solve_mixed_batch(spec, parts, moments, range_tol=args.tol_range)
+    results = solve_mixed_batch(spec, parts, moments)
     for draw, (phi_seed, result) in enumerate(zip(seeds, results)):
         if isinstance(result, NonexistenceReport):
             status = f"nonexistent:{result.failing_condition.name}"

@@ -11,21 +11,17 @@ nonexistence.
 
 from __future__ import annotations
 
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec
 from .policy import NonexistenceReport, PolicyKind
 from .recursion import EquilibriumSolution, backward_recursion
 
 
 def solve_feedback(
-    spec: MarketSpec,
-    moments: ExcessMoments | None = None,
-    range_tol: float = DEFAULT_RANGE_RTOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
+    spec: MarketSpec, moments: ExcessMoments | None = None
 ) -> EquilibriumSolution | NonexistenceReport:
     """The shared backward recursion with each stage's own gain re-applied after a deviation.
 
     Each stage checks, in order, that the gain matrix is PSD and that the gain
     and offset targets lie in its column space.
     """
-    return backward_recursion(spec, moments, PolicyKind.FEEDBACK, range_tol=range_tol, psd_tol=psd_tol)[0]
+    return backward_recursion(spec, moments, PolicyKind.FEEDBACK)[0]

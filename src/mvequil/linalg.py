@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the rank cutoff and the range and PSD tolerances of the whole package; only
+# the oracle's convexity test passes its own PSD slack
 DEFAULT_PINV_RTOL = 1e-10
 DEFAULT_RANGE_RTOL = 1e-8
 DEFAULT_PSD_TOL = 1e-10
@@ -96,17 +98,15 @@ class Eigenbasis:
         """The number of kept eigenvalues, per matrix."""
         return np.count_nonzero(self.keep, axis=-1)
 
-    def solve(
-        self, V: np.ndarray, rel_tol: float = DEFAULT_RANGE_RTOL
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Least-norm solutions X = M^+ v for the rows v of V, with range tests.
 
         V is (..., r, m), r rows per matrix, or (..., m), one row per matrix.
         Returns (X, residual, ok), one entry per row: residual = ||v - B B^T v||
-        for B the kept eigenvectors, and ok means residual <= rel_tol *
-        max(1, ||v||); a non-finite residual never passes. A solution too
-        large for a float comes back non-finite without a warning; residual
-        and ok do not depend on X.
+        for B the kept eigenvectors, and ok means
+        residual <= DEFAULT_RANGE_RTOL * max(1, ||v||); a non-finite residual
+        never passes. A solution too large for a float comes back non-finite
+        without a warning; residual and ok do not depend on X.
         """
         V = np.asarray(V, dtype=float)
         one_row = V.ndim == self.eigenvalues.ndim
@@ -116,10 +116,10 @@ class Eigenbasis:
         Q, Qt = self.vectors, self.vectors.swapaxes(-1, -2)
         coords = np.where(keep, V @ Q, 0.0)
         residual = _row_norms(V - coords @ Qt)
-        # residual <= rel_tol * max(1, ||v||); ||v|| is only needed past rel_tol
-        ok = residual <= rel_tol
+        # residual <= tol * max(1, ||v||); ||v|| is only needed past tol
+        ok = residual <= DEFAULT_RANGE_RTOL
         if not ok.all():
-            ok |= np.isfinite(residual) & (residual <= rel_tol * _row_norms(V))
+            ok |= np.isfinite(residual) & (residual <= DEFAULT_RANGE_RTOL * _row_norms(V))
         with np.errstate(over="ignore", invalid="ignore"):
             X = (coords / np.where(keep, self.eigenvalues[..., None, :], 1.0)) @ Qt
         if one_row:

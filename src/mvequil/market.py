@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DEFAULT_RANGE_RTOL, _require_symmetric, eigenbasis, is_psd_spectrum
+from .linalg import _require_symmetric, eigenbasis, is_psd_spectrum
 
 
 class ValidationError(ValueError):
@@ -249,16 +249,12 @@ def derive_excess_moments(spec: MarketSpec) -> ExcessMoments:
     return ExcessMoments(mean_excess=mean_excess, cov_excess=spec.return_cov)
 
 
-def check_open_loop_existence(
-    moments: ExcessMoments, t: int = 0, tol: float = DEFAULT_RANGE_RTOL
-) -> ExistenceReport:
+def check_open_loop_existence(moments: ExcessMoments, t: int = 0) -> ExistenceReport:
     """Range condition per stage: mean excess inside the covariance's column space.
 
     One stacked decomposition of all the stages' covariances and one solve.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _, residual, passed = eigenbasis(moments.cov_excess).solve(moments.mean_excess, tol)
+    _, residual, passed = eigenbasis(moments.cov_excess).solve(moments.mean_excess)
     ok = tuple(bool(p) for p in passed)
     return ExistenceReport(per_stage=ok, residual_norms=tuple(map(float, residual)), overall=all(ok[t:]))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .linalg import DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec
 from .policy import NonexistenceReport, PolicyKind, PureFeedbackPart
 from .recursion import EquilibriumSolution, backward_recursion
@@ -22,7 +21,6 @@ def solve_mixed_batch(
     spec: MarketSpec,
     parts: Sequence[PureFeedbackPart],
     moments: ExcessMoments | None = None,
-    range_tol: float = DEFAULT_RANGE_RTOL,
 ) -> list[EquilibriumSolution | NonexistenceReport]:
     """The mixed solution for each strategy part, in order, from one stacked recursion.
 
@@ -35,14 +33,13 @@ def solve_mixed_batch(
     for part in parts:
         if part.gains.shape != shape:
             raise ValueError(f"strategy part shape {part.gains.shape} does not match market {shape}")
-    return backward_recursion(spec, moments, PolicyKind.MIXED, parts, range_tol=range_tol)
+    return backward_recursion(spec, moments, PolicyKind.MIXED, parts)
 
 
 def solve_mixed(
     spec: MarketSpec,
     feedback_part: PureFeedbackPart,
     moments: ExcessMoments | None = None,
-    range_tol: float = DEFAULT_RANGE_RTOL,
 ) -> EquilibriumSolution | NonexistenceReport:
     """The mixed solution for one strategy part: solve_mixed_batch with a single part."""
-    return solve_mixed_batch(spec, [feedback_part], moments, range_tol)[0]
+    return solve_mixed_batch(spec, [feedback_part], moments)[0]

@@ -11,23 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_RANGE_RTOL
 from .market import ExcessMoments, MarketSpec, derive_excess_moments
 from .policy import NonexistenceReport, PolicyKind
 from .recursion import EquilibriumSolution, backward_recursion
 
 
 def solve_open_loop(
-    spec: MarketSpec,
-    moments: ExcessMoments | None = None,
-    range_tol: float = DEFAULT_RANGE_RTOL,
+    spec: MarketSpec, moments: ExcessMoments | None = None
 ) -> EquilibriumSolution | NonexistenceReport:
     """The shared backward recursion with nothing re-applied after a deviation.
 
     The stage gain matrix is cov_weight[k+1] * Cov(O_k), and each stage checks
     the range condition on the mean excess return.
     """
-    return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP, range_tol=range_tol)[0]
+    return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP)[0]
 
 
 def equilibrium_wealth_coefficients(

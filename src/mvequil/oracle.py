@@ -220,29 +220,22 @@ def _cost_from_terminal(weights: np.ndarray, terminal: np.ndarray, spec: MarketS
     return cost
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _cost_from_terminal rejects an overflowing cost
 def evaluate_cost_exact(
     tree: ScenarioTree, spec: MarketSpec, policy, k: int | None = None, x: float | None = None
 ) -> float:
     """Exact cost of following the policy from (k, x) on the tree.
 
     Returns E(X_N - E X_N)^2 - (mu1 x + mu2) E X_N with both moments computed
-    as probability-weighted sums over all suffix scenarios. policy is an
-    AffinePolicy or a solution holding one. A cost that overflows a float
-    raises ValidationError naming the wealth.
+    as probability-weighted sums over all suffix scenarios: the spike cost of
+    the policy's own control at (k, x), with nothing re-applied, so the
+    continuation is the policy's. policy is an AffinePolicy or a solution
+    holding one. A cost that overflows a float raises ValidationError naming
+    the wealth.
     """
     applied = _policy_of(policy)
     k = applied.start_stage if k is None else int(k)
     x = spec.initial_wealth if x is None else float(x)
-    applied.row(k)  # ValueError unless stage k is one of the policy's
-    _check_leaf_budget(tree, k)
-    total, sizes, weights = _suffix_weights(tree, k)
-    X = np.full(total, x)
-    for pos, stage in enumerate(range(k, spec.horizon)):
-        o = tree.atoms[stage][_suffix_index(total, sizes, pos)]
-        u = np.outer(X, applied.gain(stage)) + applied.offset(stage)
-        X = spec.riskless[stage] * X + np.einsum("ij,ij->i", o, u)
-    return _cost_from_terminal(weights, X, spec, x)
+    return spike_cost(tree, spec, applied, k, x, applied.control(k, x), PolicyKind.OPEN_LOOP)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _cost_from_terminal rejects an overflowing cost
@@ -270,8 +263,9 @@ def spike_cost(
     u = np.asarray(u, dtype=float)
 
     o_k = tree.atoms[k][_suffix_index(total, sizes, 0)]
-    X_star = spec.riskless[k] * x_star + o_k @ u_star_k
-    X_dev = spec.riskless[k] * x + o_k @ u
+    # einsum sums each row as the later stages do; a matrix-vector product rounds otherwise
+    X_star = spec.riskless[k] * x_star + np.einsum("ij,j->i", o_k, u_star_k)
+    X_dev = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u)
     for pos, stage in enumerate(range(k + 1, spec.horizon), start=1):
         o = tree.atoms[stage][_suffix_index(total, sizes, pos)]
         u_star = np.outer(X_star, applied.gain(stage)) + applied.offset(stage)
@@ -607,7 +601,9 @@ def simulate_monte_carlo(
     kurtosis = np.mean(np.square(sq / var)) if var > 0 else 0.0
     se_var = var * math.sqrt(max(kurtosis - (n_paths - 3) / (n_paths - 1), 0.0) / n_paths)
     influence = sq - var - cmu * centered
-    se_cost = influence.std(ddof=1) / math.sqrt(n_paths)
+    # in units of a power of two near its largest entry, which is exact, so the squares cannot overflow
+    unit = np.ldexp(1.0, np.frexp(np.abs(influence).max())[1])
+    se_cost = unit * (influence / unit).std(ddof=1) / math.sqrt(n_paths)
     estimates = (mean, var, cost, se_mean, se_var, se_cost)
     if not np.isfinite(estimates).all():
         raise ValidationError(f"initial wealth {x0:g}: the terminal wealth's moments overflow")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, DEFAULT_RANGE_RTOL, eigenbasis, is_psd_spectrum
+from .linalg import eigenbasis, is_psd_spectrum
 from .market import ExcessMoments, MarketSpec, check_open_loop_existence, derive_excess_moments
 from .policy import AffinePolicy, InternalInconsistencyError, NonexistenceReport, PolicyKind, PureFeedbackPart
 from .policy import FailingCondition as Cond
@@ -121,8 +121,6 @@ def backward_recursion(
     moments: ExcessMoments | None,
     kind: PolicyKind,
     feedback_parts: Sequence[PureFeedbackPart] | None = None,
-    range_tol: float = DEFAULT_RANGE_RTOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
 ) -> list[EquilibriumSolution | NonexistenceReport]:
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
@@ -171,9 +169,9 @@ def backward_recursion(
 
         eig = eigenbasis(G)
         w = tr.gain_eigenvalues[live, k] = eig.eigenvalues
-        X, residual, ok = eig.solve(rhs, range_tol)
+        X, residual, ok = eig.solve(rhs)
         tr.range_residual[live, k], tr.gain_residual[live, k], tr.offset_residual[live, k] = residual.T
-        passed = np.column_stack((ok[:, 0], is_psd_spectrum(w, psd_tol), ok[:, 1:]))[:, checks]
+        passed = np.column_stack((ok[:, 0], is_psd_spectrum(w), ok[:, 1:]))[:, checks]
         if not passed.all():
             failed = ~passed.all(axis=1)
             residual = np.column_stack((residual[:, 0], np.maximum(-w[:, 0], 0.0), residual[:, 1:]))[:, checks]
@@ -182,7 +180,7 @@ def backward_recursion(
                 report = NonexistenceReport(k, _CONDITIONS[checks][first], float(residual[i, first]))
                 # feedback solvability is guaranteed when every range condition
                 # holds, so tell genuine nonexistence from a numerics bug
-                if kind is PolicyKind.FEEDBACK and check_open_loop_existence(moments, t, range_tol).overall:
+                if kind is PolicyKind.FEEDBACK and check_open_loop_existence(moments, t).overall:
                     raise InternalInconsistencyError(
                         f"stage {k}: {report.failing_condition.value} failed (residual "
                         f"{report.residual:.3e}) although the range condition holds at every stage"

@@ -66,6 +66,24 @@ def off_range_market() -> MarketSpec:
     )
 
 
+def feedback_only_market() -> MarketSpec:
+    """Two stages whose stage-0 mean excess return leaves the covariance's range.
+
+    Open-loop fails the range condition and a zero strategy part fails mixed
+    gain solvability at stage 0, while the feedback strategy's stage-0 system
+    regains solvability through the mean outer weight.
+    """
+    return make_market_spec(
+        horizon=2,
+        num_assets=2,
+        riskless=1.0,
+        mean_returns=[[1.0, 1.1], [1.1, 1.05]],
+        return_cov=[np.diag([0.04, 0.0]), np.diag([0.04, 0.05])],
+        mu1=1.0,
+        mu2=1.0,
+    )
+
+
 # Covariance scales at and below the old absolute eigenvalue cutoff of 1e-10.
 SMALL_SCALES = (1e-8, 1e-10, 1e-11, 1e-12)
 

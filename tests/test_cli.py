@@ -9,7 +9,7 @@ import pytest
 import mvequil as mv
 from mvequil.cli import main
 
-from instgen import SMALL_SCALES, small_scale_market
+from instgen import SMALL_SCALES, feedback_only_market, small_scale_market
 
 PRESET = "li-duan-example-2"
 
@@ -97,11 +97,6 @@ def test_unknown_market_path_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve-open-loop", "--tol-range", "-1.0"], "tolerances must be positive and finite"),
-        (["solve-open-loop", "--tol-psd", "0"], "tolerances must be positive and finite"),
-        (["solve-open-loop", "--tol-range", "nan"], "tolerances must be positive and finite"),
-        (["solve-feedback", "--tol-psd", "nan"], "tolerances must be positive and finite"),
-        (["solve-open-loop", "--tol-range", "inf"], "tolerances must be positive and finite"),
         (["simulate", "--paths", "1"], "--paths must be at least 2"),
         (["batch", "--draws", "0"], "--draws must be at least 1"),
         (["verify", "--atoms", "0"], "--atoms must be at least 1"),
@@ -111,8 +106,7 @@ def test_unknown_market_path_exits_2(tmp_path):
         (["solve-mixed", "--phi", "sample", "--seed", "-1"], "--seed must be at least 0"),
     ],
     ids=[
-        "tol-range", "tol-psd", "tol-range-nan", "tol-psd-nan", "tol-range-inf", "paths", "draws", "atoms",
-        "verify-seed", "simulate-seed", "batch-seed", "solve-mixed-seed",
+        "paths", "draws", "atoms", "verify-seed", "simulate-seed", "batch-seed", "solve-mixed-seed",
     ],
 )
 def test_bad_flag_value_exits_2(argv, message, capsys):
@@ -222,6 +216,20 @@ def test_verify_nonexistent_market_exits_3(range_fail_market):
     assert main(["verify", "--market", range_fail_market]) == 3
 
 
+def test_verify_checks_every_notion_that_exists(tmp_path, capsys):
+    market, out_path = tmp_path / "market.json", tmp_path / "reports.jsonl"
+    market.write_text(mv.dump_market_spec(feedback_only_market()))
+    assert main(["verify", "--market", str(market), "--out", str(out_path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["open-loop", "feedback", "mixed"]
+    assert lines[0].startswith("open-loop: no solution: range_condition failed at stage 0")
+    assert lines[1].startswith("feedback: PASS nodes=4 ")
+    assert lines[2].startswith("mixed: no solution: gain_solvability failed at stage 0")
+    *reports, summary = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert len(reports) == 4 and {r["semantics"] for r in reports} == {"feedback"}
+    assert summary == {"count": 4, "min_gap": 0.0, "passed": True, "summary": True}
+
+
 def test_simulate_tree_pretty(capsys):
     rc = main(["simulate", "--paths", "5000", "--seed", "3", "--distribution", "tree"])
     assert rc == 0
@@ -275,6 +283,13 @@ def test_reproduce_example_exits_4_on_feedback_rows(capsys):
     assert "MISMATCH mixed" not in out
     assert out.count("MISMATCH") == 15
     assert "0.4739" in out and "2.7381" in out
+
+
+def test_tolerance_flags_are_rejected():
+    # the range and PSD tolerances are constants of mvequil.linalg
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-feedback", "--tol-psd", "1e-10"])
+    assert exc.value.code == 2
 
 
 def test_reproduce_example_takes_no_options(tmp_path):

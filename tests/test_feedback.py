@@ -8,7 +8,7 @@ from mvequil import FailingCondition, NonexistenceReport
 from mvequil.reference import VERIFIED_FEEDBACK_GAINS, VERIFIED_FEEDBACK_OFFSETS
 
 from gainmatrix import gain_matrix
-from instgen import random_market, random_market_full_rank
+from instgen import feedback_only_market, random_market, random_market_full_rank
 
 PRESET = "li-duan-example-2"
 
@@ -165,20 +165,7 @@ def test_nonexistence_when_mean_leaves_range_at_last_stage():
 
 
 def test_feedback_can_exist_where_open_loop_does_not():
-    # stage 0 mean excess leaves Ran(Cov), last stage is clean: the strategy's
-    # stage-0 system regains solvability through the mean outer weight
-    spec = mv.make_market_spec(
-        horizon=2,
-        num_assets=2,
-        riskless=1.0,
-        mean_returns=[[1.0, 1.1], [1.1, 1.05]],
-        return_cov=[
-            [[0.04, 0.0], [0.0, 0.0]],
-            [[0.04, 0.0], [0.0, 0.05]],
-        ],
-        mu1=1.0,
-        mu2=1.0,
-    )
+    spec = feedback_only_market()
     assert isinstance(mv.solve_open_loop(spec), NonexistenceReport)
     sol = mv.solve_feedback(spec)
     assert not isinstance(sol, NonexistenceReport)

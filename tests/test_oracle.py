@@ -566,9 +566,10 @@ def test_monte_carlo_gaussian_matches_tree_cost(preset_setup):
 
 def test_monte_carlo_gaussian_variance_scales_inversely_with_the_covariance():
     # gains scale as 1 / scale and return deviations as sqrt(scale)
-    # deviations from the mean path keep their digits where the spread is 1e-50 of the mean
+    # deviations from the mean path keep their digits where the spread is 1e-50 of the mean,
+    # and se_cost stays finite past a variance of 1e154, where the influence squared overflows
     scaled = []
-    for scale in SMALL_SCALES + (1e-40, 1e-100):
+    for scale in SMALL_SCALES + (1e-40, 1e-100, 1e-160, 1e-200):
         spec = small_scale_market(scale)
         sim = mv.simulate_monte_carlo(spec, mv.solve_open_loop(spec), 20_000, seed=1)
         assert sim.var_terminal > 0
