@@ -72,9 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument("--t", type=int, default=None, help="initial stage (default: market's)")
     shared.add_argument("--x", type=float, default=None, help="initial wealth (default: market's)")
-    shared.add_argument("--seed", type=int, default=0)
-    shared.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty", dest="fmt")
     shared.add_argument("--out", default=None, help="write the primary output to this file")
+    # only the commands that read a seed or an output format take these
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=["pretty", "csv", "json"], default="pretty", dest="fmt")
 
     parser = argparse.ArgumentParser(
         prog="mvequil",
@@ -86,17 +89,22 @@ def build_parser() -> argparse.ArgumentParser:
         ("feedback", "solve the feedback equilibrium strategy", "feedback equilibrium strategy"),
         ("mixed", "solve the mixed equilibrium for a strategy part", "mixed equilibrium, applied policy"),
     ):
-        p = sub.add_parser(f"solve-{solver}", parents=[shared], help=help_text)
+        parents = [shared, seeded, formatted] if solver == "mixed" else [shared, formatted]
+        p = sub.add_parser(f"solve-{solver}", parents=parents, help=help_text)
         p.set_defaults(handler=_cmd_solve, solver=solver, title=f"{title} u_k = K_k x + c_k")
     # p is solve-mixed, the last of the three
     p.add_argument("--phi", default="zero", help="strategy part: JSON path, 'sample', or 'zero'")
 
-    p = sub.add_parser("verify", parents=[shared], help="deviation-test all three solvers on a matched tree")
+    p = sub.add_parser(
+        "verify", parents=[shared, seeded], help="deviation-test all three solvers on a matched tree"
+    )
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--phi", default="zero", help="strategy part for the mixed solver")
     p.add_argument("--atoms", type=int, default=None, help="tree atoms per stage (default 2m+1)")
 
-    p = sub.add_parser("simulate", parents=[shared], help="Monte Carlo cost estimate for one policy")
+    p = sub.add_parser(
+        "simulate", parents=[shared, seeded, formatted], help="Monte Carlo cost estimate for one policy"
+    )
     p.set_defaults(handler=_cmd_simulate)
     p.add_argument("--phi", default="zero", help="strategy part when --solver mixed")
     p.add_argument("--paths", type=int, default=100_000)
@@ -110,8 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_reproduce_example)
 
-    p = sub.add_parser("batch", parents=[shared], help="mixed solves over seeded random strategy draws")
+    p = sub.add_parser(
+        "batch", parents=[shared, seeded], help="mixed solves over seeded random strategy draws"
+    )
     p.set_defaults(handler=_cmd_batch)
+    p.add_argument("--format", choices=["csv"], default="csv", dest="fmt")
     p.add_argument("--draws", type=int, default=10)
     return parser
 

@@ -29,10 +29,6 @@ def solve_mixed_batch(
     each stage's one stacked eigendecomposition and solve, and a part that
     fails a stage gets its own report there.
     """
-    shape = (spec.horizon, spec.num_assets)
-    for part in parts:
-        if part.gains.shape != shape:
-            raise ValueError(f"strategy part shape {part.gains.shape} does not match market {shape}")
     return backward_recursion(spec, moments, PolicyKind.MIXED, parts)
 
 

@@ -7,10 +7,12 @@ the one-stage spike-deviation cost, which is a quadratic in the deviation.
 
 That quadratic is formed in closed form once per stage. Returns are
 independent between stages and every continuation is affine in the deviated
-wealth, so per suffix scenario terminal wealth is beta * X_dev + gamma * X* +
-alpha in the deviated and undeviated wealth one stage later. The weighted
-moments of (beta, gamma, alpha) over the suffix tree, together with the stage's
-atom moments, give every node's cost, gradient and the stage's shared Hessian.
+wealth, so per suffix scenario terminal wealth is beta * (X_dev - X*) + rho *
+X* + alpha in the deviated and undeviated wealth one stage later: the spread
+X_dev - X* grows by s + o.P per stage, the undeviated wealth by s + o.K, and
+alpha is the undeviated path's drift from the offsets. The weighted moments of
+(beta, rho, alpha) over the suffix tree, together with the stage's atom
+moments, give every node's cost, gradient and the stage's shared Hessian.
 verify_equilibrium tests all nodes of a stage at once and returns the outcome
 as one VerificationResult of per-node arrays.
 
@@ -247,24 +249,22 @@ def spike_cost(
     x: float,
     u: np.ndarray,
     semantics: PolicyKind | None = None,
-    x_star: float | None = None,
 ) -> float:
     """Exact cost of deviating to u at (k, x), continuation per the semantics.
 
-    x_star is the undeviated state at the node (defaults to x); the frozen
-    continuations replay the undeviated path grown from it per scenario. A
-    cost that overflows a float raises ValidationError naming the wealth.
+    Each scenario carries the deviated and the undeviated wealth forward on
+    its own; the frozen continuations replay the undeviated path. A cost that
+    overflows a float raises ValidationError naming the wealth.
     """
     applied, _, reapplied = _continuation(policy, semantics)
-    x_star = x if x_star is None else float(x_star)
-    u_star_k = applied.control(k, x_star)
+    u_star_k = applied.control(k, x)
     _check_leaf_budget(tree, k)
     total, sizes, weights = _suffix_weights(tree, k)
     u = np.asarray(u, dtype=float)
 
     o_k = tree.atoms[k][_suffix_index(total, sizes, 0)]
     # einsum sums each row as the later stages do; a matrix-vector product rounds otherwise
-    X_star = spec.riskless[k] * x_star + np.einsum("ij,j->i", o_k, u_star_k)
+    X_star = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u_star_k)
     X_dev = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u)
     for pos, stage in enumerate(range(k + 1, spec.horizon), start=1):
         o = tree.atoms[stage][_suffix_index(total, sizes, pos)]
@@ -283,27 +283,19 @@ def best_spike_deviation(
     k: int,
     x: float,
     semantics: PolicyKind | None = None,
-    x_star: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Globally best one-stage deviation at (k, x) and its exact cost.
 
-    x_star is the undeviated state at the node (defaults to x). The deviation
-    cost is an exact quadratic in u (terminal wealth is affine in u per
-    scenario); its gradient and Hessian come in closed form from the stage's
-    suffix-tree moments, and it is minimized by a least-norm solve. An
+    The deviation cost is an exact quadratic in u (terminal wealth is affine in
+    u per scenario); its gradient and Hessian come in closed form from the
+    stage's suffix-tree moments, and it is minimized by a least-norm solve. An
     indefinite quadratic raises EquilibriumStructureError; an unbounded one
     (gradient outside the Hessian's column space) returns cost -inf.
     """
     applied, _, reapplied = _continuation(policy, semantics)
     applied.row(k)  # ValueError unless stage k is one of the policy's
-    x_star = x if x_star is None else x_star
-    u_dev, j_dev, _ = _best_spikes(
-        _stage_moments(tree, spec, applied, reapplied, k),
-        spec,
-        applied,
-        np.array([float(x)]),
-        np.array([float(x_star)]),
-    )
+    moments = _stage_moments(tree, spec, applied, reapplied, k)
+    u_dev, j_dev, _ = _best_spikes(moments, spec, applied, np.array([float(x)]))
     return u_dev[0], float(j_dev[0])
 
 
@@ -311,10 +303,10 @@ def best_spike_deviation(
 class _StageMoments:
     """Tree moments that fix the spike-deviation quadratic at one stage.
 
-    Per suffix scenario after stage k, terminal wealth is beta * X_dev +
-    gamma * X* + alpha in the deviated and undeviated wealth at stage k + 1.
+    Per suffix scenario after stage k, terminal wealth is beta * (X_dev - X*)
+    + rho * X* + alpha in the deviated and undeviated wealth at stage k + 1.
     mean (3,) and second (3, 3) are the weighted first and raw second moments
-    of (beta, gamma, alpha) and cov (3, 3) their covariance; atom_mean and
+    of (beta, rho, alpha) and cov (3, 3) their covariance; atom_mean and
     atom_cov are the moments of stage k's excess-return atoms.
     """
 
@@ -334,26 +326,19 @@ def _stage_moments(
     Along each suffix scenario the continuation re-applies the gain P_l (the
     rows of reapplied, from _continuation) to the deviated wealth and replays
     the rest of the undeviated control, u_l = P_l X_dev + (K_l - P_l) X* + c_l,
-    so both wealths stay affine in (X_dev, X*, 1).
+    so the spread X_dev - X* grows by s + o.P and X* by s + o.K.
     """
     _check_leaf_budget(tree, k)
     total, sizes, weights = _suffix_weights(tree, k + 1)
-    beta, gamma, alpha = np.ones(total), np.zeros(total), np.zeros(total)
-    growth, drift = np.ones(total), np.zeros(total)  # X*_l = growth * X*_{k+1} + drift
+    beta, rho, alpha = np.ones(total), np.ones(total), np.zeros(total)
     for pos, stage in enumerate(range(k + 1, spec.horizon)):
         idx = _suffix_index(total, sizes, pos)
         atoms, s = tree.atoms[stage], spec.riskless[stage]
-        gain, P = applied.gain(stage), reapplied[applied.row(stage)]
-        dev_growth = (s + atoms @ P)[idx]
-        replayed = (atoms @ (gain - P))[idx]
-        income = (atoms @ applied.offset(stage))[idx]
-        star_growth = (s + atoms @ gain)[idx]
-        gamma = dev_growth * gamma + replayed * growth
-        alpha = dev_growth * alpha + replayed * drift + income
-        beta = dev_growth * beta
-        drift = star_growth * drift + income
-        growth = star_growth * growth
-    coeffs = np.stack([beta, gamma, alpha], axis=1)
+        star_growth = (s + atoms @ applied.gain(stage))[idx]
+        beta = (s + atoms @ reapplied[applied.row(stage)])[idx] * beta
+        rho = star_growth * rho
+        alpha = star_growth * alpha + (atoms @ applied.offset(stage))[idx]
+    coeffs = np.stack([beta, rho, alpha], axis=1)
     mean = weights @ coeffs
     centered = coeffs - mean
     return _StageMoments(
@@ -376,40 +361,33 @@ def _best_spikes(
     spec: MarketSpec,
     applied: AffinePolicy,
     x: np.ndarray,
-    x_star: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best deviation, its cost and the policy's own cost at nodes of one stage.
 
-    x and x_star hold each node's current and undeviated wealth. With y = s x
-    + o.u and z = s x* + o.u* the stage-k wealths, terminal wealth is v.w for
-    v = (beta, gamma, alpha) independent of w = (y, z, 1), so Var = tr(S_v C_w)
-    + E[w]' C_v E[w]. The Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu') is
-    shared by every node, so one eigendecomposition gives the convexity check,
-    and one least-norm solve through it gives every node's step and whether its
-    gradient lies in the Hessian's range.
+    x holds each node's wealth, where the policy plays u*. A deviation to u*
+    + d leaves the stage-k wealths X_dev - X* = o.d and X* = s x + o.u*, so
+    terminal wealth is v.w for v = (beta, rho, alpha) independent of w = (o.d,
+    s x + o.u*, 1), and Var = tr(S_v C_w) + E[w]' C_v E[w]. At d = 0 this is
+    the cost, and its derivatives in d the gradient and the Hessian 2 (E[beta^2]
+    Sigma + Var(beta) mu mu'). The Hessian is shared by every node, so one
+    eigendecomposition gives the convexity check, and one least-norm solve
+    through it gives every node's step and whether its gradient lies in the
+    Hessian's range.
     """
     k = moments.stage
     mu, sigma = moments.atom_mean, moments.atom_cov
     second, cov, mean = moments.second, moments.cov, moments.mean
-    s = spec.riskless[k]
     u = np.outer(x, applied.gain(k)) + applied.offset(k)
-    u_star = np.outer(x_star, applied.gain(k)) + applied.offset(k)
-    sigma_u, sigma_u_star = u @ sigma, u_star @ sigma
-    w_mean = np.stack([s * x + u @ mu, s * x_star + u_star @ mu, np.ones_like(x)], axis=1)
+    sigma_u = u @ sigma
+    w_mean = np.stack([np.zeros_like(x), spec.riskless[k] * x + u @ mu, np.ones_like(x)], axis=1)
     w_cov_mean = w_mean @ cov
-    var = (
-        second[0, 0] * _rowdot(sigma_u, u)
-        + 2.0 * second[0, 1] * _rowdot(sigma_u, u_star)
-        + second[1, 1] * _rowdot(sigma_u_star, u_star)
-        + _rowdot(w_cov_mean, w_mean)
-    )
+    var = second[1, 1] * _rowdot(sigma_u, u) + _rowdot(w_cov_mean, w_mean)
     mean_weight = spec.mu1 * x + spec.mu2
     j_star = var - mean_weight * (w_mean @ mean)
     overflow = ~np.isfinite(j_star)
     if overflow.any():
         raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the policy's cost overflows")
-    grad = 2.0 * (second[0, 0] * sigma_u + second[0, 1] * sigma_u_star)
-    grad += np.outer(2.0 * w_cov_mean[:, 0] - mean_weight * mean[0], mu)
+    grad = 2.0 * second[0, 1] * sigma_u + np.outer(2.0 * w_cov_mean[:, 0] - mean_weight * mean[0], mu)
     hess = 2.0 * (second[0, 0] * sigma + cov[0, 0] * np.outer(mu, mu))
 
     eig = eigenbasis(hess)
@@ -467,7 +445,7 @@ def verify_equilibrium(
     states = np.array([spec.initial_wealth])
     for k in range(t, spec.horizon):
         moments = _stage_moments(tree, spec, applied, reapplied, k)
-        u_dev, j_dev, j_star = _best_spikes(moments, spec, applied, states, states)
+        u_dev, j_dev, j_star = _best_spikes(moments, spec, applied, states)
         per_stage.append((j_star, j_dev, u_dev))
         controls = np.outer(states, applied.gain(k)) + applied.offset(k)
         growth = spec.riskless[k] * states[None, :] + tree.atoms[k] @ controls.T

@@ -117,7 +117,6 @@ class PureFeedbackPart:
     """The prescribed wealth-proportional strategy part, one gain row per stage."""
 
     gains: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         gains = np.atleast_2d(np.array(self.gains, dtype=float))  # private copy
@@ -138,27 +137,17 @@ class PureFeedbackPart:
 def sample_pure_feedback(seed: int, horizon: int, num_assets: int) -> PureFeedbackPart:
     """Standard-normal strategy part from a seeded generator; reproducible."""
     rng = np.random.default_rng(seed)
-    return PureFeedbackPart(gains=rng.standard_normal((horizon, num_assets)), seed=seed)
+    return PureFeedbackPart(gains=rng.standard_normal((horizon, num_assets)))
 
 
 def zero_pure_feedback(horizon: int, num_assets: int) -> PureFeedbackPart:
     return PureFeedbackPart(gains=np.zeros((horizon, num_assets)))
 
 
-def load_pure_feedback(source, horizon: int, num_assets: int) -> PureFeedbackPart:
-    """Read a strategy part from JSON: an array of horizon rows of num_assets."""
-    if hasattr(source, "read"):
-        raw = json.load(source)
-    elif isinstance(source, (list, tuple, np.ndarray)):
-        raw = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("["):
-            raw = json.loads(text)
-        else:
-            with open(text) as fh:
-                raw = json.load(fh)
-    gains = np.asarray(raw, dtype=float)
+def load_pure_feedback(path, horizon: int, num_assets: int) -> PureFeedbackPart:
+    """Read a strategy part from a JSON file: an array of horizon rows of num_assets."""
+    with open(path) as fh:
+        gains = np.asarray(json.load(fh), dtype=float)
     if gains.shape != (horizon, num_assets):
         raise ValueError(
             f"strategy part must have shape ({horizon}, {num_assets}), got {gains.shape}"

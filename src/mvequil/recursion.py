@@ -125,12 +125,13 @@ def backward_recursion(
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
     feedback_parts are the mixed solutions' strategy parts P, one row per
-    stage each, kept on the solutions; the mixed kind requires them and the
-    others refuse them. Every part is solved in the same stage loop: each
-    stage decomposes the gain matrices of the parts still alive with one
-    stacked eigendecomposition and solves them with one stacked solve. A part
-    that fails a stage check gets the report of its first failing condition
-    and leaves the stack. Returns one outcome per part, in order; the
+    stage each, kept on the solutions; the mixed kind requires them, the
+    others refuse them, and a part not of shape (N, m) raises ValueError.
+    Every part is solved in the same stage loop: each stage decomposes the
+    gain matrices of the parts still alive with one stacked
+    eigendecomposition and solves them with one stacked solve. A part that
+    fails a stage check gets the report of its first failing condition and
+    leaves the stack. Returns one outcome per part, in order; the
     open-loop and feedback kinds are the case of one zero part, with one
     outcome. A feedback failure while every range condition holds, or a
     nonpositive open-loop cov_weight, contradicts the theory and raises
@@ -144,6 +145,9 @@ def backward_recursion(
     if feedback_parts is None:
         parts = np.zeros((1, N, m))
     else:
+        for part in feedback_parts:
+            if part.gains.shape != (N, m):
+                raise ValueError(f"strategy part shape {part.gains.shape} does not match market {(N, m)}")
         parts = np.array([p.gains for p in feedback_parts]).reshape(-1, N, m)
     D = len(parts)
     tr = RecursionTrace.empty(D, N, m)

@@ -292,6 +292,23 @@ def test_tolerance_flags_are_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-open-loop", "--seed", "3"],
+        ["solve-feedback", "--seed", "3"],
+        ["verify", "--format", "json"],
+        ["batch", "--format", "json"],
+        ["batch", "--format", "pretty"],
+    ],
+    ids=["solve-open-loop-seed", "solve-feedback-seed", "verify-format", "batch-json", "batch-pretty"],
+)
+def test_flags_a_command_does_not_read_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_reproduce_example_takes_no_options(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["reproduce-example", "--out", str(tmp_path / "x")])

@@ -128,7 +128,6 @@ def test_sampling_is_deterministic():
     a = mv.sample_pure_feedback(5, 4, 3)
     b = mv.sample_pure_feedback(5, 4, 3)
     assert np.array_equal(a.gains, b.gains)
-    assert a.seed == 5
     c = mv.sample_pure_feedback(6, 4, 3)
     assert not np.array_equal(a.gains, c.gains)
 
@@ -189,6 +188,13 @@ def test_strategy_shape_is_validated():
     spec = mv.get_preset(PRESET)
     with pytest.raises(ValueError, match="shape"):
         mv.solve_mixed(spec, PureFeedbackPart(gains=np.zeros((2, 3))))
+
+
+def test_recursion_rejects_a_strategy_part_of_the_wrong_shape():
+    # as many entries as the preset's (4, 3) part, so a reshape would accept it
+    spec = mv.get_preset(PRESET)
+    with pytest.raises(ValueError, match=r"strategy part shape \(2, 6\) does not match market \(4, 3\)"):
+        mv.backward_recursion(spec, None, mv.PolicyKind.MIXED, [PureFeedbackPart(np.arange(12.0).reshape(2, 6))])
 
 
 def test_trace_csv_has_one_row_per_stage(preset_mixed):

@@ -325,6 +325,9 @@ def _spike_cost_cross_check(tree, spec, target, semantics):
 
 def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
     corpus = [preset_setup[0]] + [random_market(200 + i, max_horizon=4, max_assets=3) for i in range(25)]
+    # interior starts, from stage 1 at another wealth (random markets 205 and 208 have 3 and 4 stages)
+    interior = (corpus[0], random_market(205), random_market(208))
+    corpus += [mv.with_initial_state(spec, t=1, x=0.7) for spec in interior]
     worst = 0.0
     cross_failures = 0
     for spec in corpus:
