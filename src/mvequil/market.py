@@ -200,24 +200,13 @@ def make_market_spec(
     )
 
 
-def load_market_spec(source) -> MarketSpec:
-    """Load a MarketSpec from a JSON file path, byte/text stream, or dict."""
-    if isinstance(source, dict):
-        raw = source
-    elif hasattr(source, "read"):
-        raw = json.load(source)
-    else:
-        if isinstance(source, bytes):
-            source = source.decode("utf-8")
-        text = str(source)
-        try:
-            if text.lstrip().startswith("{"):
-                raw = json.loads(text)
-            else:
-                with open(text, "r") as fh:
-                    raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read market JSON: {exc}") from exc
+def load_market_spec(path) -> MarketSpec:
+    """Load a MarketSpec from a JSON file; a dict of the same keys goes to make_market_spec."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read market JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("market JSON must be an object")
     required = ["horizon", "num_assets", "riskless", "mean_returns", "return_cov", "mu1", "mu2"]

@@ -10,11 +10,15 @@ independent between stages and every continuation is affine in the deviated
 wealth, so per suffix scenario terminal wealth is beta * (X_dev - X*) + rho *
 X* + alpha in the deviated and undeviated wealth one stage later: the spread
 X_dev - X* grows by s + o.P per stage, the undeviated wealth by s + o.K, and
-alpha is the undeviated path's drift from the offsets. The weighted moments of
-(beta, rho, alpha) over the suffix tree, together with the stage's atom
-moments, give every node's cost, gradient and the stage's shared Hessian.
-verify_equilibrium tests all nodes of a stage at once and returns the outcome
-as one VerificationResult of per-node arrays.
+alpha is the undeviated path's drift from the offsets. Because each stage's
+factor is independent of the later ones, the mean and covariance of (beta,
+rho, alpha) go backward exactly, one stage at a time, from the stages' atom
+moments; no suffix scenario is enumerated. Those moments, together with the
+stage's atom moments, give every node's cost, gradient and the stage's shared
+Hessian. verify_equilibrium runs the backward pass once, tests all nodes of a
+stage at once and returns the outcome as one VerificationResult of per-node
+arrays. spike_cost, the brute-force reference, is the one reader that walks
+the suffix scenarios.
 
 The deviation notions differ only in the part P of each later control that is
 re-applied to the deviated wealth, u_dev = P X_dev + (u* - P X*): P = 0 (open
@@ -38,7 +42,7 @@ from itertools import repeat
 import numpy as np
 
 from .linalg import eigenbasis, is_psd_spectrum
-from .market import ExcessMoments, MarketSpec, ValidationError
+from .market import ExcessMoments, MarketSpec, ValidationError, derive_excess_moments
 from .policy import AffinePolicy, PolicyKind
 
 MAX_LEAF_PATHS = 10**7
@@ -203,16 +207,6 @@ def _check_leaf_budget(tree: ScenarioTree, start: int):
         )
 
 
-def _suffix_weights(tree: ScenarioTree, k: int) -> tuple[int, list[int], np.ndarray]:
-    sizes = [len(p) for p in tree.probabilities[k:]]
-    total = math.prod(sizes)
-    weights = np.ones(total)
-    for pos in range(len(sizes)):
-        idx = _suffix_index(total, sizes, pos)
-        weights *= tree.probabilities[k + pos][idx]
-    return total, sizes, weights
-
-
 def _cost_from_terminal(weights: np.ndarray, terminal: np.ndarray, spec: MarketSpec, x: float) -> float:
     mean = float(weights @ terminal)
     var = float(weights @ (terminal - mean) ** 2)
@@ -259,15 +253,19 @@ def spike_cost(
     applied, _, reapplied = _continuation(policy, semantics)
     u_star_k = applied.control(k, x)
     _check_leaf_budget(tree, k)
-    total, sizes, weights = _suffix_weights(tree, k)
+    sizes = [len(p) for p in tree.probabilities[k:]]
+    total = math.prod(sizes)
     u = np.asarray(u, dtype=float)
 
-    o_k = tree.atoms[k][_suffix_index(total, sizes, 0)]
+    idx = _suffix_index(total, sizes, 0)
+    weights, o_k = tree.probabilities[k][idx], tree.atoms[k][idx]
     # einsum sums each row as the later stages do; a matrix-vector product rounds otherwise
     X_star = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u_star_k)
     X_dev = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u)
     for pos, stage in enumerate(range(k + 1, spec.horizon), start=1):
-        o = tree.atoms[stage][_suffix_index(total, sizes, pos)]
+        idx = _suffix_index(total, sizes, pos)
+        weights = weights * tree.probabilities[stage][idx]
+        o = tree.atoms[stage][idx]
         u_star = np.outer(X_star, applied.gain(stage)) + applied.offset(stage)
         P = reapplied[applied.row(stage)]
         u_dev = np.outer(X_dev, P) + (u_star - np.outer(X_star, P))
@@ -288,67 +286,47 @@ def best_spike_deviation(
 
     The deviation cost is an exact quadratic in u (terminal wealth is affine in
     u per scenario); its gradient and Hessian come in closed form from the
-    stage's suffix-tree moments, and it is minimized by a least-norm solve. An
-    indefinite quadratic raises EquilibriumStructureError; an unbounded one
-    (gradient outside the Hessian's column space) returns cost -inf.
+    moments of the suffix coefficients, carried backward from the last stage
+    to k one stage at a time, and it is minimized by a least-norm solve. No
+    suffix scenario is enumerated, so the tree may have any number of leaf
+    paths. An indefinite quadratic raises EquilibriumStructureError; an
+    unbounded one (gradient outside the Hessian's column space) returns cost
+    -inf.
     """
     applied, _, reapplied = _continuation(policy, semantics)
     applied.row(k)  # ValueError unless stage k is one of the policy's
-    moments = _stage_moments(tree, spec, applied, reapplied, k)
-    u_dev, j_dev, _ = _best_spikes(moments, spec, applied, np.array([float(x)]))
+    mean, cov = _coefficient_moments(tree, spec, applied, reapplied, k)[0]
+    u_dev, j_dev, _ = _best_spikes(tree, spec, applied, k, mean, cov, np.array([float(x)]))
     return u_dev[0], float(j_dev[0])
 
 
-@dataclass(frozen=True)
-class _StageMoments:
-    """Tree moments that fix the spike-deviation quadratic at one stage.
-
-    Per suffix scenario after stage k, terminal wealth is beta * (X_dev - X*)
-    + rho * X* + alpha in the deviated and undeviated wealth at stage k + 1.
-    mean (3,) and second (3, 3) are the weighted first and raw second moments
-    of (beta, rho, alpha) and cov (3, 3) their covariance; atom_mean and
-    atom_cov are the moments of stage k's excess-return atoms.
-    """
-
-    stage: int
-    mean: np.ndarray
-    second: np.ndarray
-    cov: np.ndarray
-    atom_mean: np.ndarray
-    atom_cov: np.ndarray
-
-
-def _stage_moments(
+def _coefficient_moments(
     tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, reapplied: np.ndarray, k: int
-) -> _StageMoments:
-    """Enumerate the suffix tree after stage k once and take its moments.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Mean and covariance of (beta, rho, alpha) after each stage from k on, by one backward pass.
 
-    Along each suffix scenario the continuation re-applies the gain P_l (the
-    rows of reapplied, from _continuation) to the deviated wealth and replays
-    the rest of the undeviated control, u_l = P_l X_dev + (K_l - P_l) X* + c_l,
-    so the spread X_dev - X* grows by s + o.P and X* by s + o.K.
+    Entry j belongs to stage k + j. After the last stage (beta, rho, alpha) is
+    (1, 1, 0) for sure. Stage l maps the coefficients after it to (beta a, rho
+    b, rho d + alpha) with (a, b, d) = (s, s, 0) + o.A for A = [P K c], and
+    that factor is independent of every later stage, so with G its mean map,
+    V = A' Sigma A and S = C + m m' the raw second moments: m <- G m and C <-
+    G C G' + V * S[p, p] for p = (0, 1, 1). The pass reads only each stage's
+    atom moments and the policy's rows; P is reapplied's row (from
+    _continuation).
     """
-    _check_leaf_budget(tree, k)
-    total, sizes, weights = _suffix_weights(tree, k + 1)
-    beta, rho, alpha = np.ones(total), np.ones(total), np.zeros(total)
-    for pos, stage in enumerate(range(k + 1, spec.horizon)):
-        idx = _suffix_index(total, sizes, pos)
-        atoms, s = tree.atoms[stage], spec.riskless[stage]
-        star_growth = (s + atoms @ applied.gain(stage))[idx]
-        beta = (s + atoms @ reapplied[applied.row(stage)])[idx] * beta
-        rho = star_growth * rho
-        alpha = star_growth * alpha + (atoms @ applied.offset(stage))[idx]
-    coeffs = np.stack([beta, rho, alpha], axis=1)
-    mean = weights @ coeffs
-    centered = coeffs - mean
-    return _StageMoments(
-        stage=k,
-        mean=mean,
-        second=(coeffs * weights[:, None]).T @ coeffs,
-        cov=(centered * weights[:, None]).T @ centered,
-        atom_mean=tree.implied_mean(k),
-        atom_cov=tree.implied_cov(k),
-    )
+    mean, cov = np.array([1.0, 1.0, 0.0]), np.zeros((3, 3))
+    moments = [(mean, cov)]
+    p = [0, 1, 1]
+    for stage in range(spec.horizon - 1, k, -1):
+        s = spec.riskless[stage]
+        A = np.stack([reapplied[applied.row(stage)], applied.gain(stage), applied.offset(stage)], axis=1)
+        a, b, d = np.array([s, s, 0.0]) + tree.implied_mean(stage) @ A
+        G = np.array([[a, 0.0, 0.0], [0.0, b, 0.0], [0.0, d, 1.0]])
+        S = cov + np.outer(mean, mean)
+        cov = G @ cov @ G.T + (A.T @ tree.implied_cov(stage) @ A) * S[np.ix_(p, p)]
+        mean = G @ mean
+        moments.append((mean, cov))
+    return moments[::-1]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -357,26 +335,29 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
 def _best_spikes(
-    moments: _StageMoments,
+    tree: ScenarioTree,
     spec: MarketSpec,
     applied: AffinePolicy,
+    k: int,
+    mean: np.ndarray,
+    cov: np.ndarray,
     x: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best deviation, its cost and the policy's own cost at nodes of one stage.
+    """Best deviation, its cost and the policy's own cost at nodes of stage k.
 
-    x holds each node's wealth, where the policy plays u*. A deviation to u*
-    + d leaves the stage-k wealths X_dev - X* = o.d and X* = s x + o.u*, so
+    x holds each node's wealth, where the policy plays u*; mean and cov are
+    the moments of (beta, rho, alpha) after stage k. A deviation to u* + d
+    leaves the stage-k wealths X_dev - X* = o.d and X* = s x + o.u*, so
     terminal wealth is v.w for v = (beta, rho, alpha) independent of w = (o.d,
-    s x + o.u*, 1), and Var = tr(S_v C_w) + E[w]' C_v E[w]. At d = 0 this is
-    the cost, and its derivatives in d the gradient and the Hessian 2 (E[beta^2]
-    Sigma + Var(beta) mu mu'). The Hessian is shared by every node, so one
-    eigendecomposition gives the convexity check, and one least-norm solve
-    through it gives every node's step and whether its gradient lies in the
-    Hessian's range.
+    s x + o.u*, 1), and Var = tr(S_v C_w) + E[w]' C_v E[w] with S_v = C_v +
+    E[v] E[v]'. At d = 0 this is the cost, and its derivatives in d the
+    gradient and the Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu'). The
+    Hessian is shared by every node, so one eigendecomposition gives the
+    convexity check, and one least-norm solve through it gives every node's
+    step and whether its gradient lies in the Hessian's range.
     """
-    k = moments.stage
-    mu, sigma = moments.atom_mean, moments.atom_cov
-    second, cov, mean = moments.second, moments.cov, moments.mean
+    mu, sigma = tree.implied_mean(k), tree.implied_cov(k)
+    second = cov + np.outer(mean, mean)
     u = np.outer(x, applied.gain(k)) + applied.offset(k)
     sigma_u = u @ sigma
     w_mean = np.stack([np.zeros_like(x), spec.riskless[k] * x + u @ mu, np.ones_like(x)], axis=1)
@@ -433,8 +414,9 @@ def verify_equilibrium(
     """Spike-deviation test at every reachable node of every stage.
 
     Nodes are the undeviated wealth values reached from (initial_time,
-    initial_wealth) along tree scenarios; all nodes of a stage are tested in one
-    pass from that stage's suffix moments. gap = J_dev - J* clears -tol, with
+    initial_wealth) along tree scenarios; one backward pass gives every stage's
+    suffix moments, and all nodes of a stage are tested at once from them.
+    The node walk keeps the tree's leaf cap. gap = J_dev - J* clears -tol, with
     tol = 1e-7 * max(1, |J*|), at a node that passes. A policy cost that
     overflows a float at some node raises ValidationError naming its wealth.
     """
@@ -443,9 +425,9 @@ def verify_equilibrium(
     _check_leaf_budget(tree, t)
     per_stage = []  # (j_star, j_dev, u_dev) of each stage's nodes
     states = np.array([spec.initial_wealth])
-    for k in range(t, spec.horizon):
-        moments = _stage_moments(tree, spec, applied, reapplied, k)
-        u_dev, j_dev, j_star = _best_spikes(moments, spec, applied, states)
+    moments = _coefficient_moments(tree, spec, applied, reapplied, t)
+    for k, (mean, cov) in enumerate(moments, start=t):
+        u_dev, j_dev, j_star = _best_spikes(tree, spec, applied, k, mean, cov, states)
         per_stage.append((j_star, j_dev, u_dev))
         controls = np.outer(states, applied.gain(k)) + applied.offset(k)
         growth = spec.riskless[k] * states[None, :] + tree.atoms[k] @ controls.T
@@ -543,8 +525,6 @@ def simulate_monte_carlo(
     if sampling_tree is None and distribution != "gaussian":
         raise ValueError(f"unknown distribution {distribution!r}")
     if sampling_tree is None:
-        from .market import derive_excess_moments
-
         moments = derive_excess_moments(spec) if moments is None else moments
         factors = _stage_factors(moments)
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .market import ValidationError
+
 
 class PolicyKind(enum.Enum):
     """The equilibrium notion, named by the part P of each later control re-applied after a deviation.
@@ -145,11 +147,18 @@ def zero_pure_feedback(horizon: int, num_assets: int) -> PureFeedbackPart:
 
 
 def load_pure_feedback(path, horizon: int, num_assets: int) -> PureFeedbackPart:
-    """Read a strategy part from a JSON file: an array of horizon rows of num_assets."""
+    """Read a strategy part from a JSON file: an array of horizon rows of num_assets.
+
+    Content that is not such a numeric array raises ValidationError.
+    """
     with open(path) as fh:
-        gains = np.asarray(json.load(fh), dtype=float)
+        raw = json.load(fh)
+    try:
+        gains = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("strategy part must be a numeric array") from None
     if gains.shape != (horizon, num_assets):
-        raise ValueError(
+        raise ValidationError(
             f"strategy part must have shape ({horizon}, {num_assets}), got {gains.shape}"
         )
     return PureFeedbackPart(gains=gains)

@@ -72,9 +72,10 @@ def test_solve_mixed_phi_file(tmp_path, capsys):
 
 def test_solve_mixed_bad_phi_exits_2(tmp_path, capsys):
     phi = tmp_path / "phi.json"
-    phi.write_text(json.dumps([[0.0, 0.0]]))
-    assert main(["solve-mixed", "--phi", str(phi)]) == 2
-    assert "strategy part" in capsys.readouterr().err
+    for content in ([[0.0, 0.0]], {"a": 1}):
+        phi.write_text(json.dumps(content))
+        assert main(["solve-mixed", "--phi", str(phi)]) == 2
+        assert "strategy part" in capsys.readouterr().err
 
 
 def test_nonexistent_market_exits_3(range_fail_market, capsys):

@@ -108,7 +108,7 @@ def test_round_trip_json(tmp_path):
     assert mv.dump_market_spec(loaded) == mv.dump_market_spec(spec)
 
 
-def test_load_from_dict_stream_and_text(tmp_path):
+def test_load_from_a_path_only(tmp_path):
     raw = {
         "horizon": 2,
         "num_assets": 1,
@@ -118,15 +118,14 @@ def test_load_from_dict_stream_and_text(tmp_path):
         "mu1": 1.0,
         "mu2": 1.0,
     }
-    from_dict = mv.load_market_spec(raw)
-    from_text = mv.load_market_spec(json.dumps(raw))
-    path = tmp_path / "m.json"
+    # a file name that starts like JSON text is still a path
+    path = tmp_path / "{run}.json"
     path.write_text(json.dumps(raw))
-    with open(path) as fh:
-        from_stream = mv.load_market_spec(fh)
-    for spec in (from_dict, from_text, from_stream):
+    for spec in (mv.load_market_spec(path), mv.load_market_spec(str(path))):
         assert spec.horizon == 2
         assert spec.mean_returns.shape == (2, 1)
+    with pytest.raises(mv.ValidationError, match="cannot read market JSON"):
+        mv.load_market_spec(json.dumps(raw))
 
 
 @pytest.mark.parametrize(

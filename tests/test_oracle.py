@@ -1,9 +1,11 @@
 """Scenario trees, exact costs, spike deviations, Monte Carlo."""
 
+import ast
 import dataclasses
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,14 +283,15 @@ def test_overflowing_cost_raises_validation_error(preset_setup):
 def test_nonconvex_fit_raises(monkeypatch, preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_open_loop(spec)
-    stage_moments = oracle_module._stage_moments
+    coefficient_moments = oracle_module._coefficient_moments
 
     def concave(*args, **kwargs):
-        # a negative E[beta^2] turns the shared Hessian indefinite at m = 3
-        moments = stage_moments(*args, **kwargs)
-        return dataclasses.replace(moments, second=-moments.second)
+        # the covariance -C - 2 m m' negates the raw second moments: a negative
+        # E[beta^2] turns the shared Hessian indefinite at m = 3
+        moments = coefficient_moments(*args, **kwargs)
+        return [(mean, -cov - 2.0 * np.outer(mean, mean)) for mean, cov in moments]
 
-    monkeypatch.setattr(oracle_module, "_stage_moments", concave)
+    monkeypatch.setattr(oracle_module, "_coefficient_moments", concave)
     with pytest.raises(mv.EquilibriumStructureError, match="not convex"):
         mv.best_spike_deviation(tree, spec, sol.policy, 0, 1.0)
     with pytest.raises(mv.EquilibriumStructureError, match="not convex"):
@@ -305,14 +308,19 @@ def _node_wealths(tree, spec, policy):
     return states
 
 
-def _spike_cost_cross_check(tree, spec, target, semantics):
-    """Largest normalized distance of each node's costs from brute-force spike costs."""
+def _spike_cost_cross_check(tree, spec, target, semantics, last_stage=math.inf):
+    """Largest normalized distance of each node's costs from brute-force spike costs.
+
+    Nodes after last_stage are verified but not cross-checked.
+    """
     applied = target if isinstance(target, AffinePolicy) else target.policy
     states = _node_wealths(tree, spec, applied)
     result = mv.verify_equilibrium(tree, spec, target, semantics)
     worst = 0.0
     nodes = zip(result.stage.tolist(), result.node.tolist(), result.j_star.tolist(), result.j_dev.tolist())
     for (k, node, j_star, j_dev), deviation in zip(nodes, result.deviation):
+        if k > last_stage:
+            break  # nodes run stage by stage
         x = float(states[k - applied.start_stage][node])
         scale = max(1.0, abs(j_star))
         own = mv.spike_cost(tree, spec, target, k, x, applied.control(k, x), semantics)
@@ -328,9 +336,12 @@ def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
     # interior starts, from stage 1 at another wealth (random markets 205 and 208 have 3 and 4 stages)
     interior = (corpus[0], random_market(205), random_market(208))
     corpus += [mv.with_initial_state(spec, t=1, x=0.7) for spec in interior]
+    # the only six-stage market: a five-stage suffix, checked at stage 0 only (7^6 scenarios per cost)
+    corpus.append(_six_stage_market())
     worst = 0.0
     cross_failures = 0
     for spec in corpus:
+        last_stage = 0 if spec.horizon == 6 else math.inf
         moments = mv.derive_excess_moments(spec)
         tree = mv.build_matched_tree(moments)
         open_loop = mv.solve_open_loop(spec, moments)
@@ -345,15 +356,15 @@ def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
         if not isinstance(mixed, mv.NonexistenceReport):
             pairs += [(mixed, PolicyKind.MIXED), (mixed, PolicyKind.FEEDBACK)]
         for target, semantics in pairs:
-            err, result = _spike_cost_cross_check(tree, spec, target, semantics)
+            err, result = _spike_cost_cross_check(tree, spec, target, semantics, last_stage)
             worst = max(worst, err)
             cross_failures += not result.passed.all()
     assert worst <= 1e-10, f"closed-form costs differ from spike_cost by {worst:.2e}"
     assert cross_failures > 0  # the cross-semantics pairs do exercise improving deviations
 
 
-def test_verify_all_solvers_on_six_stage_tree():
-    spec = mv.make_market_spec(
+def _six_stage_market():
+    return mv.make_market_spec(
         horizon=6,
         num_assets=3,
         riskless=1.04,
@@ -362,6 +373,10 @@ def test_verify_all_solvers_on_six_stage_tree():
         mu1=1.0,
         mu2=1.0,
     )
+
+
+def test_verify_all_solvers_on_six_stage_tree():
+    spec = _six_stage_market()
     moments = mv.derive_excess_moments(spec)
     tree = mv.build_matched_tree(moments)
     assert tree.leaf_count() == 7**6
@@ -426,6 +441,20 @@ def test_perturbed_policy_fails_only_at_the_perturbed_stage(preset_setup):
     assert result.gap.min() < -1e-6
 
 
+def test_oracle_imports_no_solver_code():
+    # the oracle is a second derivation only while it shares no code with the solvers or the CLI
+    solver_modules = {"recursion", "open_loop", "feedback", "mixed", "cli"}
+    imported = []
+    for node in ast.walk(ast.parse(Path(oracle_module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    for name in imported:
+        assert not solver_modules & set(name.split(".")), name
+
+
 def test_mixed_semantics_requires_decomposition(preset_setup):
     spec, _, tree = preset_setup
     mixed = mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets))
@@ -452,6 +481,15 @@ def test_leaf_cap_guards_exact_evaluation():
         mv.evaluate_cost_exact(tree, spec, policy, 0, 1.0)
     assert tree.leaf_count(start=12) < mv.MAX_LEAF_PATHS
     assert mv.evaluate_cost_exact(tree, spec, policy, 12, 1.0) < 0
+    # the spike test enumerates no suffix scenario: it has no cap, and both trees match the moments
+    wide = mv.build_matched_tree(mv.derive_excess_moments(spec))
+    assert wide.leaf_count() == 3**25
+    u, j = mv.best_spike_deviation(tree, spec, policy, 0, 1.0)
+    u_wide, j_wide = mv.best_spike_deviation(wide, spec, policy, 0, 1.0)
+    assert np.all(np.abs(u - u_wide) <= 1e-12 * np.maximum(1.0, np.abs(u_wide)))
+    assert abs(j - j_wide) <= 1e-12 * max(1.0, abs(j_wide))
+    # the zero policy's own cost is riskless growth alone, and investing improves on it
+    assert -math.inf < j < -(spec.mu1 + spec.mu2) * 1.01**25
 
 
 def test_jsonl_export(preset_setup):
