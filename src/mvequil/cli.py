@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--phi", default="zero", help="strategy part for the mixed solver")
-    p.add_argument("--atoms", type=int, default=None, help="tree atoms per stage (default 2m+1)")
 
     p = sub.add_parser(
         "simulate", parents=[shared, seeded, formatted], help="Monte Carlo cost estimate for one policy"
@@ -110,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--solver", choices=["open-loop", "feedback", "mixed"], default="open-loop")
     p.add_argument("--distribution", choices=["gaussian", "tree"], default="gaussian")
-    p.add_argument("--atoms", type=int, default=None, help="tree atoms per stage when --distribution tree")
 
     p = sub.add_parser(
         "reproduce-example",
@@ -129,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Range checks argparse's types do not state; options the command lacks are skipped."""
-    for name, low in (("paths", 2), ("draws", 1), ("atoms", 1), ("seed", 0)):
+    for name, low in (("paths", 2), ("draws", 1), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < low:
             raise ValidationError(f"--{name} must be at least {low}")
@@ -230,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     """
     spec = _load_spec(args)
     moments = derive_excess_moments(spec)
-    tree = build_matched_tree(moments, atoms_per_stage=args.atoms, seed=args.seed)
+    tree = build_matched_tree(moments)
 
     code = EXIT_OK
     lines = []
@@ -265,13 +263,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(solved.describe())
         return EXIT_NONEXISTENT
 
-    exact = None
+    dist, exact = "gaussian", None
     if args.distribution == "tree":
-        tree = build_matched_tree(moments, atoms_per_stage=args.atoms)
-        dist = tree
-        exact = evaluate_cost_exact(tree, spec, solved)
-    else:
-        dist = "gaussian"
+        dist = build_matched_tree(moments)
+        exact = evaluate_cost_exact(dist, spec, solved)
     summary = simulate_monte_carlo(
         spec, solved, n_paths=args.paths, seed=args.seed, distribution=dist, moments=moments
     )

@@ -112,6 +112,17 @@ def _broadcast_stagewise(value, horizon: int, inner_shape: tuple, what: str) -> 
     return arr  # possibly the caller's array or a broadcast view: MarketSpec keeps a copy
 
 
+def _whole(value, name: str) -> int:
+    """value as an int; a bool or a fractional number is rejected, not truncated."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed scalar field {name}: {exc}") from exc
+    if isinstance(value, (bool, np.bool_)) or not number.is_integer():
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def make_market_spec(
     horizon,
     num_assets,
@@ -131,10 +142,10 @@ def make_market_spec(
     cover all stages at once. Raises ValidationError naming the first violated
     invariant and the first stage where it occurred.
     """
+    horizon = _whole(horizon, "horizon")
+    num_assets = _whole(num_assets, "num_assets")
+    initial_time = _whole(initial_time, "initial_time")
     try:
-        horizon = int(horizon)
-        num_assets = int(num_assets)
-        initial_time = int(initial_time)
         mu1, mu2, initial_wealth = float(mu1), float(mu2), float(initial_wealth)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed scalar field: {exc}") from exc
@@ -201,7 +212,7 @@ def make_market_spec(
 
 
 def load_market_spec(path) -> MarketSpec:
-    """Load a MarketSpec from a JSON file; a dict of the same keys goes to make_market_spec."""
+    """Load a MarketSpec from a JSON file whose object holds make_market_spec's keywords, and no other key."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -213,6 +224,9 @@ def load_market_spec(path) -> MarketSpec:
     missing = [key for key in required if key not in raw]
     if missing:
         raise ValidationError(f"market JSON missing keys: {', '.join(missing)}")
+    unknown = sorted(set(raw) - set(required) - {"initial_time", "initial_wealth"})
+    if unknown:
+        raise ValidationError(f"market JSON has unknown keys: {', '.join(unknown)}")
     return make_market_spec(
         horizon=raw["horizon"],
         num_assets=raw["num_assets"],

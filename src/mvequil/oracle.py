@@ -2,8 +2,10 @@
 
 Everything here avoids the solvers' recursions on purpose. Costs are exact
 probability-weighted sums over finite-support product trees whose per-stage
-moments match the market; equilibrium claims are checked by exactly minimizing
-the one-stage spike-deviation cost, which is a quadratic in the deviation.
+moments match the market: build_matched_tree gives a stage of covariance rank
+r its 2r + 1 atoms by one formula, so a market has one tree. Equilibrium
+claims are checked by exactly minimizing the one-stage spike-deviation cost,
+which is a quadratic in the deviation.
 
 That quadratic is formed in closed form once per stage. Returns are
 independent between stages and every continuation is affine in the deviated
@@ -112,58 +114,23 @@ def _stage_factors(moments: ExcessMoments) -> list[np.ndarray]:
     return [Q[:, kept] * np.sqrt(w[kept]) for w, Q, kept in zip(eig.eigenvalues, eig.vectors, keep)]
 
 
-def build_matched_tree(
-    moments: ExcessMoments,
-    atoms_per_stage: int | None = None,
-    seed: int | None = None,
-) -> ScenarioTree:
+def build_matched_tree(moments: ExcessMoments) -> ScenarioTree:
     """Symmetric sigma-point tree matching each stage's mean and covariance.
 
     Per stage the covariance is factored through its eigendecomposition,
-    keeping the r positive eigenpairs above linalg's cutoff. The cutoff is
-    relative to the largest eigenvalue, so scaling a covariance keeps r and
-    scales the spread of the atoms. A budget of exactly 2r atoms gives the
-    pairs mean +/- sqrt(r) * factor column with equal weights;
-    a budget of 2r + 1 or more adds the mean point, keeps all weights equal
-    and rescales the columns so both moments stay exact (at most 2r + 1 atoms
-    are ever generated). A seed mixes the factor columns by a Haar-random
-    rotation, which changes the atoms but not the matched moments. Budgets
-    below the minimum (2r, or 1 for a zero covariance) raise ValidationError.
+    keeping the r positive eigenpairs above linalg's cutoff, whatever r is.
+    The stage gets 2r + 1 equally weighted atoms: the mean, and the mean plus
+    and minus sqrt((2r + 1) / 2) times each factor column, so both moments are
+    exact. A zero covariance (r = 0) leaves the mean as the only atom. The
+    cutoff is relative to the largest eigenvalue, so scaling a covariance
+    keeps r and scales the spread of the atoms.
     """
-    m = moments.num_assets
-    if atoms_per_stage is None:
-        atoms_per_stage = 2 * m + 1
-    rng = np.random.default_rng(seed) if seed is not None else None
-    probs = []
-    atoms = []
-    for k, factor in enumerate(_stage_factors(moments)):
-        mean = moments.mean_excess[k]
-        r = factor.shape[1]
-        if rng is not None and r > 1:
-            # Haar rotation within the range subspace; cov = F F^T is preserved
-            Z = rng.standard_normal((r, r))
-            Qr, Rr = np.linalg.qr(Z)
-            factor = factor @ (Qr * np.sign(np.diag(Rr)))
-        if r == 0:
-            if atoms_per_stage < 1:
-                raise ValidationError(f"stage {k}: need at least 1 atom")
-            probs.append(np.array([1.0]))
-            atoms.append(mean[None, :].copy())
-            continue
-        if atoms_per_stage < 2 * r:
-            raise ValidationError(
-                f"stage {k}: rank {r} covariance needs at least {2 * r} atoms, "
-                f"got budget {atoms_per_stage}"
-            )
-        if atoms_per_stage == 2 * r:
-            spread = math.sqrt(r) * factor.T
-            pts = np.vstack([mean + spread, mean - spread])
-            probs.append(np.full(2 * r, 1.0 / (2 * r)))
-        else:
-            spread = math.sqrt((2 * r + 1) / 2.0) * factor.T
-            pts = np.vstack([mean[None, :], mean + spread, mean - spread])
-            probs.append(np.full(2 * r + 1, 1.0 / (2 * r + 1)))
-        atoms.append(pts)
+    probs, atoms = [], []
+    for mean, factor in zip(moments.mean_excess, _stage_factors(moments)):
+        n = 2 * factor.shape[1] + 1
+        spread = math.sqrt(n / 2.0) * factor.T
+        atoms.append(np.vstack([mean[None, :], mean + spread, mean - spread]))
+        probs.append(np.full(n, 1.0 / n))
     return ScenarioTree(probabilities=tuple(probs), atoms=tuple(atoms))
 
 

@@ -100,14 +100,13 @@ def test_unknown_market_path_exits_2(tmp_path):
     [
         (["simulate", "--paths", "1"], "--paths must be at least 2"),
         (["batch", "--draws", "0"], "--draws must be at least 1"),
-        (["verify", "--atoms", "0"], "--atoms must be at least 1"),
         (["verify", "--seed", "-1"], "--seed must be at least 0"),
         (["simulate", "--seed", "-1"], "--seed must be at least 0"),
         (["batch", "--seed", "-1"], "--seed must be at least 0"),
         (["solve-mixed", "--phi", "sample", "--seed", "-1"], "--seed must be at least 0"),
     ],
     ids=[
-        "paths", "draws", "atoms", "verify-seed", "simulate-seed", "batch-seed", "solve-mixed-seed",
+        "paths", "draws", "verify-seed", "simulate-seed", "batch-seed", "solve-mixed-seed",
     ],
 )
 def test_bad_flag_value_exits_2(argv, message, capsys):
@@ -132,12 +131,10 @@ def _preset_market_file(path, **overrides):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--atoms", "3"],
-        ["simulate", "--distribution", "tree", "--atoms", "3", "--paths", "100"],
         ["verify", "--market", "LONG"],
         ["simulate", "--distribution", "tree", "--market", "LONG", "--paths", "100"],
     ],
-    ids=["verify-atoms", "simulate-atoms", "verify-leaves", "simulate-leaves"],
+    ids=["verify-leaves", "simulate-leaves"],
 )
 def test_tree_size_limits_exit_2(argv, tmp_path, capsys):
     # 12 stages of 7 atoms give 7**12 leaf paths, above the exact-evaluation cap
@@ -163,6 +160,24 @@ def test_wealth_whose_cost_overflows_exits_2(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"wealth {float(argv[2]):g}" in captured.err and "overflow" in captured.err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"horizon": 4.7}, "horizon must be a whole number, got 4.7"),
+        ({"initial_time": 1.9}, "initial_time must be a whole number, got 1.9"),
+        ({"horizon": True}, "horizon must be a whole number, got True"),
+        ({"intial_wealth": 5.0}, "unknown keys: intial_wealth"),
+    ],
+    ids=["fractional-horizon", "fractional-initial-time", "bool-horizon", "misspelled-key"],
+)
+def test_malformed_market_json_exits_2(overrides, message, tmp_path, capsys):
+    # truncating a count or ignoring a misspelled key would solve a market other than the one written
+    market = _preset_market_file(tmp_path / "market.json", **overrides)
+    assert main(["solve-open-loop", "--market", market]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_market_warnings_logged_not_printed(tmp_path, monkeypatch, capsys):
@@ -211,6 +226,16 @@ def test_simulate_tiny_covariance_keeps_the_spread(tmp_path, capsys):
     assert main(["simulate", "--market", str(market), "--paths", "1000", "--format", "json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert all(np.isfinite(record[key]) and record[key] > 0 for key in ("se_mean", "se_var"))
+
+
+def test_verify_tree_does_not_depend_on_the_seed(tmp_path):
+    # --seed feeds only --phi sample: the tree, and so every report, is the same under any seed
+    reports = []
+    for seed in ("0", "5"):
+        out_path = tmp_path / f"reports-{seed}.jsonl"
+        assert main(["verify", "--phi", "zero", "--seed", seed, "--out", str(out_path)]) == 0
+        reports.append(out_path.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_nonexistent_market_exits_3(range_fail_market):
@@ -301,8 +326,13 @@ def test_tolerance_flags_are_rejected():
         ["verify", "--format", "json"],
         ["batch", "--format", "json"],
         ["batch", "--format", "pretty"],
+        ["verify", "--atoms", "3"],
+        ["simulate", "--atoms", "3"],
     ],
-    ids=["solve-open-loop-seed", "solve-feedback-seed", "verify-format", "batch-json", "batch-pretty"],
+    ids=[
+        "solve-open-loop-seed", "solve-feedback-seed", "verify-format", "batch-json", "batch-pretty",
+        "verify-atoms", "simulate-atoms",
+    ],
 )
 def test_flags_a_command_does_not_read_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:

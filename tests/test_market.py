@@ -128,6 +128,43 @@ def test_load_from_a_path_only(tmp_path):
         mv.load_market_spec(json.dumps(raw))
 
 
+def test_whole_number_fields_accept_integral_values():
+    spec = mv.make_market_spec(
+        horizon=2.0,
+        num_assets=np.int64(1),
+        riskless=1.01,
+        mean_returns=[1.08],
+        return_cov=[[0.02]],
+        mu1=1.0,
+        mu2=1.0,
+        initial_time=np.float64(1.0),
+    )
+    assert (spec.horizon, spec.num_assets, spec.initial_time) == (2, 1, 1)
+    assert all(type(v) is int for v in (spec.horizon, spec.num_assets, spec.initial_time))
+
+
+def test_unknown_market_json_keys_are_rejected(tmp_path):
+    raw = {
+        "horizon": 2,
+        "num_assets": 1,
+        "riskless": 1.01,
+        "mean_returns": [1.08],
+        "return_cov": [[0.02]],
+        "mu1": 1.0,
+        "mu2": 1.0,
+        "initial_wealth": 2.0,
+        "intial_wealth": 5.0,
+        "note": "",
+    }
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError, match="unknown keys: intial_wealth, note"):
+        mv.load_market_spec(path)
+    del raw["intial_wealth"], raw["note"]
+    path.write_text(json.dumps(raw))
+    assert mv.load_market_spec(path).initial_wealth == 2.0
+
+
 @pytest.mark.parametrize(
     "patch, message",
     [
@@ -142,6 +179,13 @@ def test_load_from_a_path_only(tmp_path):
         ({"return_cov": [[0.02, 0.05], [0.05, 0.02]]}, "not PSD at stage 0"),
         ({"mean_returns": [1.1, 1.2, 1.3]}, "mean_returns"),
         ({"return_cov": [[1e160, 1e160], [-1e160, 3e160]]}, "not symmetric at stage 0"),
+        ({"horizon": 2.5}, "horizon must be a whole number, got 2.5"),
+        ({"horizon": True}, "horizon must be a whole number, got True"),
+        ({"num_assets": 1.5}, "num_assets must be a whole number, got 1.5"),
+        ({"num_assets": np.True_}, "num_assets must be a whole number"),
+        ({"initial_time": 0.5}, "initial_time must be a whole number, got 0.5"),
+        ({"initial_time": False}, "initial_time must be a whole number, got False"),
+        ({"horizon": "two"}, "malformed scalar field horizon"),
     ],
 )
 def test_validation_errors(patch, message):

@@ -47,42 +47,37 @@ def brute_force_cost(tree, spec, policy, k, x):
     return var - (spec.mu1 * x + spec.mu2) * mean
 
 
+def _three_asset_market(return_cov):
+    return mv.make_market_spec(
+        horizon=2,
+        num_assets=3,
+        riskless=1.02,
+        mean_returns=[1.05, 1.08, 1.04],
+        return_cov=return_cov,
+        mu1=1.0,
+        mu2=1.0,
+    )
+
+
 def test_matched_tree_moments_are_exact(preset_setup):
-    _, moments, tree = preset_setup
-    assert [len(p) for p in tree.probabilities] == [7, 7, 7, 7]
-    for k in range(4):
-        assert np.allclose(tree.implied_mean(k), moments.mean_excess[k], atol=1e-12)
-        assert np.allclose(tree.implied_cov(k), moments.cov_excess[k], atol=1e-12)
+    # every stage gets 2r + 1 atoms whatever the covariance's rank r: full (the
+    # preset), partial (a rank-1 covariance of 3 assets) or zero (the mean alone)
+    f = np.array([0.1, 0.2, -0.1])
+    cases = [
+        ("preset", preset_setup[0], 3),
+        ("rank 1", _three_asset_market(np.outer(f, f)), 1),
+        ("zero", _three_asset_market(np.zeros((3, 3))), 0),
+    ]
     # eigenvalues below the old absolute cutoff of 1e-10 count too: full rank, 5 atoms
-    for scale in SMALL_SCALES:
-        moments = mv.derive_excess_moments(small_scale_market(scale))
+    cases += [(f"scale {scale:g}", small_scale_market(scale), 2) for scale in SMALL_SCALES]
+    for label, spec, rank in cases:
+        moments = mv.derive_excess_moments(spec)
         tree = mv.build_matched_tree(moments)
-        assert [len(p) for p in tree.probabilities] == [5, 5, 5], scale
-        for k in range(3):
+        assert [len(p) for p in tree.probabilities] == [2 * rank + 1] * spec.horizon, label
+        for k in range(spec.horizon):
             cov = moments.cov_excess[k]
-            assert np.allclose(tree.implied_mean(k), moments.mean_excess[k], atol=1e-12)
-            assert np.allclose(tree.implied_cov(k), cov, rtol=0, atol=1e-12 * np.abs(cov).max()), scale
-
-
-def test_matched_tree_tight_budget(preset_setup):
-    _, moments, _ = preset_setup
-    tree = mv.build_matched_tree(moments, atoms_per_stage=6)  # exactly 2r
-    assert [len(p) for p in tree.probabilities] == [6, 6, 6, 6]
-    for k in range(4):
-        assert np.allclose(tree.implied_mean(k), moments.mean_excess[k], atol=1e-12)
-        assert np.allclose(tree.implied_cov(k), moments.cov_excess[k], atol=1e-12)
-
-
-def test_matched_tree_budget_is_capped_at_2r_plus_1(preset_setup):
-    _, moments, _ = preset_setup
-    tree = mv.build_matched_tree(moments, atoms_per_stage=50)
-    assert [len(p) for p in tree.probabilities] == [7, 7, 7, 7]
-
-
-def test_matched_tree_budget_below_rank_raises(preset_setup):
-    _, moments, _ = preset_setup
-    with pytest.raises(ValueError, match="rank 3"):
-        mv.build_matched_tree(moments, atoms_per_stage=5)
+            assert np.allclose(tree.implied_mean(k), moments.mean_excess[k], rtol=0, atol=1e-12), label
+            assert np.allclose(tree.implied_cov(k), cov, rtol=0, atol=1e-12 * np.abs(cov).max()), label
 
 
 def test_matched_tree_zero_covariance_single_atom():
@@ -98,15 +93,6 @@ def test_matched_tree_zero_covariance_single_atom():
     tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
     assert [len(p) for p in tree.probabilities] == [1, 1]
     assert np.allclose(tree.atoms[0][0], [0.05, 0.02])
-
-
-def test_matched_tree_rotation_changes_atoms_not_moments(preset_setup):
-    _, moments, base = preset_setup
-    rotated = mv.build_matched_tree(moments, seed=11)
-    assert not np.allclose(rotated.atoms[0], base.atoms[0])
-    for k in range(4):
-        assert np.allclose(rotated.implied_mean(k), moments.mean_excess[k], atol=1e-12)
-        assert np.allclose(rotated.implied_cov(k), moments.cov_excess[k], atol=1e-12)
 
 
 def test_tree_copies_the_callers_arrays():
@@ -138,8 +124,8 @@ def test_two_atom_single_asset_cost_by_hand():
         mu1=1.0,
         mu2=2.0,
     )
-    tree = mv.build_matched_tree(mv.derive_excess_moments(spec), atoms_per_stage=2)
-    assert np.allclose(np.sort(tree.atoms[0][:, 0]), [0.1 - 0.2, 0.1 + 0.2])
+    # mean excess return 0.1, standard deviation 0.2
+    tree = ScenarioTree(probabilities=([0.5, 0.5],), atoms=([[0.1 - 0.2], [0.1 + 0.2]],))
     policy = AffinePolicy(
         kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=np.zeros((1, 1)), offsets=np.array([[3.0]])
     )
@@ -472,7 +458,8 @@ def test_leaf_cap_guards_exact_evaluation():
         mu1=1.0,
         mu2=1.0,
     )
-    tree = mv.build_matched_tree(mv.derive_excess_moments(spec), atoms_per_stage=2)
+    # two atoms per stage, mean excess return 0.04 plus or minus its standard deviation 0.1
+    tree = ScenarioTree(probabilities=([0.5, 0.5],) * 25, atoms=([[0.04 - 0.1], [0.04 + 0.1]],) * 25)
     assert tree.leaf_count() == 2**25
     policy = AffinePolicy(
         kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=np.zeros((25, 1)), offsets=np.zeros((25, 1))
