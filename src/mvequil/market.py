@@ -304,7 +304,7 @@ def resolve_market(source: str) -> MarketSpec:
 
 def with_initial_state(spec: MarketSpec, t=None, x=None) -> MarketSpec:
     """Copy of spec with a different initial time and/or wealth."""
-    t = spec.initial_time if t is None else int(t)
+    t = spec.initial_time if t is None else _whole(t, "initial_time")
     x = spec.initial_wealth if x is None else float(x)
     if not 0 <= t <= spec.horizon - 1:
         raise ValidationError(f"initial_time must be in [0, {spec.horizon - 1}], got {t}")

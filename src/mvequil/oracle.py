@@ -1,11 +1,10 @@
 """Independent ground truth: exact tree costs, deviation tests, Monte Carlo.
 
-Everything here avoids the solvers' recursions on purpose. Costs are exact
-probability-weighted sums over finite-support product trees whose per-stage
-moments match the market: build_matched_tree gives a stage of covariance rank
-r its 2r + 1 atoms by one formula, so a market has one tree. Equilibrium
-claims are checked by exactly minimizing the one-stage spike-deviation cost,
-which is a quadratic in the deviation.
+Everything here avoids the solvers' recursions on purpose. A market has one
+scenario tree: each stage's mean and a covariance factor F, whose rank r gives
+the stage 2r + 1 equally weighted atoms. Equilibrium claims are checked by
+exactly minimizing the one-stage spike-deviation cost, a quadratic in the
+deviation.
 
 That quadratic is formed in closed form once per stage. Returns are
 independent between stages and every continuation is affine in the deviated
@@ -14,13 +13,12 @@ X* + alpha in the deviated and undeviated wealth one stage later: the spread
 X_dev - X* grows by s + o.P per stage, the undeviated wealth by s + o.K, and
 alpha is the undeviated path's drift from the offsets. Because each stage's
 factor is independent of the later ones, the mean and covariance of (beta,
-rho, alpha) go backward exactly, one stage at a time, from the stages' atom
-moments; no suffix scenario is enumerated. Those moments, together with the
-stage's atom moments, give every node's cost, gradient and the stage's shared
-Hessian. verify_equilibrium runs the backward pass once, tests all nodes of a
-stage at once and returns the outcome as one VerificationResult of per-node
-arrays. spike_cost, the brute-force reference, is the one reader that walks
-the suffix scenarios.
+rho, alpha) go backward exactly, one stage at a time, from the tree's stored
+moments, enumerating no suffix scenario; with the stage's own moments they give
+each node's cost and gradient and the stage's shared Hessian. verify_equilibrium
+runs the pass once, tests all nodes of a stage at once and returns one
+VerificationResult of per-node arrays. spike_cost, the brute-force reference,
+is the one reader that walks the suffix scenarios.
 
 The deviation notions differ only in the part P of each later control that is
 re-applied to the deviated wealth, u_dev = P X_dev + (u* - P X*): P = 0 (open
@@ -28,7 +26,7 @@ loop), the own gain K (feedback) or the given strategy part (mixed).
 _continuation derives P from the semantics, never from a solver's trace.
 
 Monte Carlo carries each path as a deterministic mean path m plus its own
-deviation D. With mu the stage's mean excess return under the sampling law,
+deviation D. With mu the stage's mean excess return and o - mu = F z,
 m' = (s + mu.K) m + mu.c and D' = (s + o.K) D + (o - mu).(K m + c), so a stage
 is one scalar growth and one shock per path, and the spread keeps its digits
 however far the mean lies from zero.
@@ -54,84 +52,62 @@ class EquilibriumStructureError(RuntimeError):
     """The deviation cost was not convex: solver bug or non-equilibrium policy."""
 
 
+def _standard_points(r: int) -> np.ndarray:
+    """The 2r + 1 standard shocks z, (2r + 1, r): zero, then plus and minus sqrt((2r + 1) / 2)
+    times each unit vector. Equally weighted, they have mean 0 and identity covariance."""
+    scaled = math.sqrt((2 * r + 1) / 2.0) * np.eye(r)
+    return np.vstack([np.zeros((1, r)), scaled, -scaled])
+
+
 @dataclass(frozen=True)
 class ScenarioTree:
-    """Finite-support, stagewise-independent excess-return distribution.
+    """Stagewise-independent excess returns with 2r + 1 equally weighted atoms per stage.
 
-    probabilities[k] is a positive vector summing to one; atoms[k] is the
-    matching (n_k, m) array of excess-return support points. Scenarios are
-    products across stages (returns are independent between stages).
+    mean is (N, m) and factors[k] (m, r_k), with F F^T stage k's covariance;
+    the atoms are mean[k] + F z over the standard points z, and scenarios are
+    products across stages. implied_mean and implied_cov return the stored
+    moments, so the tree keeps its spread at every scale.
     """
 
-    probabilities: tuple
-    atoms: tuple
+    mean: np.ndarray
+    factors: tuple
 
     def __post_init__(self):
-        probs = tuple(np.array(p, dtype=float) for p in self.probabilities)
-        atoms = tuple(np.atleast_2d(np.array(a, dtype=float)) for a in self.atoms)
-        if len(probs) != len(atoms):
-            raise ValueError("probabilities and atoms must cover the same stages")
-        for k, (p, a) in enumerate(zip(probs, atoms)):
-            if p.ndim != 1 or a.shape[0] != p.shape[0]:
-                raise ValueError(f"stage {k}: atom count does not match probability count")
-            if not np.all(np.isfinite(a)) or not np.all(np.isfinite(p)):
-                raise ValueError(f"stage {k}: non-finite tree data")
-            if np.any(p <= 0):
-                raise ValueError(f"stage {k}: probabilities must be positive")
-            if abs(float(p.sum()) - 1.0) > 1e-12:
-                raise ValueError(f"stage {k}: probabilities sum to {p.sum()}, not 1")
-        for p, a in zip(probs, atoms):
-            p.flags.writeable = False
-            a.flags.writeable = False
-        object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "atoms", atoms)
+        mean = np.array(self.mean, dtype=float)  # private copies to freeze
+        factors = tuple(np.array(F, dtype=float) for F in self.factors)
+        for arr in (mean, *factors):
+            arr.flags.writeable = False
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "factors", factors)
 
-    @property
-    def horizon(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def num_assets(self) -> int:
-        return self.atoms[0].shape[1]
+    def atoms(self, k: int) -> np.ndarray:
+        """Stage k's 2r + 1 atoms mean[k] + F z, (2r + 1, m), in the standard points' order."""
+        F = self.factors[k]
+        return self.mean[k] + _standard_points(F.shape[1]) @ F.T
 
     def implied_mean(self, k: int) -> np.ndarray:
-        return self.probabilities[k] @ self.atoms[k]
+        return self.mean[k]
 
     def implied_cov(self, k: int) -> np.ndarray:
-        centered = self.atoms[k] - self.implied_mean(k)
-        return (centered * self.probabilities[k][:, None]).T @ centered
+        return self.factors[k] @ self.factors[k].T
 
     def leaf_count(self, start: int = 0) -> int:
-        return math.prod(len(p) for p in self.probabilities[start:])
-
-
-def _stage_factors(moments: ExcessMoments) -> list[np.ndarray]:
-    """Per stage, F with F F^T = Cov(O_k): one column per eigenpair that linalg keeps
-    and whose eigenvalue is positive (a kept eigenvalue can be slightly negative
-    inside the PSD slack). All stages come from one stacked decomposition."""
-    eig = eigenbasis(moments.cov_excess)
-    keep = eig.keep & (eig.eigenvalues > 0)
-    return [Q[:, kept] * np.sqrt(w[kept]) for w, Q, kept in zip(eig.eigenvalues, eig.vectors, keep)]
+        return math.prod(2 * F.shape[1] + 1 for F in self.factors[start:])
 
 
 def build_matched_tree(moments: ExcessMoments) -> ScenarioTree:
-    """Symmetric sigma-point tree matching each stage's mean and covariance.
+    """Symmetric sigma-point tree matching each stage's mean and covariance exactly.
 
-    Per stage the covariance is factored through its eigendecomposition,
-    keeping the r positive eigenpairs above linalg's cutoff, whatever r is.
-    The stage gets 2r + 1 equally weighted atoms: the mean, and the mean plus
-    and minus sqrt((2r + 1) / 2) times each factor column, so both moments are
-    exact. A zero covariance (r = 0) leaves the mean as the only atom. The
-    cutoff is relative to the largest eigenvalue, so scaling a covariance
-    keeps r and scales the spread of the atoms.
+    F has one column sqrt(lambda) q per eigenpair that linalg keeps and whose
+    eigenvalue is positive (a kept one can be slightly negative inside the PSD
+    slack), from one stacked decomposition of all stages. A zero covariance
+    leaves the mean as the only atom. The cutoff is relative to the largest
+    eigenvalue, so scaling a covariance keeps r and scales F.
     """
-    probs, atoms = [], []
-    for mean, factor in zip(moments.mean_excess, _stage_factors(moments)):
-        n = 2 * factor.shape[1] + 1
-        spread = math.sqrt(n / 2.0) * factor.T
-        atoms.append(np.vstack([mean[None, :], mean + spread, mean - spread]))
-        probs.append(np.full(n, 1.0 / n))
-    return ScenarioTree(probabilities=tuple(probs), atoms=tuple(atoms))
+    eig = eigenbasis(moments.cov_excess)
+    keep = eig.keep & (eig.eigenvalues > 0)
+    factors = [Q[:, kept] * np.sqrt(w[kept]) for w, Q, kept in zip(eig.eigenvalues, eig.vectors, keep)]
+    return ScenarioTree(mean=moments.mean_excess, factors=tuple(factors))
 
 
 def _policy_of(target) -> AffinePolicy:
@@ -165,22 +141,18 @@ def _suffix_index(total: int, sizes: list[int], stage_pos: int) -> np.ndarray:
     return (np.arange(total) // stride) % sizes[stage_pos]
 
 
-def _check_leaf_budget(tree: ScenarioTree, start: int):
-    leaves = tree.leaf_count(start)
+def _check_tree(tree: ScenarioTree, spec: MarketSpec, start: int | None = None):
+    """ValueError unless the tree has the market's stages and assets; ValidationError
+    if it has more than MAX_LEAF_PATHS leaf paths from stage start, when given."""
+    market = (spec.horizon, spec.num_assets)
+    if tree.mean.shape != market:
+        raise ValueError(f"tree of (stages, assets) {tree.mean.shape} does not match the market's {market}")
+    leaves = 0 if start is None else tree.leaf_count(start)
     if leaves > MAX_LEAF_PATHS:
         raise ValidationError(
             f"tree has {leaves} leaf paths from stage {start}, above the exact-evaluation "
             f"cap of {MAX_LEAF_PATHS}; use Monte Carlo instead"
         )
-
-
-def _cost_from_terminal(weights: np.ndarray, terminal: np.ndarray, spec: MarketSpec, x: float) -> float:
-    mean = float(weights @ terminal)
-    var = float(weights @ (terminal - mean) ** 2)
-    cost = var - (spec.mu1 * x + spec.mu2) * mean
-    if not math.isfinite(cost):
-        raise ValidationError(f"wealth {x:g}: the policy's cost overflows")
-    return cost
 
 
 def evaluate_cost_exact(
@@ -189,7 +161,7 @@ def evaluate_cost_exact(
     """Exact cost of following the policy from (k, x) on the tree.
 
     Returns E(X_N - E X_N)^2 - (mu1 x + mu2) E X_N with both moments computed
-    as probability-weighted sums over all suffix scenarios: the spike cost of
+    as equally weighted sums over all suffix scenarios: the spike cost of
     the policy's own control at (k, x), with nothing re-applied, so the
     continuation is the policy's. policy is an AffinePolicy or a solution
     holding one. A cost that overflows a float raises ValidationError naming
@@ -201,7 +173,7 @@ def evaluate_cost_exact(
     return spike_cost(tree, spec, applied, k, x, applied.control(k, x), PolicyKind.OPEN_LOOP)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _cost_from_terminal rejects an overflowing cost
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
 def spike_cost(
     tree: ScenarioTree,
     spec: MarketSpec,
@@ -216,29 +188,36 @@ def spike_cost(
     Each scenario carries the deviated and the undeviated wealth forward on
     its own; the frozen continuations replay the undeviated path. A cost that
     overflows a float raises ValidationError naming the wealth.
+
+    This brute-force reference carries whole wealths and atoms, so it loses the
+    spread where the covariance is small against the mean's square. With mean
+    excess returns of a few percent it agrees with verify_equilibrium's closed
+    form within about 1e-11 of max(1, |J*|) on a covariance of scale 1e-12,
+    1e-9 at 1e-16 and only 1e-2 at 1e-30.
     """
     applied, _, reapplied = _continuation(policy, semantics)
     u_star_k = applied.control(k, x)
-    _check_leaf_budget(tree, k)
-    sizes = [len(p) for p in tree.probabilities[k:]]
+    _check_tree(tree, spec, k)
+    atoms = [tree.atoms(stage) for stage in range(k, spec.horizon)]
+    sizes = [len(a) for a in atoms]
     total = math.prod(sizes)
     u = np.asarray(u, dtype=float)
 
-    idx = _suffix_index(total, sizes, 0)
-    weights, o_k = tree.probabilities[k][idx], tree.atoms[k][idx]
+    o_k = atoms[0][_suffix_index(total, sizes, 0)]
     # einsum sums each row as the later stages do; a matrix-vector product rounds otherwise
     X_star = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u_star_k)
     X_dev = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u)
     for pos, stage in enumerate(range(k + 1, spec.horizon), start=1):
-        idx = _suffix_index(total, sizes, pos)
-        weights = weights * tree.probabilities[stage][idx]
-        o = tree.atoms[stage][idx]
+        o = atoms[pos][_suffix_index(total, sizes, pos)]
         u_star = np.outer(X_star, applied.gain(stage)) + applied.offset(stage)
         P = reapplied[applied.row(stage)]
         u_dev = np.outer(X_dev, P) + (u_star - np.outer(X_star, P))
         X_star = spec.riskless[stage] * X_star + np.einsum("ij,ij->i", o, u_star)
         X_dev = spec.riskless[stage] * X_dev + np.einsum("ij,ij->i", o, u_dev)
-    return _cost_from_terminal(weights, X_dev, spec, x)
+    cost = float(X_dev.var() - (spec.mu1 * x + spec.mu2) * X_dev.mean())  # equally likely scenarios
+    if not math.isfinite(cost):
+        raise ValidationError(f"wealth {x:g}: the policy's cost overflows")
+    return cost
 
 
 def best_spike_deviation(
@@ -262,6 +241,7 @@ def best_spike_deviation(
     """
     applied, _, reapplied = _continuation(policy, semantics)
     applied.row(k)  # ValueError unless stage k is one of the policy's
+    _check_tree(tree, spec)
     mean, cov = _coefficient_moments(tree, spec, applied, reapplied, k)[0]
     u_dev, j_dev, _ = _best_spikes(tree, spec, applied, k, mean, cov, np.array([float(x)]))
     return u_dev[0], float(j_dev[0])
@@ -389,7 +369,7 @@ def verify_equilibrium(
     """
     applied, semantics, reapplied = _continuation(policy, semantics)
     t = applied.start_stage
-    _check_leaf_budget(tree, t)
+    _check_tree(tree, spec, t)
     per_stage = []  # (j_star, j_dev, u_dev) of each stage's nodes
     states = np.array([spec.initial_wealth])
     moments = _coefficient_moments(tree, spec, applied, reapplied, t)
@@ -397,7 +377,7 @@ def verify_equilibrium(
         u_dev, j_dev, j_star = _best_spikes(tree, spec, applied, k, mean, cov, states)
         per_stage.append((j_star, j_dev, u_dev))
         controls = np.outer(states, applied.gain(k)) + applied.offset(k)
-        growth = spec.riskless[k] * states[None, :] + tree.atoms[k] @ controls.T
+        growth = spec.riskless[k] * states[None, :] + tree.atoms(k) @ controls.T
         states = growth.T.reshape(-1)  # children of node n occupy block n
     counts = [len(j_star) for j_star, _, _ in per_stage]
     j_star, j_dev, deviation = (np.concatenate(column) for column in zip(*per_stage))
@@ -456,7 +436,7 @@ class SimulationSummary:
 
 
 def _atom_indices(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
-    """n atom indices drawn with probabilities p by rng.choice's own inverse-CDF rule,
+    """n atom indices drawn with weights p by rng.choice's own inverse-CDF rule,
     so the same generator state gives the same indices as rng.choice(len(p), n, p=p)."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
@@ -477,37 +457,42 @@ def simulate_monte_carlo(
     distribution is either the string "gaussian" (normal excess returns with
     the market's exact mean and covariance) or a ScenarioTree to sample atoms
     from, which makes the estimates converge to evaluate_cost_exact on that
-    same tree. Tree atoms are drawn by rng.choice's rule and normals in the
-    same order as an (n_paths, rank) array per stage, so a seed fixes the
-    returns. The cost standard error uses the influence function of
-    Var - (mu1 x + mu2) * Mean. An estimate that overflows a float raises
-    ValidationError naming the initial wealth.
+    same tree. Both laws read each stage's mean mu and factor F from one tree
+    (for "gaussian", the matched tree of moments) and take o = mu + F z; they
+    differ only in the standard shock z: one of the tree's standard points,
+    drawn by rng.choice's rule on equal weights, or normals drawn as an
+    (n_paths, rank) array per stage, so a seed fixes the returns. The cost
+    standard error uses the influence function of Var - (mu1 x + mu2) * Mean.
+    An estimate that overflows a float raises ValidationError naming the
+    initial wealth.
     """
     if n_paths < 2:
         raise ValueError("n_paths must be at least 2")
     applied = _policy_of(policy)
     t, x0 = applied.start_stage, spec.initial_wealth
     rng = np.random.default_rng(seed)
-    sampling_tree = distribution if isinstance(distribution, ScenarioTree) else None
-    if sampling_tree is None and distribution != "gaussian":
+    on_tree = isinstance(distribution, ScenarioTree)
+    if on_tree:
+        tree = distribution
+        _check_tree(tree, spec)
+    elif distribution == "gaussian":
+        tree = build_matched_tree(derive_excess_moments(spec) if moments is None else moments)
+    else:
         raise ValueError(f"unknown distribution {distribution!r}")
-    if sampling_tree is None:
-        moments = derive_excess_moments(spec) if moments is None else moments
-        factors = _stage_factors(moments)
 
     mean_path, dev = x0, np.zeros(n_paths)
     for k in range(t, spec.horizon):
         gain, offset = applied.gain(k), applied.offset(k)
-        mu = moments.mean_excess[k] if sampling_tree is None else sampling_tree.implied_mean(k)
+        mu, F = tree.mean[k], tree.factors[k]
         mean_growth = spec.riskless[k] + mu @ gain
-        # per unit of o - mu, the rows give a path's growth beyond the mean path's and its shock
-        coeffs = np.stack([gain, gain * mean_path + offset])
-        if sampling_tree is not None:
-            idx = _atom_indices(rng, sampling_tree.probabilities[k], n_paths)
-            growth, shock = np.take(coeffs @ (sampling_tree.atoms[k] - mu).T, idx, axis=1)
+        # per unit of z, the rows give a path's growth beyond the mean path's and its shock
+        coeffs = np.stack([gain, gain * mean_path + offset]) @ F
+        if on_tree:
+            points = _standard_points(F.shape[1])
+            idx = _atom_indices(rng, np.full(len(points), 1.0 / len(points)), n_paths)
+            growth, shock = np.take(coeffs @ points.T, idx, axis=1)
         else:
-            F = factors[k]
-            growth, shock = (coeffs @ F) @ rng.standard_normal((n_paths, F.shape[1])).T
+            growth, shock = coeffs @ rng.standard_normal((n_paths, F.shape[1])).T
         growth += mean_growth
         dev *= growth
         dev += shock
@@ -535,6 +520,6 @@ def simulate_monte_carlo(
     return SimulationSummary(
         n_paths,
         seed,
-        "tree" if sampling_tree is not None else "gaussian",
+        "tree" if on_tree else "gaussian",
         *map(float, estimates),
     )

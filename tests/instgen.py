@@ -86,6 +86,8 @@ def feedback_only_market() -> MarketSpec:
 
 # Covariance scales at and below the old absolute eigenvalue cutoff of 1e-10.
 SMALL_SCALES = (1e-8, 1e-10, 1e-11, 1e-12)
+# Scales where the spread is so small against the mean that atoms stored whole lose it.
+TINY_SCALES = (1e-30, 1e-40, 1e-100, 1e-150)
 
 
 def small_scale_market(scale: float) -> MarketSpec:

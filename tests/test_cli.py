@@ -9,7 +9,7 @@ import pytest
 import mvequil as mv
 from mvequil.cli import main
 
-from instgen import SMALL_SCALES, feedback_only_market, small_scale_market
+from instgen import SMALL_SCALES, TINY_SCALES, feedback_only_market, small_scale_market
 
 PRESET = "li-duan-example-2"
 
@@ -207,7 +207,7 @@ def test_verify_preset_passes(tmp_path, capsys):
     assert semantics == {"open_loop", "feedback", "mixed"}
 
 
-@pytest.mark.parametrize("scale", SMALL_SCALES)
+@pytest.mark.parametrize("scale", SMALL_SCALES + TINY_SCALES)
 def test_verify_small_scale_market_passes(tmp_path, capsys, scale):
     # the rank rule is relative to the largest eigenvalue: 5 atoms per stage, 31 nodes
     market = tmp_path / "market.json"

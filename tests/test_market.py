@@ -304,6 +304,16 @@ def test_with_initial_state():
         mv.with_initial_state(spec, x=float("nan"))
 
 
+@pytest.mark.parametrize("t, message", [(1.9, "got 1.9"), (True, "got True")])
+def test_with_initial_state_rejects_a_stage_that_is_not_whole(t, message):
+    # the same rule as make_market_spec's initial_time: no truncation to stage 1
+    spec = mv.get_preset(PRESET)
+    with pytest.raises(ValidationError, match=f"initial_time must be a whole number, {message}"):
+        mv.with_initial_state(spec, t=t)
+    moved = mv.with_initial_state(spec, t=2.0)
+    assert moved.initial_time == 2 and type(moved.initial_time) is int
+
+
 def test_resolve_market_prefers_preset(tmp_path):
     assert mv.resolve_market(PRESET).horizon == 4
     with pytest.raises(ValidationError, match="cannot read market JSON"):

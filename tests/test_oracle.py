@@ -14,7 +14,7 @@ import mvequil as mv
 from mvequil import AffinePolicy, PolicyKind, ScenarioTree
 from mvequil import oracle as oracle_module
 
-from instgen import SMALL_SCALES, random_market, small_scale_market
+from instgen import SMALL_SCALES, TINY_SCALES, random_market, small_scale_market
 
 PRESET = "li-duan-example-2"
 
@@ -28,16 +28,16 @@ def preset_setup():
 
 
 def brute_force_cost(tree, spec, policy, k, x):
-    """Plain nested-loop reference implementation of the exact cost."""
+    """Plain nested-loop reference implementation of the exact cost, on equally weighted atoms."""
     stages = range(k, spec.horizon)
-    index_sets = [range(len(tree.probabilities[s])) for s in stages]
+    atoms = [tree.atoms(s) for s in stages]
     terminals, weights = [], []
-    for combo in itertools.product(*index_sets):
+    for combo in itertools.product(*(range(len(a)) for a in atoms)):
         w, wealth = 1.0, x
-        for stage, idx in zip(stages, combo):
-            w *= tree.probabilities[stage][idx]
+        for stage, stage_atoms, idx in zip(stages, atoms, combo):
+            w /= len(stage_atoms)
             u = policy.gain(stage) * wealth + policy.offset(stage)
-            wealth = spec.riskless[stage] * wealth + float(tree.atoms[stage][idx] @ u)
+            wealth = spec.riskless[stage] * wealth + float(stage_atoms[idx] @ u)
         weights.append(w)
         terminals.append(wealth)
     weights = np.asarray(weights)
@@ -68,12 +68,13 @@ def test_matched_tree_moments_are_exact(preset_setup):
         ("rank 1", _three_asset_market(np.outer(f, f)), 1),
         ("zero", _three_asset_market(np.zeros((3, 3))), 0),
     ]
-    # eigenvalues below the old absolute cutoff of 1e-10 count too: full rank, 5 atoms
-    cases += [(f"scale {scale:g}", small_scale_market(scale), 2) for scale in SMALL_SCALES]
+    # eigenvalues below the old absolute cutoff of 1e-10 count too: full rank, 5 atoms,
+    # and the stored moments keep their digits however small the covariance is against the mean
+    cases += [(f"scale {scale:g}", small_scale_market(scale), 2) for scale in SMALL_SCALES + TINY_SCALES]
     for label, spec, rank in cases:
         moments = mv.derive_excess_moments(spec)
         tree = mv.build_matched_tree(moments)
-        assert [len(p) for p in tree.probabilities] == [2 * rank + 1] * spec.horizon, label
+        assert [len(tree.atoms(k)) for k in range(spec.horizon)] == [2 * rank + 1] * spec.horizon, label
         for k in range(spec.horizon):
             cov = moments.cov_excess[k]
             assert np.allclose(tree.implied_mean(k), moments.mean_excess[k], rtol=0, atol=1e-12), label
@@ -91,30 +92,41 @@ def test_matched_tree_zero_covariance_single_atom():
         mu2=1.0,
     )
     tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
-    assert [len(p) for p in tree.probabilities] == [1, 1]
-    assert np.allclose(tree.atoms[0][0], [0.05, 0.02])
+    assert tree.leaf_count() == 1
+    assert np.allclose(tree.atoms(0), [[0.05, 0.02]])
 
 
 def test_tree_copies_the_callers_arrays():
-    probs, atoms = np.array([0.25, 0.75]), np.array([[-0.1], [0.2]])
-    tree = ScenarioTree(probabilities=(probs,), atoms=(atoms,))
-    assert probs.flags.writeable and atoms.flags.writeable
-    atoms[0, 0] = 9.0
-    probs[:] = 0.5
-    assert tree.atoms[0][0, 0] == -0.1 and tree.probabilities[0][0] == 0.25
-    assert not tree.atoms[0].flags.writeable
+    mean, factor = np.array([[0.1]]), np.array([[0.2]])
+    tree = ScenarioTree(mean=mean, factors=(factor,))
+    assert mean.flags.writeable and factor.flags.writeable
+    mean[0, 0] = factor[0, 0] = 9.0
+    assert tree.mean[0, 0] == 0.1 and tree.factors[0][0, 0] == 0.2
+    assert not tree.mean.flags.writeable and not tree.factors[0].flags.writeable
 
 
-def test_tree_validation_errors():
-    with pytest.raises(ValueError, match="sum"):
-        ScenarioTree(probabilities=(np.array([0.6, 0.6]),), atoms=(np.zeros((2, 1)),))
-    with pytest.raises(ValueError, match="positive"):
-        ScenarioTree(probabilities=(np.array([1.5, -0.5]),), atoms=(np.zeros((2, 1)),))
-    with pytest.raises(ValueError, match="count"):
-        ScenarioTree(probabilities=(np.array([1.0]),), atoms=(np.zeros((2, 1)),))
+@pytest.mark.parametrize(
+    "stages, assets", [([0, 1, 2], [0, 1, 2]), ([0, 1, 2, 3, 0], [0, 1, 2]), ([0, 1, 2, 3], [0, 1])],
+    ids=["shorter", "longer", "narrower"],
+)
+def test_tree_of_another_shape_is_rejected(preset_setup, stages, assets):
+    # the preset market has (stages, assets) (4, 3)
+    spec, _, tree = preset_setup
+    other = ScenarioTree(mean=tree.mean[np.ix_(stages, assets)], factors=[tree.factors[k][assets] for k in stages])
+    policy = mv.solve_feedback(spec).policy
+    message = rf"tree of \(stages, assets\) \({len(stages)}, {len(assets)}\) does not match the market's \(4, 3\)"
+    calls = (
+        lambda: mv.verify_equilibrium(other, spec, policy),
+        lambda: mv.evaluate_cost_exact(other, spec, policy),
+        lambda: mv.best_spike_deviation(other, spec, policy, 0, 1.0),
+        lambda: mv.simulate_monte_carlo(spec, policy, 10, seed=0, distribution=other),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
-def test_two_atom_single_asset_cost_by_hand():
+def test_matched_tree_single_asset_cost_by_hand():
     spec = mv.make_market_spec(
         horizon=1,
         num_assets=1,
@@ -124,8 +136,9 @@ def test_two_atom_single_asset_cost_by_hand():
         mu1=1.0,
         mu2=2.0,
     )
-    # mean excess return 0.1, standard deviation 0.2
-    tree = ScenarioTree(probabilities=([0.5, 0.5],), atoms=([[0.1 - 0.2], [0.1 + 0.2]],))
+    # mean excess return 0.1, standard deviation 0.2: atoms 0.1 and 0.1 +- sqrt(1.5) * 0.2
+    tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+    assert tree.leaf_count() == 3
     policy = AffinePolicy(
         kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=np.zeros((1, 1)), offsets=np.array([[3.0]])
     )
@@ -290,7 +303,7 @@ def _node_wealths(tree, spec, policy):
     for k in range(policy.start_stage, spec.horizon - 1):
         x = states[-1]
         controls = np.outer(x, policy.gain(k)) + policy.offset(k)
-        states.append((spec.riskless[k] * x[None, :] + tree.atoms[k] @ controls.T).T.reshape(-1))
+        states.append((spec.riskless[k] * x[None, :] + tree.atoms(k) @ controls.T).T.reshape(-1))
     return states
 
 
@@ -347,6 +360,22 @@ def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
             cross_failures += not result.passed.all()
     assert worst <= 1e-10, f"closed-form costs differ from spike_cost by {worst:.2e}"
     assert cross_failures > 0  # the cross-semantics pairs do exercise improving deviations
+
+
+def test_brute_force_reference_holds_at_a_covariance_of_1e_12():
+    # spike_cost carries whole wealths and atoms, so its digits set the scale its cross-check reaches
+    spec = small_scale_market(1e-12)
+    moments = mv.derive_excess_moments(spec)
+    tree = mv.build_matched_tree(moments)
+    solutions = (
+        mv.solve_open_loop(spec, moments),
+        mv.solve_feedback(spec, moments),
+        mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets), moments),
+    )
+    for target in solutions:
+        err, result = _spike_cost_cross_check(tree, spec, target, target.policy.kind)
+        assert result.passed.all()
+        assert err <= 1e-10, f"{target.policy.kind}: closed-form costs differ from spike_cost by {err:.2e}"
 
 
 def _six_stage_market():
@@ -458,24 +487,23 @@ def test_leaf_cap_guards_exact_evaluation():
         mu1=1.0,
         mu2=1.0,
     )
-    # two atoms per stage, mean excess return 0.04 plus or minus its standard deviation 0.1
-    tree = ScenarioTree(probabilities=([0.5, 0.5],) * 25, atoms=([[0.04 - 0.1], [0.04 + 0.1]],) * 25)
-    assert tree.leaf_count() == 2**25
+    # three atoms per stage, mean excess return 0.04 and standard deviation 0.1
+    tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+    assert tree.leaf_count() == 3**25
     policy = AffinePolicy(
         kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=np.zeros((25, 1)), offsets=np.zeros((25, 1))
     )
     with pytest.raises(ValueError, match="leaf paths"):
         mv.evaluate_cost_exact(tree, spec, policy, 0, 1.0)
-    assert tree.leaf_count(start=12) < mv.MAX_LEAF_PATHS
-    assert mv.evaluate_cost_exact(tree, spec, policy, 12, 1.0) < 0
-    # the spike test enumerates no suffix scenario: it has no cap, and both trees match the moments
-    wide = mv.build_matched_tree(mv.derive_excess_moments(spec))
-    assert wide.leaf_count() == 3**25
+    # the zero policy's own cost is riskless growth alone
+    assert tree.leaf_count(start=15) == 3**10 < mv.MAX_LEAF_PATHS
+    cost = mv.evaluate_cost_exact(tree, spec, policy, 15, 1.0)
+    assert cost == pytest.approx(-(spec.mu1 + spec.mu2) * 1.01**10, rel=1e-12)
+    # the spike test enumerates no suffix scenario: it has no cap. With nothing invested later the
+    # terminal wealth is g (s x + o u), g = 1.01^24, so the best u is (mu1 x + mu2) E[o] / (2 g Var(o))
     u, j = mv.best_spike_deviation(tree, spec, policy, 0, 1.0)
-    u_wide, j_wide = mv.best_spike_deviation(wide, spec, policy, 0, 1.0)
-    assert np.all(np.abs(u - u_wide) <= 1e-12 * np.maximum(1.0, np.abs(u_wide)))
-    assert abs(j - j_wide) <= 1e-12 * max(1.0, abs(j_wide))
-    # the zero policy's own cost is riskless growth alone, and investing improves on it
+    assert u[0] == pytest.approx(2.0 * 0.04 / (2 * 1.01**24 * 0.01), rel=1e-12)
+    # and investing improves on the riskless cost
     assert -math.inf < j < -(spec.mu1 + spec.mu2) * 1.01**25
 
 
@@ -522,30 +550,28 @@ def test_monte_carlo_tree_sampling_converges_to_exact(preset_setup):
 
 
 @pytest.mark.parametrize(
-    "probabilities",
-    [None, [0.2, 0.5, 0.3], [1.0]],
+    "p",
+    [np.full(7, 1 / 7), [0.2, 0.5, 0.3], [1.0]],
     ids=["preset-tree", "unequal", "one-atom"],
 )
-def test_atom_indices_match_rng_choice(preset_setup, probabilities):
-    # the same generator state gives rng.choice's indices and leaves the same stream behind
-    _, _, tree = preset_setup
-    if probabilities is not None:
-        tree = ScenarioTree(probabilities=[probabilities], atoms=[np.arange(len(probabilities))[:, None]])
-    for p in tree.probabilities:
-        ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
-        drawn = oracle_module._atom_indices(ours, p, 10_000)
-        assert np.array_equal(drawn, theirs.choice(len(p), size=10_000, p=p))
-        assert ours.random() == theirs.random()
+def test_atom_indices_match_rng_choice(p):
+    # the same generator state gives rng.choice's indices and leaves the same stream behind;
+    # the preset tree's stages have seven equally weighted atoms
+    p = np.asarray(p)
+    ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+    drawn = oracle_module._atom_indices(ours, p, 10_000)
+    assert np.array_equal(drawn, theirs.choice(len(p), size=10_000, p=p))
+    assert ours.random() == theirs.random()
 
 
 def _reference_monte_carlo(spec, policy, n_paths, seed, tree, moments):
     """The per-path recursion X' = s X + o.(K X + c) on an (n, m) return matrix, fed the same draws."""
-    rng, factors = np.random.default_rng(seed), oracle_module._stage_factors(moments)
+    rng, factors = np.random.default_rng(seed), mv.build_matched_tree(moments).factors
     X = np.full(n_paths, spec.initial_wealth)
     for k in range(policy.start_stage, spec.horizon):
         if tree is not None:
-            p = tree.probabilities[k]
-            o = tree.atoms[k][rng.choice(len(p), size=n_paths, p=p)]
+            atoms = tree.atoms(k)
+            o = atoms[rng.choice(len(atoms), size=n_paths, p=np.full(len(atoms), 1 / len(atoms)))]
         else:
             F = factors[k]
             o = moments.mean_excess[k] + rng.standard_normal((n_paths, F.shape[1])) @ F.T
@@ -592,14 +618,30 @@ def test_monte_carlo_gaussian_matches_tree_cost(preset_setup):
     assert abs(sim.cost - exact) <= 4 * sim.se_cost
 
 
+VARIANCE_SCALES = SMALL_SCALES + TINY_SCALES + (1e-160, 1e-200)
+
+
 def test_monte_carlo_gaussian_variance_scales_inversely_with_the_covariance():
     # gains scale as 1 / scale and return deviations as sqrt(scale)
     # deviations from the mean path keep their digits where the spread is 1e-50 of the mean,
     # and se_cost stays finite past a variance of 1e154, where the influence squared overflows
     scaled = []
-    for scale in SMALL_SCALES + (1e-40, 1e-100, 1e-160, 1e-200):
+    for scale in VARIANCE_SCALES:
         spec = small_scale_market(scale)
         sim = mv.simulate_monte_carlo(spec, mv.solve_open_loop(spec), 20_000, seed=1)
+        assert sim.var_terminal > 0
+        scaled.append(scale * sim.var_terminal)
+    assert np.allclose(scaled, scaled[0], rtol=1e-3)
+
+
+def test_monte_carlo_tree_variance_scales_inversely_with_the_covariance():
+    # the tree's shocks are its standard points times the stored factor, so its spread keeps its
+    # digits however small the covariance is against the mean's square
+    scaled = []
+    for scale in VARIANCE_SCALES:
+        spec = small_scale_market(scale)
+        tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+        sim = mv.simulate_monte_carlo(spec, mv.solve_open_loop(spec), 20_000, seed=1, distribution=tree)
         assert sim.var_terminal > 0
         scaled.append(scale * sim.var_terminal)
     assert np.allclose(scaled, scaled[0], rtol=1e-3)
