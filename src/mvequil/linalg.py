@@ -1,17 +1,25 @@
-"""One eigendecomposition per symmetric matrix, and the rules stated on it.
+"""One eigendecomposition per symmetric matrix, the rules stated on it, and
+the stage solves of the backward recursion through the covariance.
 
-Every backward recursion in this package solves stage equations of the form
-``G u = -target`` where G is symmetric (usually PSD, possibly singular), and
-existence is a range condition on G. ``eigenbasis`` decomposes G once and
-keeps what every rule needs: all eigenvalues, which the PSD test
-(``is_psd_spectrum``) reads, and all eigenvectors with a mask of those above
-the cutoff, through which ``Eigenbasis.solve`` returns the least-norm
-solutions of a stack of right-hand sides together with their range
-residuals. The m x m matrix G^+ is never formed: inverting every kept
-eigenvalue overflows once they are subnormal, while the solve divides each
-right-hand side's coordinates directly. The same cutoff, relative to the
-largest eigenvalue, sets the covariance ranks of the oracle's tree and
-Monte Carlo.
+``eigenbasis`` decomposes a symmetric M once and keeps what every rule needs:
+all eigenvalues, which the PSD test (``is_psd_spectrum``) reads, and all
+eigenvectors with a mask of those above the cutoff, through which
+``Eigenbasis.solve`` returns the least-norm solutions of a stack of
+right-hand sides together with their range residuals. The m x m matrix M^+
+is never formed: inverting every kept eigenvalue overflows once they are
+subnormal, while the solve divides each right-hand side's coordinates
+directly. The same cutoff, relative to the largest eigenvalue, sets the
+covariance ranks of the oracle's tree and Monte Carlo.
+
+Every backward recursion in this package solves stage equations
+``G u = -target`` with G = mean_weight mu mu^T + cov_weight Sigma, a
+covariance plus a rank-one term in the mean, and every right-hand side a
+multiple of mu. ``covariance_solve`` therefore solves Sigma^+ mu once per
+stage, weight-free, and ``CovarianceSolve.solve`` gives G^+ mu, G's
+eigenvalues and every range residual in closed form for any weights: the
+rank of G against the rank of Sigma tells whether mu's kernel part enters
+G's range or mu leaves it. G itself is decomposed for its eigenvalues only,
+and not even that while mean_weight is zero.
 
 Everything works on a stack of matrices (..., m, m) as well as on one: a
 stack is decomposed by one ``eigh`` call and solved by one batched product,
@@ -112,19 +120,31 @@ class Eigenbasis:
         one_row = V.ndim == self.eigenvalues.ndim
         if one_row:
             V = V[..., None, :]
+        coords, outside = self.split(V)
+        residual = _row_norms(outside)
+        ok = _in_range(residual, lambda: _row_norms(V))
         keep = self.keep[..., None, :]
-        Q, Qt = self.vectors, self.vectors.swapaxes(-1, -2)
-        coords = np.where(keep, V @ Q, 0.0)
-        residual = _row_norms(V - coords @ Qt)
-        # residual <= tol * max(1, ||v||); ||v|| is only needed past tol
-        ok = residual <= DEFAULT_RANGE_RTOL
-        if not ok.all():
-            ok |= np.isfinite(residual) & (residual <= DEFAULT_RANGE_RTOL * _row_norms(V))
         with np.errstate(over="ignore", invalid="ignore"):
-            X = (coords / np.where(keep, self.eigenvalues[..., None, :], 1.0)) @ Qt
+            X = (coords / np.where(keep, self.eigenvalues[..., None, :], 1.0)) @ self.vectors.swapaxes(-1, -2)
         if one_row:
             return X[..., 0, :], residual[..., 0], ok[..., 0]
         return X, residual, ok
+
+    def split(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The coordinates of the rows v of V (..., r, m) on the eigenvectors,
+        zero on those not kept, and each row's part v - B B^T v outside the
+        kept eigenvectors B."""
+        coords = np.where(self.keep[..., None, :], V @ self.vectors, 0.0)
+        return coords, V - coords @ self.vectors.swapaxes(-1, -2)
+
+
+def _in_range(residual: np.ndarray, norms) -> np.ndarray:
+    """residual <= DEFAULT_RANGE_RTOL * max(1, ||v||), with norms() giving ||v||
+    only when some residual exceeds the tolerance; a non-finite residual never passes."""
+    ok = residual <= DEFAULT_RANGE_RTOL
+    if not ok.all():
+        ok |= np.isfinite(residual) & (residual <= DEFAULT_RANGE_RTOL * norms())
+    return ok
 
 
 def eigenbasis(M: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> Eigenbasis:
@@ -139,3 +159,129 @@ def eigenbasis(M: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> Eigenbasis:
     cutoff = rel_tol * magnitude.max(axis=-1, initial=0.0)
     keep = magnitude > cutoff[..., None]
     return Eigenbasis(eigenvalues=w, vectors=Q, keep=keep, cutoff=cutoff)
+
+
+@dataclass(frozen=True)
+class CovarianceSolve:
+    """Each stage's solve of Sigma^+ mu, weight-free, for the gain matrices built on it.
+
+    cov (N, m, m) and mean (N, m) are the stages' Sigma and mu. Per stage:
+    eigenvalues (N, m) of Sigma, ascending, and rank (N,) under the cutoff;
+    exponent (N,), the e of the power of two 2^e at Sigma's largest
+    eigenvalue magnitude; y (N, m) = (Sigma / 2^e)^+ mu and q (N,) = mu . y,
+    so the scaling by 2^e is exact whatever Sigma's scale; kernel (N, m), the
+    part of mu in Sigma's kernel, and kernel_norm (N,) its norm; mean_norm
+    (N,) = ||mu||; and dropped_residual (N,), mu's residual once the
+    direction y leaves the range as well.
+    """
+
+    cov: np.ndarray
+    mean: np.ndarray
+    eigenvalues: np.ndarray
+    rank: np.ndarray
+    exponent: np.ndarray
+    y: np.ndarray
+    q: np.ndarray
+    kernel: np.ndarray
+    kernel_norm: np.ndarray
+    mean_norm: np.ndarray
+    dropped_residual: np.ndarray
+
+    def solve(
+        self, k: int, cov_weight: np.ndarray, mean_weight: np.ndarray, row_scale: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Stage k's gain matrices G = mean_weight mu mu^T + cov_weight Sigma, one
+        per weight pair (D,), solved for the rows v = row_scale[d, j] mu, (D, r).
+
+        Returns (eigenvalues (D, m) of G ascending, X (D, r, m), residual (D, r),
+        ok (D, r)) with the meaning of Eigenbasis.solve: X = G^+ v, the residual
+        of v against G's range and ok the same range test. The eigenvalues are
+        cov_weight times Sigma's while every mean_weight is zero; otherwise one
+        stacked eigvalsh of the G gives them. G's rank under the cutoff then
+        decides: equal to Sigma's, X = v . y / den with
+        den = cov_weight 2^e + mean_weight q and v's residual is its kernel
+        part; one more, mu's kernel part enters G's range and
+        X = v . kernel / (mean_weight kernel_norm^2), solving v exactly; fewer,
+        mu leaves G's range, X is zero and the residual is dropped_residual's
+        multiple. A non-finite weight, row scale or gain matrix raises
+        LinAlgError, so an overflow never reads as a failed range test.
+        """
+        cw, mow, scale = (np.asarray(a, dtype=float) for a in (cov_weight, mean_weight, row_scale))
+        # a non-finite weight shows in G or its eigenvalues; a row scale only here
+        if not np.isfinite(scale).all():
+            raise np.linalg.LinAlgError("gain solve: non-finite right-hand side")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if mow.any():
+                mean = self.mean[k]
+                G = mow[:, None, None] * np.outer(mean, mean) + cw[:, None, None] * self.cov[k]
+                if not np.isfinite(G).all():
+                    raise np.linalg.LinAlgError("gain matrix has non-finite entries")
+                w = np.linalg.eigvalsh(G)
+            else:
+                w = cw[:, None] * self.eigenvalues[k]
+                if not np.isfinite(w).all():
+                    raise np.linalg.LinAlgError("gain matrix has non-finite entries")
+                w.sort(axis=-1)
+            size = np.abs(w)
+            rank = (size > DEFAULT_PINV_RTOL * size.max(axis=-1, keepdims=True)).sum(axis=-1)
+            # scale the right-hand sides first: a subnormal den must not overflow 1 / den
+            X = scale[..., None] * self.y[k]
+            X /= (np.ldexp(cw, self.exponent[k]) + mow * self.q[k])[:, None, None]
+            mean_residual = np.full(len(cw), self.kernel_norm[k])
+            if (rank != self.rank[k]).any():
+                kernel_sq = mow * self.kernel_norm[k] ** 2
+                enters = (rank > self.rank[k]) & (kernel_sq != 0)
+                leaves = rank < self.rank[k]
+                X[enters] = (scale[enters, :, None] * self.kernel[k]) / kernel_sq[enters, None, None]
+                X[leaves] = 0.0
+                mean_residual[enters] = 0.0
+                mean_residual[leaves] = self.dropped_residual[k]
+        size = np.abs(scale)
+        residual = size * mean_residual[:, None]
+        return w, X, residual, _in_range(residual, lambda: size * self.mean_norm[k])
+
+
+def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray) -> CovarianceSolve:
+    """The weight-free solves Sigma^+ mu of the stages (N, m, m) and means (N, m),
+    given each stage's eigenvalues (N, m) of Sigma, ascending.
+
+    A stage that is full rank under the cutoff takes one LU solve; the
+    rank-deficient stages take one stacked eigenbasis, whose eigenvalues
+    replace the given ones. Each Sigma is scaled by its 2^e first, so a
+    subnormal covariance solves.
+    """
+    cov, mean = np.asarray(cov, dtype=float), np.asarray(mean, dtype=float)
+    eigenvalues = np.array(eigenvalues, dtype=float)
+    magnitude = np.abs(eigenvalues)
+    top = magnitude.max(axis=-1, initial=0.0)
+    exponent = np.frexp(top)[1]
+    rank = np.count_nonzero(magnitude > DEFAULT_PINV_RTOL * top[:, None], axis=-1)
+    y, kernel = np.zeros_like(mean), np.zeros_like(mean)
+    full = rank == mean.shape[-1]
+    for k in np.flatnonzero(full):
+        y[k] = np.linalg.solve(np.ldexp(cov[k], -exponent[k]), mean[k])
+    deficient = np.flatnonzero(~full)
+    if deficient.size:
+        e, mean_d = exponent[deficient], mean[deficient]
+        eig = eigenbasis(np.ldexp(cov[deficient], -e[:, None, None]))
+        y[deficient] = eig.solve(mean_d)[0]
+        kernel[deficient] = eig.split(mean_d[:, None, :])[1][:, 0]
+        eigenvalues[deficient] = np.ldexp(eig.eigenvalues, e[:, None])
+        rank[deficient] = eig.rank
+    q = np.einsum("ki,ki->k", mean, y)
+    kernel_norm, y_norm = _row_norms(kernel), _row_norms(y)
+    # mu's residual against range(Sigma) less the direction y: its kernel part and mu . y / ||y||
+    along_y = np.divide(np.abs(q), y_norm, out=np.zeros_like(q), where=y_norm > 0)
+    return CovarianceSolve(
+        cov=cov,
+        mean=mean,
+        eigenvalues=eigenvalues,
+        rank=rank,
+        exponent=exponent,
+        y=y,
+        q=q,
+        kernel=kernel,
+        kernel_norm=kernel_norm,
+        mean_norm=_row_norms(mean),
+        dropped_residual=np.hypot(kernel_norm, along_y),
+    )

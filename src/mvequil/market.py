@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,9 @@ class MarketSpec:
     horizon N and num_assets m; riskless has shape (N,), mean_returns (N, m),
     return_cov (N, m, m). initial_time is the first trading stage and
     initial_wealth the wealth there. warnings collects non-fatal findings
-    (currently only riskless returns at or below 1).
+    (currently only riskless returns at or below 1). cov_eigenvalues (N, m),
+    read-only, are each stage's covariance eigenvalues in ascending order:
+    those of make_market_spec's PSD check, or one eigvalsh on first read.
     """
 
     horizon: int
@@ -44,9 +47,7 @@ class MarketSpec:
 
     def __post_init__(self):
         for name in ("riskless", "mean_returns", "return_cov"):
-            arr = np.array(getattr(self, name), dtype=float)  # private copy to freeze
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_copy(getattr(self, name)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -61,13 +62,19 @@ class MarketSpec:
             "initial_wealth": self.initial_wealth,
         }
 
+    @cached_property
+    def cov_eigenvalues(self) -> np.ndarray:
+        return _frozen(np.linalg.eigvalsh(self.return_cov))
+
 
 @dataclass(frozen=True)
 class ExcessMoments:
     """First two moments of the excess returns O_k = e_k - s_k * 1.
 
     mean_excess (N, m); cov_excess (N, m, m), equal to the return covariance
-    since subtracting a deterministic scalar shifts nothing.
+    since subtracting a deterministic scalar shifts nothing. cov_eigenvalues
+    (N, m), read-only, are its eigenvalues in ascending order: the market's,
+    from derive_excess_moments, or one eigvalsh on first read.
     """
 
     mean_excess: np.ndarray
@@ -75,9 +82,11 @@ class ExcessMoments:
 
     def __post_init__(self):
         for name in ("mean_excess", "cov_excess"):
-            arr = np.array(getattr(self, name), dtype=float)  # private copy to freeze
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_copy(getattr(self, name)))
+
+    @cached_property
+    def cov_eigenvalues(self) -> np.ndarray:
+        return _frozen(np.linalg.eigvalsh(self.cov_excess))
 
     @property
     def horizon(self) -> int:
@@ -99,6 +108,28 @@ class ExistenceReport:
     per_stage: tuple[bool, ...]
     residual_norms: tuple[float, ...]
     overall: bool
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _frozen_copy(value) -> np.ndarray:
+    """A read-only float array of value's entries: value itself if it is one
+    already and owns its data, as another spec's or moments' arrays do, so
+    the two share it; otherwise a private copy, leaving the caller's array
+    writable."""
+    if isinstance(value, np.ndarray) and value.dtype == float and value.base is None and not value.flags.writeable:
+        return value
+    return _frozen(np.array(value, dtype=float))
+
+
+def _keep_eigenvalues(target, eigenvalues: np.ndarray):
+    """target with cov_eigenvalues already read: a cached_property is stored in
+    the instance __dict__, which a frozen dataclass leaves writable."""
+    target.__dict__["cov_eigenvalues"] = eigenvalues
+    return target
 
 
 def _broadcast_stagewise(value, horizon: int, inner_shape: tuple, what: str) -> np.ndarray:
@@ -197,7 +228,7 @@ def make_market_spec(
         k = int(np.argmin(psd))  # the first stage that fails
         raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[k, 0]:.3e})")
 
-    return MarketSpec(
+    spec = MarketSpec(
         horizon=horizon,
         num_assets=num_assets,
         riskless=s,
@@ -209,6 +240,7 @@ def make_market_spec(
         initial_wealth=initial_wealth,
         warnings=tuple(warnings),
     )
+    return _keep_eigenvalues(spec, _frozen(w))
 
 
 def load_market_spec(path) -> MarketSpec:
@@ -247,9 +279,10 @@ def dump_market_spec(spec: MarketSpec) -> str:
 
 def derive_excess_moments(spec: MarketSpec) -> ExcessMoments:
     """Excess-return moments O_k = e_k - s_k * 1 for every stage."""
-    # ExcessMoments copies its inputs, so the spec's frozen covariance is passed as is
+    # ExcessMoments shares the spec's frozen covariance, and its eigenvalues with it
     mean_excess = spec.mean_returns - spec.riskless[:, None]
-    return ExcessMoments(mean_excess=mean_excess, cov_excess=spec.return_cov)
+    moments = ExcessMoments(mean_excess=mean_excess, cov_excess=spec.return_cov)
+    return _keep_eigenvalues(moments, spec.cov_eigenvalues)
 
 
 def check_open_loop_existence(moments: ExcessMoments, t: int = 0) -> ExistenceReport:
@@ -310,4 +343,7 @@ def with_initial_state(spec: MarketSpec, t=None, x=None) -> MarketSpec:
         raise ValidationError(f"initial_time must be in [0, {spec.horizon - 1}], got {t}")
     if not np.isfinite(x):
         raise ValidationError("initial_wealth must be finite")
-    return replace(spec, initial_time=t, initial_wealth=x)
+    moved = replace(spec, initial_time=t, initial_wealth=x)
+    if "cov_eigenvalues" in spec.__dict__:
+        _keep_eigenvalues(moved, spec.cov_eigenvalues)
+    return moved

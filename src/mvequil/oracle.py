@@ -147,6 +147,12 @@ def _check_tree(tree: ScenarioTree, spec: MarketSpec, start: int | None = None):
     market = (spec.horizon, spec.num_assets)
     if tree.mean.shape != market:
         raise ValueError(f"tree of (stages, assets) {tree.mean.shape} does not match the market's {market}")
+    shapes = [F.shape for F in tree.factors]
+    if len(shapes) != spec.horizon or any(len(shape) != 2 or shape[0] != spec.num_assets for shape in shapes):
+        raise ValueError(
+            f"tree factors of shapes {shapes} do not match the market's (stages, assets) {market}: "
+            "one (assets, rank) factor per stage"
+        )
     leaves = 0 if start is None else tree.leaf_count(start)
     if leaves > MAX_LEAF_PATHS:
         raise ValidationError(

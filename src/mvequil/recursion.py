@@ -9,15 +9,19 @@ it. Stage k solves G K = -gain_target and G c = -offset_target with
 G = mean_outer_weight[k+1] outer(mean) + cov_weight[k+1] Cov(O_k), then
 carries the weights back through the re-applied mean multiplier
 cp = s_k + mean . P, the applied one cm = s_k + mean . K and the covariance
-cross term. One eigendecomposition of G per stage gives the eigenvalues and
-the PSD test, and one least-norm solve through its kept eigenvectors gives the
-gains, the offsets and every range residual.
+cross term. G is Cov(O_k) plus a rank-one term in the mean, and all three
+right-hand sides (the range condition's mean and the two targets) are
+multiples of the mean, so one weight-free solve Cov(O_k)^+ mean per stage,
+made before the loop (``linalg.covariance_solve``), gives the gains, the
+offsets and every range residual in closed form. The market's covariance
+eigenvalues give G's while mean_outer_weight is zero, as at every stage of
+the open-loop recursion; otherwise one eigvalsh of G per stage gives them,
+and with them the PSD test.
 
 The recursion carries a leading axis of D strategy parts, so many mixed
-solutions of one market cost one stacked eigendecomposition and one stacked
-solve per stage, not D of each; a part that fails a check leaves the stack
-with its report. The open-loop and feedback recursions, and a single mixed
-solve, are the case D = 1.
+solutions of one market cost one stacked eigvalsh per stage, not D; a part
+that fails a check leaves the stack with its report. The open-loop and
+feedback recursions, and a single mixed solve, are the case D = 1.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import eigenbasis, is_psd_spectrum
+from .linalg import covariance_solve, is_psd_spectrum
 from .market import ExcessMoments, MarketSpec, check_open_loop_existence, derive_excess_moments
 from .policy import AffinePolicy, InternalInconsistencyError, NonexistenceReport, PolicyKind, PureFeedbackPart
 from .policy import FailingCondition as Cond
@@ -51,9 +55,9 @@ class RecursionTrace:
     mean_outer_weight = 0), mean_coupling and mean_offset carry the
     terminal-mean term, riskless_growth_sq is the squared product of the
     remaining riskless returns. Per-stage arrays have length N; the residuals
-    are ||v - B B^T v||, B the kept eigenvectors of G, for v the mean excess
-    return (the open-loop range condition) and the two targets. Stages before
-    the initial time are NaN.
+    are the distances from G's range, under linalg's cutoff, of v the mean
+    excess return (the open-loop range condition) and the two targets. Stages
+    before the initial time are NaN.
 
     While the recursion runs, one trace holds all its strategy draws along a
     leading axis, and draw(d) is the trace of draw d.
@@ -127,9 +131,10 @@ def backward_recursion(
     feedback_parts are the mixed solutions' strategy parts P, one row per
     stage each, kept on the solutions; the mixed kind requires them, the
     others refuse them, and a part not of shape (N, m) raises ValueError.
-    Every part is solved in the same stage loop: each stage decomposes the
-    gain matrices of the parts still alive with one stacked
-    eigendecomposition and solves them with one stacked solve. A part that
+    Every part is solved in the same stage loop: each stage solves the gain
+    matrices of the parts still alive through the stage's one covariance
+    solve, with one stacked eigvalsh for their eigenvalues once a mean outer
+    weight is nonzero. A part that
     fails a stage check gets the report of its first failing condition and
     leaves the stack. Returns one outcome per part, in order; the
     open-loop and feedback kinds are the case of one zero part, with one
@@ -158,12 +163,12 @@ def backward_recursion(
     checks = _CHECKS[kind]
     ids = np.arange(D)  # the draws still in the stack
     live = slice(None)  # indexes them: a slice, so a view, until a draw leaves
+    stages = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:], moments.cov_eigenvalues[t:])
 
     for k in range(N - 1, t - 1, -1):
         s_k, mean_ex, cov_ex = spec.riskless[k], moments.mean_excess[k], moments.cov_excess[k]
         cw, mow = tr.cov_weight[live, k + 1], tr.mean_outer_weight[live, k + 1]
         coupling_next, offset_next = tr.mean_coupling[live, k + 1], tr.mean_offset[live, k + 1]
-        G = mow[:, None, None] * np.outer(mean_ex, mean_ex) + cw[:, None, None] * cov_ex
         # rows: the range condition's mean excess return, then the gain and offset targets
         row_scale = np.ones((ids.size, 3))
         row_scale[:, 1] = s_k * mow + coupling_next
@@ -171,9 +176,8 @@ def backward_recursion(
         rhs = row_scale[:, :, None] * mean_ex
         tr.gain_target[live, k], tr.offset_target[live, k] = rhs[:, 1], rhs[:, 2]
 
-        eig = eigenbasis(G)
-        w = tr.gain_eigenvalues[live, k] = eig.eigenvalues
-        X, residual, ok = eig.solve(rhs)
+        w, X, residual, ok = stages.solve(k - t, cw, mow, row_scale)
+        tr.gain_eigenvalues[live, k] = w
         tr.range_residual[live, k], tr.gain_residual[live, k], tr.offset_residual[live, k] = residual.T
         passed = np.column_stack((ok[:, 0], is_psd_spectrum(w), ok[:, 1:]))[:, checks]
         if not passed.all():

@@ -1,10 +1,13 @@
 """Feedback equilibrium strategy solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import mvequil as mv
 from mvequil import FailingCondition, NonexistenceReport
+from mvequil.cli import EXIT_NONEXISTENT, main
 from mvequil.reference import VERIFIED_FEEDBACK_GAINS, VERIFIED_FEEDBACK_OFFSETS
 
 from gainmatrix import gain_matrix
@@ -181,3 +184,28 @@ def test_trace_csv_has_one_row_per_stage(preset_solution):
     lines = mv.trace_csv(sol, spec).strip().splitlines()
     assert len(lines) == 5
     assert lines[0].split(",")[:3] == ["k", "cov_weight", "mean_outer_weight"]
+
+
+def test_overflowing_weight_is_an_error_never_a_report(tmp_path):
+    # the last-stage gains near 1.5e308 are finite, but cp * cm overflows in
+    # stage 0's weights; that is a numerical failure, not nonexistence
+    spec = mv.make_market_spec(
+        horizon=2,
+        num_assets=2,
+        riskless=1.02,
+        mean_returns=[1.05, 1.03],
+        return_cov=[[1e-310, 0], [0, 2e-310]],
+        mu1=1,
+        mu2=1,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            outcome = mv.solve_feedback(spec)
+        except Exception as exc:  # noqa: BLE001 - any error, so long as it is not a report
+            outcome = exc
+        assert not isinstance(outcome, NonexistenceReport)
+        market = tmp_path / "subnormal.json"
+        market.write_text(mv.dump_market_spec(spec))
+        for command in ("solve-feedback", "verify"):
+            assert main([command, "--market", str(market)]) != EXIT_NONEXISTENT, command

@@ -1,4 +1,4 @@
-"""The eigenbasis least-norm solve, its range tests and the PSD rule."""
+"""The eigenbasis least-norm solve, its range tests, the PSD rule and the stage solve through Sigma."""
 
 import warnings
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvequil.linalg import eigenbasis, is_psd_spectrum
+from mvequil.linalg import covariance_solve, eigenbasis, is_psd_spectrum
 
 
 def random_spd_spectrum(rng, n, zero_frac=0.4):
@@ -181,3 +181,57 @@ def test_stacked_solve_matches_each_matrix():
     bad[3, 0, 1] = bad[3, 1, 0] = np.inf
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         eigenbasis(bad)
+
+
+def _solve_both(cov, mean, cw, mow, scale):
+    """The stage solve through Sigma and the eigenbasis solve of each G it stands for."""
+    stages = covariance_solve(cov[None], mean[None], np.linalg.eigvalsh(cov)[None])
+    G = mow[:, None, None] * np.outer(mean, mean) + cw[:, None, None] * cov
+    return stages.solve(0, cw, mow, scale), eigenbasis(G), eigenbasis(G).solve(scale[..., None] * mean)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 6), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_covariance_solve_matches_the_gain_matrix_eigenbasis(seed, n, in_range):
+    # G = mow mu mu^T + cw Sigma for rank-deficient and full-rank Sigma, mu in
+    # or out of its range, either sign of each weight and a zero mean weight
+    rng = np.random.default_rng(seed)
+    cov, _ = random_spd_spectrum(rng, n)
+    mean = cov @ rng.standard_normal(n) if in_range else rng.standard_normal(n)
+    cw = rng.choice([-1.0, 1.0], size=4) * rng.uniform(0.1, 2.0, size=4)
+    mow = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, size=3)]) * (rng.random() < 0.7)  # all zero: no eigvalsh
+    scale = rng.standard_normal((4, 3))
+    scale[0, 1] = 0.0
+    (w, X, residual, ok), eig, (X_ref, residual_ref, ok_ref) = _solve_both(cov, mean, cw, mow, scale)
+    radius = np.abs(eig.eigenvalues).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(w - eig.eigenvalues) <= 1e-12 * np.maximum(radius, 1.0))
+    assert np.array_equal(ok, ok_ref)
+    assert np.allclose(X[ok], X_ref[ok], rtol=1e-7, atol=1e-9)
+    assert np.allclose(residual, residual_ref, rtol=1e-6, atol=1e-9)
+
+
+def test_covariance_solve_when_mu_leaves_the_gain_matrix_range():
+    # mow = -cw / q makes G singular along Sigma^+ mu, which mu is not orthogonal to
+    rng = np.random.default_rng(7)
+    cov, _ = random_spd_spectrum(rng, 4, zero_frac=0.0)
+    mean = rng.standard_normal(4)
+    q = mean @ np.linalg.solve(cov, mean)
+    cw, mow = np.array([1.0, 1.0]), np.array([-1.0 / q, 0.5])
+    scale = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
+    (w, X, residual, ok), eig, (_, residual_ref, ok_ref) = _solve_both(cov, mean, cw, mow, scale)
+    assert eig.rank.tolist() == [3, 4]
+    assert ok.tolist() == ok_ref.tolist() == [[False, True, False], [True, True, True]]
+    assert np.allclose(residual, residual_ref, rtol=1e-6)
+    assert np.array_equal(X[0], np.zeros((3, 4)))
+
+
+def test_covariance_solve_raises_on_non_finite_weights():
+    stages = covariance_solve(np.eye(2)[None], np.array([[0.1, 0.2]]), np.ones((1, 2)))
+    finite = (np.array([1.0]), np.array([0.5]), np.ones((1, 3)))
+    for position, bad in ((0, np.inf), (1, np.nan), (2, np.inf)):
+        args = list(finite)
+        args[position] = np.full_like(args[position], bad)
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            stages.solve(0, *args)
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        stages.solve(0, np.array([np.inf]), np.array([0.0]), np.ones((1, 3)))

@@ -243,6 +243,43 @@ def test_moments_copy_the_callers_arrays():
     assert not (moments.mean_excess.flags.writeable or moments.cov_excess.flags.writeable)
 
 
+def test_validation_eigenvalues_are_kept_and_handed_on(monkeypatch):
+    raw = mv.get_preset(PRESET).to_json_dict()
+    spec = mv.make_market_spec(**raw)
+    w = spec.cov_eigenvalues
+    assert w.shape == (4, 3) and np.all(np.diff(w, axis=-1) >= 0) and not w.flags.writeable
+    assert np.allclose(w, np.linalg.eigvalsh(spec.return_cov), rtol=1e-14, atol=0)
+    assert "cov_eigenvalues" not in spec.to_json_dict()
+    with pytest.raises(AttributeError):
+        spec.cov_eigenvalues = w
+    # no decomposition after validation: moments and a moved spec share the array
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args))
+    moments = mv.derive_excess_moments(spec)
+    moved = mv.with_initial_state(spec, t=2)
+    assert moments.cov_eigenvalues is w and moved.cov_eigenvalues is w
+    assert moments.cov_excess is spec.return_cov  # a frozen array is shared, not copied
+    assert calls == []
+
+
+def test_directly_built_spec_and_moments_decompose_once_on_first_read(monkeypatch):
+    preset = mv.get_preset(PRESET)
+    fields = ("horizon", "num_assets", "riskless", "mean_returns", "return_cov", "mu1", "mu2")
+    spec = mv.MarketSpec(**{name: getattr(preset, name) for name in fields})
+    moments = mv.ExcessMoments(mean_excess=np.array([[0.1, 0.2]]), cov_excess=np.array([[[0.04, 0.0], [0.0, 0.0]]]))
+    original, calls = np.linalg.eigvalsh, []
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for _ in range(2):
+        assert np.allclose(spec.cov_eigenvalues, preset.cov_eigenvalues, rtol=1e-14, atol=0)
+        assert np.array_equal(moments.cov_eigenvalues, [[0.0, 0.04]])
+    assert calls == [(4, 3, 3), (1, 2, 2)]
+
+
 def test_zero_excess_moments():
     spec = mv.make_market_spec(
         horizon=2,

@@ -126,6 +126,26 @@ def test_tree_of_another_shape_is_rejected(preset_setup, stages, assets):
             call()
 
 
+@pytest.mark.parametrize("factors", ["two-rows", "three-factors"])
+def test_tree_factors_of_another_shape_are_rejected(preset_setup, factors):
+    # the mean fits the preset's (4, 3); the factors do not
+    spec, _, tree = preset_setup
+    other = ScenarioTree(
+        mean=tree.mean,
+        factors=[F[:2] for F in tree.factors] if factors == "two-rows" else tree.factors[:3],
+    )
+    policy = mv.solve_feedback(spec).policy
+    message = r"tree factors of shapes \[.*\] do not match the market's \(stages, assets\) \(4, 3\)"
+    calls = (
+        lambda: mv.verify_equilibrium(other, spec, policy),
+        lambda: mv.evaluate_cost_exact(other, spec, policy),
+        lambda: mv.simulate_monte_carlo(spec, policy, 10, seed=0, distribution=other),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_matched_tree_single_asset_cost_by_hand():
     spec = mv.make_market_spec(
         horizon=1,

@@ -1,6 +1,10 @@
-"""The shared backward recursion: one eigendecomposition per stage, one trace, one CSV writer.
+"""The shared backward recursion: its decompositions, one trace, one CSV writer.
 
-The covariance readers outside the recursion decompose all stages with one stacked call.
+The recursion reads the market validation's covariance eigenvalues and
+solves each stage through the covariance: one stacked eigh of the
+rank-deficient stages per solve, and one eigvalsh per stage only where the
+gain matrix has a mean outer term. The covariance readers outside the
+recursion decompose all stages with one stacked call.
 """
 
 import numpy as np
@@ -9,8 +13,17 @@ import pytest
 import mvequil as mv
 from mvequil import NonexistenceReport
 from mvequil.cli import main
+from mvequil.linalg import eigenbasis
 
-from instgen import random_market
+from gainmatrix import gain_matrix
+from instgen import (
+    SMALL_SCALES,
+    TINY_SCALES,
+    feedback_only_market,
+    off_range_market,
+    random_market,
+    small_scale_market,
+)
 
 PRESET = "li-duan-example-2"
 
@@ -29,19 +42,21 @@ def _count_eigendecompositions(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, deficient",
     [
-        mv.get_preset(PRESET),
-        mv.with_initial_state(mv.get_preset(PRESET), t=2),
-        random_market(13),  # covariance ranks 3, 1, 2, 1
+        (mv.get_preset(PRESET), 0),
+        (mv.with_initial_state(mv.get_preset(PRESET), t=2), 0),
+        (random_market(13), 1),  # covariance ranks 3, 1, 2, 1
     ],
     ids=["preset", "preset-from-stage-2", "rank-deficient"],
 )
-def test_one_eigendecomposition_per_solved_stage(monkeypatch, spec):
+def test_decompositions_per_solve(monkeypatch, spec, deficient):
     moments = mv.derive_excess_moments(spec)
     phi = mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)
+    zero = mv.zero_pure_feedback(spec.horizon, spec.num_assets)
     solves = {
         "open_loop": lambda: mv.solve_open_loop(spec, moments),
+        "mixed_zero": lambda: mv.solve_mixed(spec, zero, moments),
         "feedback": lambda: mv.solve_feedback(spec, moments),
         "mixed": lambda: mv.solve_mixed(spec, phi, moments),
     }
@@ -50,22 +65,59 @@ def test_one_eigendecomposition_per_solved_stage(monkeypatch, spec):
     for name, solve in solves.items():
         calls.clear()
         assert not isinstance(solve(), NonexistenceReport), name
-        counts[name] = len(calls)
+        counts[name] = (calls.count("eigvalsh"), calls.count("eigh"))
     stages = spec.horizon - spec.initial_time
-    assert counts == {name: stages for name in solves}
+    # one stacked eigh of the rank-deficient stages, none on a full-rank
+    # market; a gain matrix cov_weight * Sigma (open-loop, a zero part, every
+    # kind's last stage) takes Sigma's eigenvalues, any other one eigvalsh
+    assert counts == {
+        "open_loop": (0, deficient),
+        "mixed_zero": (0, deficient),
+        "feedback": (stages - 1, deficient),
+        "mixed": (stages - 1, deficient),
+    }
 
 
 @pytest.mark.parametrize("market", [PRESET, "rank-deficient"])
 def test_batch_decomposes_once_per_stage_for_all_draws(monkeypatch, tmp_path, market):
-    if market == "rank-deficient":
+    deficient = int(market == "rank-deficient")
+    if deficient:
         market = str(tmp_path / "market.json")
         (tmp_path / "market.json").write_text(mv.dump_market_spec(random_market(13)))
-    horizon = mv.resolve_market(market).horizon
+    spec = mv.resolve_market(market)
     calls = _count_eigendecompositions(monkeypatch)
     out = tmp_path / "batch.csv"
     assert main(["batch", "--market", market, "--draws", "16", "--format", "csv", "--out", str(out)]) == 0
-    assert calls.count("eigh") == horizon  # one stacked eigh per stage, not one per draw and stage
-    assert out.read_text().count(",solved,") == 16 * horizon
+    # the market's validation, then one stacked eigvalsh per stage below the
+    # last for all draws, not one per draw and stage
+    assert calls.count("eigvalsh") == 1 + (spec.horizon - 1)
+    assert calls.count("eigh") == deficient
+    assert out.read_text().count(",solved,") == 16 * spec.horizon
+
+
+@pytest.mark.parametrize("kind", ["open_loop", "feedback", "mixed"])
+@pytest.mark.parametrize("start", [0, 2])
+def test_market_validation_eigenvalues_serve_the_solve(monkeypatch, kind, start):
+    raw = mv.get_preset(PRESET).to_json_dict()
+    phi = mv.sample_pure_feedback(3, 4, 3)
+    solve = {
+        "open_loop": mv.solve_open_loop,
+        "feedback": mv.solve_feedback,
+        "mixed": lambda spec: mv.solve_mixed(spec, phi),
+    }[kind]
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    spec = mv.with_initial_state(mv.make_market_spec(**raw), t=start)
+    assert not isinstance(solve(spec), NonexistenceReport)
+    # one stacked eigvalsh of all stages' covariances, from make_market_spec
+    assert shapes.count((4, 3, 3)) == 1
+    assert all(shape == (1, 3, 3) for shape in shapes if shape != (4, 3, 3))
 
 
 @pytest.mark.parametrize(
@@ -97,6 +149,31 @@ def test_one_stacked_decomposition_per_covariance_reader(monkeypatch, spec):
         "build_matched_tree": ["eigh"],
         "simulate_monte_carlo": ["eigh"],
     }
+
+
+REFERENCE_MARKETS = (
+    [("preset", mv.get_preset(PRESET)), ("off-range", off_range_market()), ("feedback-only", feedback_only_market())]
+    + [(f"random-{seed}", random_market(seed)) for seed in range(60)]
+    + [(f"scale-{scale:g}", small_scale_market(scale)) for scale in SMALL_SCALES + TINY_SCALES]
+)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in REFERENCE_MARKETS], ids=[name for name, _ in REFERENCE_MARKETS])
+def test_stage_solves_match_an_eigendecomposition_of_the_gain_matrix(spec):
+    # the reference rebuilds each stage's G from the trace and decomposes it
+    phi = mv.sample_pure_feedback(5, spec.horizon, spec.num_assets)
+    for solution in (mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, phi)):
+        if isinstance(solution, NonexistenceReport):
+            continue
+        policy, tr = solution.policy, solution.trace
+        for k in range(policy.start_stage, spec.horizon):
+            G = gain_matrix(spec, tr, k)
+            X, _, ok = eigenbasis(G).solve(np.stack([tr.gain_target[k], tr.offset_target[k]]))
+            assert ok.all()
+            for got, ref in ((policy.gain(k), -X[0]), (policy.offset(k), -X[1])):
+                assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max(), (policy.kind, k)
+            w = np.linalg.eigvalsh(G)
+            assert np.abs(tr.gain_eigenvalues[k] - w).max() <= 1e-12 * np.abs(w).max(), (policy.kind, k)
 
 
 def test_trace_csv_columns_per_kind():
