@@ -267,9 +267,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.distribution == "tree":
         dist = build_matched_tree(moments)
         exact = evaluate_cost_exact(dist, spec, solved)
-    summary = simulate_monte_carlo(
-        spec, solved, n_paths=args.paths, seed=args.seed, distribution=dist, moments=moments
-    )
+    summary = simulate_monte_carlo(spec, solved, n_paths=args.paths, seed=args.seed, distribution=dist)
 
     record = {f.name: getattr(summary, f.name) for f in dataclass_fields(summary)}
     record["solver"] = args.solver

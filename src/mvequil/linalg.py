@@ -3,13 +3,14 @@ the stage solves of the backward recursion through the covariance.
 
 ``eigenbasis`` decomposes a symmetric M once and keeps what every rule needs:
 all eigenvalues, which the PSD test (``is_psd_spectrum``) reads, and all
-eigenvectors with a mask of those above the cutoff, through which
+eigenvectors with a mask of those the rank cutoff keeps, through which
 ``Eigenbasis.solve`` returns the least-norm solutions of a stack of
 right-hand sides together with their range residuals. The m x m matrix M^+
 is never formed: inverting every kept eigenvalue overflows once they are
 subnormal, while the solve divides each right-hand side's coordinates
-directly. The same cutoff, relative to the largest eigenvalue, sets the
-covariance ranks of the oracle's tree and Monte Carlo.
+directly. The rank cutoff, relative to the largest eigenvalue magnitude, is
+stated once (``_kept``); it sets every rank in the package: the stage
+solves', and the covariance ranks of the oracle's tree and Monte Carlo.
 
 Every backward recursion in this package solves stage equations
 ``G u = -target`` with G = mean_weight mu mu^T + cov_weight Sigma, a
@@ -92,14 +93,12 @@ class Eigenbasis:
 
     eigenvalues (..., m) are all of M's eigenvalues in ascending order and
     vectors (..., m, m) the matching eigenvectors as columns. keep (..., m)
-    marks the eigenvalues whose magnitude exceeds cutoff (...), the absolute
-    threshold applied: rel_tol times M's spectral radius.
+    marks the eigenvalues that the package's one rank cutoff keeps.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     keep: np.ndarray
-    cutoff: np.ndarray
 
     @property
     def rank(self):
@@ -147,18 +146,19 @@ def _in_range(residual: np.ndarray, norms) -> np.ndarray:
     return ok
 
 
-def eigenbasis(M: np.ndarray, rel_tol: float = DEFAULT_PINV_RTOL) -> Eigenbasis:
-    """Decompose symmetric M, or a stack (..., m, m), with one eigh call;
-    eigenvalues with magnitude at most rel_tol times their matrix's spectral
-    radius count as zero."""
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
+def _kept(eigenvalues: np.ndarray) -> np.ndarray:
+    """The rank cutoff: which eigenvalues (..., m) have a magnitude above
+    DEFAULT_PINV_RTOL times their spectrum's largest; the others count as zero."""
+    magnitude = np.abs(eigenvalues)
+    return magnitude > DEFAULT_PINV_RTOL * magnitude.max(axis=-1, keepdims=True, initial=0.0)
+
+
+def eigenbasis(M: np.ndarray) -> Eigenbasis:
+    """Decompose symmetric M, or a stack (..., m, m), with one eigh call; the
+    rank cutoff marks the eigenvalues kept."""
     M = _require_symmetric(M, "eigenbasis")
     w, Q = np.linalg.eigh(M)
-    magnitude = np.abs(w)
-    cutoff = rel_tol * magnitude.max(axis=-1, initial=0.0)
-    keep = magnitude > cutoff[..., None]
-    return Eigenbasis(eigenvalues=w, vectors=Q, keep=keep, cutoff=cutoff)
+    return Eigenbasis(eigenvalues=w, vectors=Q, keep=_kept(w))
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,9 @@ class CovarianceSolve:
     eigenvalue magnitude; y (N, m) = (Sigma / 2^e)^+ mu and q (N,) = mu . y,
     so the scaling by 2^e is exact whatever Sigma's scale; kernel (N, m), the
     part of mu in Sigma's kernel, and kernel_norm (N,) its norm; mean_norm
-    (N,) = ||mu||; and dropped_residual (N,), mu's residual once the
-    direction y leaves the range as well.
+    (N,) = ||mu||; in_range (N,), the range condition, mu in Sigma's column
+    space, by the range test of Eigenbasis.solve; and dropped_residual (N,),
+    mu's residual once the direction y leaves the range as well.
     """
 
     cov: np.ndarray
@@ -185,6 +186,7 @@ class CovarianceSolve:
     kernel: np.ndarray
     kernel_norm: np.ndarray
     mean_norm: np.ndarray
+    in_range: np.ndarray
     dropped_residual: np.ndarray
 
     def solve(
@@ -222,8 +224,7 @@ class CovarianceSolve:
                 if not np.isfinite(w).all():
                     raise np.linalg.LinAlgError("gain matrix has non-finite entries")
                 w.sort(axis=-1)
-            size = np.abs(w)
-            rank = (size > DEFAULT_PINV_RTOL * size.max(axis=-1, keepdims=True)).sum(axis=-1)
+            rank = np.count_nonzero(_kept(w), axis=-1)
             # scale the right-hand sides first: a subnormal den must not overflow 1 / den
             X = scale[..., None] * self.y[k]
             X /= (np.ldexp(cw, self.exponent[k]) + mow * self.q[k])[:, None, None]
@@ -252,10 +253,8 @@ def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray)
     """
     cov, mean = np.asarray(cov, dtype=float), np.asarray(mean, dtype=float)
     eigenvalues = np.array(eigenvalues, dtype=float)
-    magnitude = np.abs(eigenvalues)
-    top = magnitude.max(axis=-1, initial=0.0)
-    exponent = np.frexp(top)[1]
-    rank = np.count_nonzero(magnitude > DEFAULT_PINV_RTOL * top[:, None], axis=-1)
+    exponent = np.frexp(np.abs(eigenvalues).max(axis=-1, initial=0.0))[1]
+    rank = np.count_nonzero(_kept(eigenvalues), axis=-1)
     y, kernel = np.zeros_like(mean), np.zeros_like(mean)
     full = rank == mean.shape[-1]
     for k in np.flatnonzero(full):
@@ -269,7 +268,7 @@ def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray)
         eigenvalues[deficient] = np.ldexp(eig.eigenvalues, e[:, None])
         rank[deficient] = eig.rank
     q = np.einsum("ki,ki->k", mean, y)
-    kernel_norm, y_norm = _row_norms(kernel), _row_norms(y)
+    kernel_norm, y_norm, mean_norm = _row_norms(kernel), _row_norms(y), _row_norms(mean)
     # mu's residual against range(Sigma) less the direction y: its kernel part and mu . y / ||y||
     along_y = np.divide(np.abs(q), y_norm, out=np.zeros_like(q), where=y_norm > 0)
     return CovarianceSolve(
@@ -282,6 +281,7 @@ def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray)
         q=q,
         kernel=kernel,
         kernel_norm=kernel_norm,
-        mean_norm=_row_norms(mean),
+        mean_norm=mean_norm,
+        in_range=_in_range(kernel_norm, lambda: mean_norm),
         dropped_residual=np.hypot(kernel_norm, along_y),
     )

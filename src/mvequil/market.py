@@ -9,8 +9,9 @@ positive weights mu1 (on initial wealth) and mu2 (constant).
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -50,17 +51,9 @@ class MarketSpec:
             object.__setattr__(self, name, _frozen_copy(getattr(self, name)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "num_assets": self.num_assets,
-            "riskless": self.riskless.tolist(),
-            "mean_returns": self.mean_returns.tolist(),
-            "return_cov": self.return_cov.tolist(),
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "initial_time": self.initial_time,
-            "initial_wealth": self.initial_wealth,
-        }
+        """make_market_spec's keywords, in field order: every field but warnings."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "warnings"}
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
     @cached_property
     def cov_eigenvalues(self) -> np.ndarray:
@@ -87,14 +80,6 @@ class ExcessMoments:
     @cached_property
     def cov_eigenvalues(self) -> np.ndarray:
         return _frozen(np.linalg.eigvalsh(self.cov_excess))
-
-    @property
-    def horizon(self) -> int:
-        return self.mean_excess.shape[0]
-
-    @property
-    def num_assets(self) -> int:
-        return self.mean_excess.shape[1]
 
 
 @dataclass(frozen=True)
@@ -252,24 +237,14 @@ def load_market_spec(path) -> MarketSpec:
         raise ValidationError(f"cannot read market JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("market JSON must be an object")
-    required = ["horizon", "num_assets", "riskless", "mean_returns", "return_cov", "mu1", "mu2"]
-    missing = [key for key in required if key not in raw]
+    keywords = inspect.signature(make_market_spec).parameters
+    missing = [key for key, p in keywords.items() if p.default is p.empty and key not in raw]
     if missing:
         raise ValidationError(f"market JSON missing keys: {', '.join(missing)}")
-    unknown = sorted(set(raw) - set(required) - {"initial_time", "initial_wealth"})
+    unknown = sorted(set(raw) - set(keywords))
     if unknown:
         raise ValidationError(f"market JSON has unknown keys: {', '.join(unknown)}")
-    return make_market_spec(
-        horizon=raw["horizon"],
-        num_assets=raw["num_assets"],
-        riskless=raw["riskless"],
-        mean_returns=raw["mean_returns"],
-        return_cov=raw["return_cov"],
-        mu1=raw["mu1"],
-        mu2=raw["mu2"],
-        initial_time=raw.get("initial_time", 0),
-        initial_wealth=raw.get("initial_wealth", 1.0),
-    )
+    return make_market_spec(**raw)
 
 
 def dump_market_spec(spec: MarketSpec) -> str:

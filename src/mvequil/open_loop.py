@@ -27,19 +27,15 @@ def solve_open_loop(
     return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP)[0]
 
 
-def equilibrium_wealth_coefficients(
-    solution, spec: MarketSpec, moments: ExcessMoments | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def equilibrium_wealth_coefficients(solution, spec: MarketSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-stage (a_k, b_k) of the mean wealth path: E X_{k+1} = a_k E X_k + b_k.
 
     a_k = s_k + mean_excess_k . K_k and b_k = mean_excess_k . c_k, for stages
     initial_time through horizon - 1. a_k is the closed-loop mean multiplier.
     Any solution with a policy works: open-loop, feedback or mixed.
     """
-    if moments is None:
-        moments = derive_excess_moments(spec)
     t = solution.policy.start_stage
-    mean_ex = moments.mean_excess[t:]
+    mean_ex = derive_excess_moments(spec).mean_excess[t:]
     a = spec.riskless[t:] + np.einsum("ki,ki->k", mean_ex, solution.policy.gains)
     return a, np.einsum("ki,ki->k", mean_ex, solution.policy.offsets)
 

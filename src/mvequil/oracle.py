@@ -65,8 +65,8 @@ class ScenarioTree:
 
     mean is (N, m) and factors[k] (m, r_k), with F F^T stage k's covariance;
     the atoms are mean[k] + F z over the standard points z, and scenarios are
-    products across stages. implied_mean and implied_cov return the stored
-    moments, so the tree keeps its spread at every scale.
+    products across stages. mean[k] and implied_cov(k) = F F^T are stage k's
+    stored moments, so the tree keeps its spread at every scale.
     """
 
     mean: np.ndarray
@@ -84,9 +84,6 @@ class ScenarioTree:
         """Stage k's 2r + 1 atoms mean[k] + F z, (2r + 1, m), in the standard points' order."""
         F = self.factors[k]
         return self.mean[k] + _standard_points(F.shape[1]) @ F.T
-
-    def implied_mean(self, k: int) -> np.ndarray:
-        return self.mean[k]
 
     def implied_cov(self, k: int) -> np.ndarray:
         return self.factors[k] @ self.factors[k].T
@@ -253,6 +250,7 @@ def best_spike_deviation(
     return u_dev[0], float(j_dev[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
 def _coefficient_moments(
     tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, reapplied: np.ndarray, k: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -273,7 +271,7 @@ def _coefficient_moments(
     for stage in range(spec.horizon - 1, k, -1):
         s = spec.riskless[stage]
         A = np.stack([reapplied[applied.row(stage)], applied.gain(stage), applied.offset(stage)], axis=1)
-        a, b, d = np.array([s, s, 0.0]) + tree.implied_mean(stage) @ A
+        a, b, d = np.array([s, s, 0.0]) + tree.mean[stage] @ A
         G = np.array([[a, 0.0, 0.0], [0.0, b, 0.0], [0.0, d, 1.0]])
         S = cov + np.outer(mean, mean)
         cov = G @ cov @ G.T + (A.T @ tree.implied_cov(stage) @ A) * S[np.ix_(p, p)]
@@ -309,7 +307,7 @@ def _best_spikes(
     convexity check, and one least-norm solve through it gives every node's
     step and whether its gradient lies in the Hessian's range.
     """
-    mu, sigma = tree.implied_mean(k), tree.implied_cov(k)
+    mu, sigma = tree.mean[k], tree.implied_cov(k)
     second = cov + np.outer(mean, mean)
     u = np.outer(x, applied.gain(k)) + applied.offset(k)
     sigma_u = u @ sigma
@@ -456,7 +454,6 @@ def simulate_monte_carlo(
     n_paths: int,
     seed: int,
     distribution="gaussian",
-    moments: ExcessMoments | None = None,
 ) -> SimulationSummary:
     """Simulate terminal wealth under the applied policy from (t, x).
 
@@ -464,7 +461,7 @@ def simulate_monte_carlo(
     the market's exact mean and covariance) or a ScenarioTree to sample atoms
     from, which makes the estimates converge to evaluate_cost_exact on that
     same tree. Both laws read each stage's mean mu and factor F from one tree
-    (for "gaussian", the matched tree of moments) and take o = mu + F z; they
+    (for "gaussian", the market's matched tree) and take o = mu + F z; they
     differ only in the standard shock z: one of the tree's standard points,
     drawn by rng.choice's rule on equal weights, or normals drawn as an
     (n_paths, rank) array per stage, so a seed fixes the returns. The cost
@@ -482,7 +479,7 @@ def simulate_monte_carlo(
         tree = distribution
         _check_tree(tree, spec)
     elif distribution == "gaussian":
-        tree = build_matched_tree(derive_excess_moments(spec) if moments is None else moments)
+        tree = build_matched_tree(derive_excess_moments(spec))
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
 

@@ -127,14 +127,6 @@ class PureFeedbackPart:
         gains.flags.writeable = False
         object.__setattr__(self, "gains", gains)
 
-    @property
-    def horizon(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def num_assets(self) -> int:
-        return self.gains.shape[1]
-
 
 def sample_pure_feedback(seed: int, horizon: int, num_assets: int) -> PureFeedbackPart:
     """Standard-normal strategy part from a seeded generator; reproducible."""

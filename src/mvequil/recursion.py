@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .linalg import covariance_solve, is_psd_spectrum
-from .market import ExcessMoments, MarketSpec, check_open_loop_existence, derive_excess_moments
+from .market import ExcessMoments, MarketSpec, ValidationError, derive_excess_moments
 from .policy import AffinePolicy, InternalInconsistencyError, NonexistenceReport, PolicyKind, PureFeedbackPart
 from .policy import FailingCondition as Cond
 
@@ -43,6 +43,7 @@ from .policy import FailingCondition as Cond
 # PSD whatever G is.
 _CONDITIONS = (Cond.RANGE_CONDITION, Cond.PSD_CONDITION, Cond.GAIN_SOLVABILITY, Cond.OFFSET_SOLVABILITY)
 _CHECKS = {PolicyKind.OPEN_LOOP: slice(0, 1), PolicyKind.FEEDBACK: slice(1, 4), PolicyKind.MIXED: slice(2, 4)}
+_WEIGHTS = ("cov_weight", "mean_outer_weight", "mean_coupling", "mean_offset", "riskless_growth_sq")
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,9 @@ class RecursionTrace:
 
     @classmethod
     def empty(cls, draws: int, N: int, m: int) -> RecursionTrace:
-        weights = ("cov_weight", "mean_outer_weight", "mean_coupling", "mean_offset", "riskless_growth_sq")
         rows = ("offset_coupling", "gain_target", "offset_target", "gain_eigenvalues")
         return cls(
-            **{name: np.full((draws, N + 1), np.nan) for name in weights},
+            **{name: np.full((draws, N + 1), np.nan) for name in _WEIGHTS},
             **{name: np.full((draws, N, m), np.nan) for name in rows},
             **{name: np.full((draws, N), np.nan) for name in ("range_residual", "gain_residual", "offset_residual")},
             stage_ok=np.zeros((draws, N), dtype=bool),
@@ -120,6 +120,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value out of the float range is rejected, not warned about
 def backward_recursion(
     spec: MarketSpec,
     moments: ExcessMoments | None,
@@ -139,8 +140,11 @@ def backward_recursion(
     leaves the stack. Returns one outcome per part, in order; the
     open-loop and feedback kinds are the case of one zero part, with one
     outcome. A feedback failure while every range condition holds, or a
-    nonpositive open-loop cov_weight, contradicts the theory and raises
-    InternalInconsistencyError.
+    negative open-loop cov_weight, contradicts the theory and raises
+    InternalInconsistencyError. A gain matrix, gain, offset or weight that
+    leaves the float range, including an open-loop cov_weight that underflows
+    to zero, raises ValidationError naming the stage: the market's scale, not
+    the theory, failed there.
     """
     if (feedback_parts is None) is (kind is PolicyKind.MIXED):
         raise ValueError(f"{kind.value} recursion: a strategy part is given exactly when the kind is mixed")
@@ -176,7 +180,10 @@ def backward_recursion(
         rhs = row_scale[:, :, None] * mean_ex
         tr.gain_target[live, k], tr.offset_target[live, k] = rhs[:, 1], rhs[:, 2]
 
-        w, X, residual, ok = stages.solve(k - t, cw, mow, row_scale)
+        try:
+            w, X, residual, ok = stages.solve(k - t, cw, mow, row_scale)
+        except np.linalg.LinAlgError as exc:
+            raise ValidationError(f"stage {k}: the recursion leaves the float range ({exc})") from None
         tr.gain_eigenvalues[live, k] = w
         tr.range_residual[live, k], tr.gain_residual[live, k], tr.offset_residual[live, k] = residual.T
         passed = np.column_stack((ok[:, 0], is_psd_spectrum(w), ok[:, 1:]))[:, checks]
@@ -188,7 +195,7 @@ def backward_recursion(
                 report = NonexistenceReport(k, _CONDITIONS[checks][first], float(residual[i, first]))
                 # feedback solvability is guaranteed when every range condition
                 # holds, so tell genuine nonexistence from a numerics bug
-                if kind is PolicyKind.FEEDBACK and check_open_loop_existence(moments, t).overall:
+                if kind is PolicyKind.FEEDBACK and stages.in_range.all():
                     raise InternalInconsistencyError(
                         f"stage {k}: {report.failing_condition.value} failed (residual "
                         f"{report.residual:.3e}) although the range condition holds at every stage"
@@ -215,8 +222,14 @@ def backward_recursion(
         tr.mean_offset[live, k] = -_row_dot(coupling, dag_offset) + cp * offset_next
         tr.riskless_growth_sq[live, k] = s_k**2 * tr.riskless_growth_sq[live, k + 1]
         if kind is PolicyKind.OPEN_LOOP and not cov_weight.min() > 0:
-            raise InternalInconsistencyError(f"cov_weight nonpositive ({cov_weight.min()}) at stage {k}")
+            if cov_weight.min() < 0:
+                raise InternalInconsistencyError(f"cov_weight nonpositive ({cov_weight.min()}) at stage {k}")
+            raise ValidationError(f"stage {k}: cov_weight {cov_weight.min()} leaves the float range")
 
+    # once, after the loop; not X[:, 0], the range row, which is about inf at a 1e-310 covariance
+    weights = [getattr(tr, name)[ids, t:] for name in _WEIGHTS]
+    if not all(np.isfinite(a).all() for a in (gains[ids], offsets[ids], *weights)):
+        raise ValidationError(f"stages {t} to {N - 1}: a gain, offset or weight leaves the float range")
     for d in ids:
         policy = AffinePolicy(kind=kind, start_stage=t, gains=gains[d], offsets=offsets[d])
         part = None if feedback_parts is None else feedback_parts[d]

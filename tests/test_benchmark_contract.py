@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import mvequil
+import mvequil.cli
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -24,6 +25,39 @@ def test_tracer_counts_the_nodes_of_one_verify_tree_op(tmp_path, monkeypatch):
         trace.uninstall()
     # three solvers, 1 + 7 + 49 + 343 nodes each on the (N=4, m=3) tree
     assert trace.counts["oracle.nodes"] == 3 * workload.nodes == 1200
+
+
+# the spans whose counters run.py reads, besides the solvers'; the three
+# linalg.*_calls spans are left out: their functions no longer exist
+READ_SPANS = (
+    "market.make_market_spec",
+    "market.derive_excess_moments",
+    "market.load_market_spec",
+    "oracle.verify_equilibrium",
+    "oracle.spike_cost",
+    "oracle.build_matched_tree",
+    "oracle.evaluate_cost_exact",
+    "oracle.simulate_monte_carlo",
+    "oracle.export_verification_jsonl",
+    "cli.main",
+)
+
+
+def test_tracer_wraps_every_function_whose_span_the_benchmark_reads(monkeypatch):
+    # a function renamed or moved away would read 0 in its per-layer metrics, silently
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracer
+
+    trace = tracer.Tracer()
+    trace.install(mvequil)
+    try:
+        for span in (*tracer.SOLVERS, *READ_SPANS):
+            layer, name = span.split(".")
+            namespaces = [getattr(mvequil, layer)] + ([mvequil.cli] if span in tracer.SOLVERS else [])
+            for namespace in namespaces:
+                assert hasattr(getattr(namespace, name, None), "__wrapped__"), f"{namespace.__name__}.{name}"
+    finally:
+        trace.uninstall()
 
 
 # every solve-large solver; one market of cli-batch, which runs batch and solve-feedback

@@ -162,6 +162,62 @@ def test_wealth_whose_cost_overflows_exits_2(argv, capsys):
     assert f"wealth {float(argv[2]):g}" in captured.err and "overflow" in captured.err
 
 
+def _scaled_market(**overrides):
+    """A 3-stage, 2-asset market with a full-rank covariance, with overrides."""
+    market = dict(horizon=3, num_assets=2, riskless=1.02, mean_returns=[1.05, 1.03], mu1=1, mu2=1)
+    market["return_cov"] = [[0.01, 0], [0, 0.02]]
+    return {**market, **overrides}
+
+
+# valid markets whose recursion leaves the float range
+_FLOAT_RANGE_MARKETS = {
+    "mu-1e300": _scaled_market(mu1=1e300, mu2=1e300),
+    "riskless-1e-200": _scaled_market(riskless=1e-200),
+    "riskless-1e10": _scaled_market(horizon=40, riskless=1e10, mean_returns=[1e10 + 1, 1e10]),
+    "mean-1e200": _scaled_market(mean_returns=[1e200, 1.03]),
+    "cov-1e-160": _scaled_market(return_cov=[[1e-160, 0], [0, 2e-160]]),
+    "cov-1e-310": _scaled_market(horizon=2, return_cov=[[1e-310, 0], [0, 2e-310]]),
+}
+_FLOAT_RANGE_COMMANDS = {
+    "solve-open-loop": ["solve-open-loop"],
+    "solve-feedback": ["solve-feedback"],
+    "solve-mixed": ["solve-mixed", "--phi", "sample"],
+    "batch": ["batch", "--draws", "3"],
+    "simulate": ["simulate", "--solver", "feedback", "--paths", "1000"],
+    "verify": ["verify"],
+    "solve-feedback-from-1": ["solve-feedback", "--t", "1"],
+}
+# exit codes of the first six commands, in order
+_FLOAT_RANGE_CODES = {
+    "mu-1e300": (0, 2, 0, 0, 2, 2),
+    "riskless-1e-200": (2, 0, 0, 0, 0, 2),
+    "riskless-1e10": (2, 2, 2, 2, 2, 2),
+    "mean-1e200": (2, 2, 2, 2, 2, 2),
+    "cov-1e-160": (0, 2, 0, 0, 2, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "market, command, code",
+    [
+        (market, command, code)
+        for market, codes in _FLOAT_RANGE_CODES.items()
+        for command, code in zip(list(_FLOAT_RANGE_COMMANDS)[:6], codes)
+    ]
+    # the 2-stage subnormal covariance: stage 0's gain matrix overflows, and
+    # from --t 1 the weights carried back from stage 1 do
+    + [("cov-1e-310", "solve-feedback", 2), ("cov-1e-310", "solve-feedback-from-1", 2)],
+)
+def test_values_out_of_the_float_range_exit_2(market, command, code, tmp_path, capsys):
+    # an overflow or underflow on valid input is a validation error, never exit 1, a
+    # nonexistence report or a RuntimeWarning; the recursion's renormalization would solve these
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(_FLOAT_RANGE_MARKETS[market]))
+    assert main(_FLOAT_RANGE_COMMANDS[command] + ["--market", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and ("error:" in err) == (code == 2)
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [

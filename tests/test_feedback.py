@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import mvequil as mv
-from mvequil import FailingCondition, NonexistenceReport
+from mvequil import FailingCondition, InternalInconsistencyError, NonexistenceReport, recursion
 from mvequil.cli import EXIT_NONEXISTENT, main
 from mvequil.reference import VERIFIED_FEEDBACK_GAINS, VERIFIED_FEEDBACK_OFFSETS
 
 from gainmatrix import gain_matrix
-from instgen import feedback_only_market, random_market, random_market_full_rank
+from instgen import feedback_only_market, off_range_market, random_market, random_market_full_rank
 
 PRESET = "li-duan-example-2"
 
@@ -77,7 +77,7 @@ def test_closed_loop_multiplier(preset_solution):
     # the closed-loop mean multiplier s_k + mean . Phi_k is the wealth-path coefficient a_k
     spec, sol = preset_solution
     moments = mv.derive_excess_moments(spec)
-    multipliers = mv.equilibrium_wealth_coefficients(sol, spec, moments)[0]
+    multipliers = mv.equilibrium_wealth_coefficients(sol, spec)[0]
     assert multipliers[3] == pytest.approx(1.7710, abs=5e-4)
     for k in range(4):
         expected = 1.04 + moments.mean_excess[k] @ sol.policy.gain(k)
@@ -177,6 +177,21 @@ def test_feedback_can_exist_where_open_loop_does_not():
     moments = mv.derive_excess_moments(spec)
     tree = mv.build_matched_tree(moments)
     assert mv.verify_equilibrium(tree, spec, sol.policy).passed.all()
+
+
+def test_failed_check_is_a_bug_where_every_range_condition_holds(monkeypatch):
+    # the recursion's own range test tells a numerics bug from nonexistence,
+    # so the guard decomposes no covariance again
+    monkeypatch.setattr(recursion, "is_psd_spectrum", lambda w: np.zeros(len(w), dtype=bool))
+    eigh_calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: eigh_calls.append(1) or eigh(*a, **kw))
+    with pytest.raises(InternalInconsistencyError, match="psd_condition failed .* range condition holds"):
+        mv.solve_feedback(mv.get_preset(PRESET))
+    assert eigh_calls == []
+    # the mean leaves the covariance's range at stages 0-1: the same failure is nonexistence
+    report = mv.solve_feedback(off_range_market())
+    assert isinstance(report, NonexistenceReport)
+    assert (report.failing_stage, report.failing_condition) == (2, FailingCondition.PSD_CONDITION)
 
 
 def test_trace_csv_has_one_row_per_stage(preset_solution):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvequil import linalg
 from mvequil.linalg import covariance_solve, eigenbasis, is_psd_spectrum
 
 
@@ -82,7 +83,20 @@ def test_rank_one_diagonal_pseudoinverse_is_exact():
     eig = eigenbasis(np.diag([2.0, 0.0]))
     assert np.array_equal(pinv_by_solve(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
     assert eig.rank == 1
-    assert eig.cutoff == 2e-10
+
+
+@pytest.mark.parametrize("small, rank", [(2e-10, 1), (2.1e-10, 2)])
+def test_one_rank_cutoff_at_its_boundary(monkeypatch, small, rank):
+    # the cutoff is 1e-10 times the largest magnitude, exactly 2e-10 here, and
+    # an eigenvalue counts only above it: eigenbasis, the stage solves before
+    # the recursion and the gain matrix's rank at mow = 0 all apply that rule
+    cov, mean = np.diag([2.0, small]), np.array([1.0, 1.0])
+    stages = covariance_solve(cov[None], mean[None], np.linalg.eigvalsh(cov)[None])
+    assert eigenbasis(cov).rank == stages.rank[0] == rank
+    solve_ranks, kept = [], linalg._kept
+    monkeypatch.setattr(linalg, "_kept", lambda w: solve_ranks.append(np.count_nonzero(kept(w))) or kept(w))
+    stages.solve(0, np.array([1.0]), np.array([0.0]), np.ones((1, 3)))
+    assert solve_ranks == [rank]
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6))
@@ -166,7 +180,7 @@ def test_stacked_solve_matches_each_matrix():
     V = rng.standard_normal((len(stack), 3, n))
     V[:, 0] = np.einsum("dij,dj->di", stack, rng.standard_normal((len(stack), n)))  # in range
     stacked = eigenbasis(stack)
-    assert stacked.eigenvalues.shape == (len(stack), n) and stacked.cutoff.shape == (len(stack),)
+    assert stacked.eigenvalues.shape == (len(stack), n) and stacked.keep.shape == (len(stack), n)
     for rows in (V, V[:, 1]):  # r rows per matrix, and one row per matrix
         X, residual, ok = stacked.solve(rows)
         for d, M in enumerate(stack):

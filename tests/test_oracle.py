@@ -77,7 +77,7 @@ def test_matched_tree_moments_are_exact(preset_setup):
         assert [len(tree.atoms(k)) for k in range(spec.horizon)] == [2 * rank + 1] * spec.horizon, label
         for k in range(spec.horizon):
             cov = moments.cov_excess[k]
-            assert np.allclose(tree.implied_mean(k), moments.mean_excess[k], rtol=0, atol=1e-12), label
+            assert np.allclose(tree.mean[k], moments.mean_excess[k], rtol=0, atol=1e-12), label
             assert np.allclose(tree.implied_cov(k), cov, rtol=0, atol=1e-12 * np.abs(cov).max()), label
 
 
@@ -609,9 +609,7 @@ def test_monte_carlo_matches_the_per_path_recursion(preset_setup, sampling):
         mv.solve_feedback(spec),
         mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)),
     ):
-        sim = mv.simulate_monte_carlo(
-            spec, solved, 20_000, seed=11, distribution=tree or "gaussian", moments=moments
-        )
+        sim = mv.simulate_monte_carlo(spec, solved, 20_000, seed=11, distribution=tree or "gaussian")
         expected = _reference_monte_carlo(spec, solved.policy, 20_000, 11, tree, moments)
         assert np.allclose([sim.mean_terminal, sim.var_terminal, sim.cost], expected, rtol=1e-12, atol=0)
 

@@ -136,7 +136,7 @@ def test_one_stacked_decomposition_per_covariance_reader(monkeypatch, spec):
     readers = {
         "make_market_spec": lambda: mv.make_market_spec(**spec.to_json_dict()),
         "build_matched_tree": lambda: mv.build_matched_tree(moments),
-        "simulate_monte_carlo": lambda: mv.simulate_monte_carlo(spec, solution, 100, seed=0, moments=moments),
+        "simulate_monte_carlo": lambda: mv.simulate_monte_carlo(spec, solution, 100, seed=0),
     }
     counts = {}
     for name, read in readers.items():
