@@ -181,16 +181,15 @@ def _policy_pretty(title: str, policy, extra_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_json(solution) -> str:
+def _solution_json(solution, spec) -> str:
+    trace = {f.name: getattr(solution.trace, f.name).tolist() for f in dataclass_fields(solution.trace)}
+    trace["gain_eigenvalues"] = solution.gain_eigenvalues(spec).tolist()
     data = {
         "kind": solution.policy.kind.value,
         "start_stage": solution.policy.start_stage,
         "gains": solution.policy.gains.tolist(),
         "offsets": solution.policy.offsets.tolist(),
-        "trace": {
-            f.name: np.asarray(getattr(solution.trace, f.name)).tolist()
-            for f in dataclass_fields(solution.trace)
-        },
+        "trace": trace,
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -213,7 +212,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.fmt == "csv":
         text = trace_csv(result, spec)
     elif args.fmt == "json":
-        text = _solution_json(result)
+        text = _solution_json(result, spec)
     else:
         text = _policy_pretty(args.title, result.policy)
     _emit(text, args)
@@ -319,7 +318,7 @@ def _cmd_reproduce_example(args: argparse.Namespace) -> int:
             print(result.describe())
             return EXIT_NONEXISTENT
 
-    eig_last = np.sort(mixed.trace.gain_eigenvalues[spec.horizon - 1])
+    eig_last = np.sort(mixed.gain_eigenvalues(spec)[spec.horizon - 1])
     eig_line = "last-stage gain matrix eigenvalues: " + " ".join(f"{v:.4f}" for v in eig_last)
     print(_policy_pretty("open-loop equilibrium control", open_loop.policy))
     print(_policy_pretty("feedback equilibrium strategy", feedback.policy))
@@ -369,11 +368,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             status = f"nonexistent:{result.failing_condition.name}"
             writer.writerow([draw, phi_seed, status, result.failing_stage] + [""] * (m + 1))
             continue
-        trace = result.trace
+        # one solution's eigenvalues at a time, so no output holds every draw's
+        # gain matrices; as Python floats, which the csv writer formats faster
+        eigenvalues, stage_ok = result.gain_eigenvalues(spec).tolist(), result.trace.stage_ok
         for k in range(spec.initial_time, spec.horizon):
             row = [draw, phi_seed, "solved", k]
-            row += list(trace.gain_eigenvalues[k])
-            row.append(bool(trace.stage_ok[k]))
+            row += eigenvalues[k]
+            row.append(bool(stage_ok[k]))
             writer.writerow(row)
     _emit(buf.getvalue(), args)
     return EXIT_OK

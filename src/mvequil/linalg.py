@@ -9,18 +9,26 @@ right-hand sides together with their range residuals. The m x m matrix M^+
 is never formed: inverting every kept eigenvalue overflows once they are
 subnormal, while the solve divides each right-hand side's coordinates
 directly. The rank cutoff, relative to the largest eigenvalue magnitude, is
-stated once (``_kept``); it sets every rank in the package: the stage
-solves', and the covariance ranks of the oracle's tree and Monte Carlo.
+stated once (``_kept``); it sets every eigenvalue-based rank in the
+package: the covariances' in the stage solves, the oracle's tree and Monte
+Carlo. The gain matrices' rank rule below applies the same DEFAULT_PINV_RTOL.
 
 Every backward recursion in this package solves stage equations
 ``G u = -target`` with G = mean_weight mu mu^T + cov_weight Sigma, a
 covariance plus a rank-one term in the mean, and every right-hand side a
 multiple of mu. ``covariance_solve`` therefore solves Sigma^+ mu once per
-stage, weight-free, and ``CovarianceSolve.solve`` gives G^+ mu, G's
-eigenvalues and every range residual in closed form for any weights: the
-rank of G against the rank of Sigma tells whether mu's kernel part enters
-G's range or mu leaves it. G itself is decomposed for its eigenvalues only,
-and not even that while mean_weight is zero.
+stage, weight-free, and ``CovarianceSolve.solve`` gives G^+ mu, every range
+residual and G's PSD test in closed form for any weights. G's rank against
+Sigma's decides, and the rank rule (``CovarianceSolve._rank_rule``) states
+it without G's eigenvalues (the rank-one update; Golub 1973, Bunch, Nielsen
+& Sorensen 1978): one more when mu's kernel part enters G's range, one fewer
+when mu leaves it, which happens when den = cov_weight 2^e + mean_weight q,
+the number G^+ mu = y / den divides by, is zero within the cutoff. To first
+order, den measures G's vanishing eigenvalue only up to Sigma's condition
+number on its range, so the rule and the cutoff on G's eigenvalues may
+disagree inside a band of that width at the cutoff; outside it they agree.
+No solve decomposes G: ``gain_eigenvalues`` computes its eigenvalues for the
+outputs that print them, and for the residual of a failed PSD test.
 
 Everything works on a stack of matrices (..., m, m) as well as on one: a
 stack is decomposed by one ``eigh`` call and solved by one batched product,
@@ -165,19 +173,19 @@ def eigenbasis(M: np.ndarray) -> Eigenbasis:
 class CovarianceSolve:
     """Each stage's solve of Sigma^+ mu, weight-free, for the gain matrices built on it.
 
-    cov (N, m, m) and mean (N, m) are the stages' Sigma and mu. Per stage:
-    eigenvalues (N, m) of Sigma, ascending, and rank (N,) under the cutoff;
-    exponent (N,), the e of the power of two 2^e at Sigma's largest
-    eigenvalue magnitude; y (N, m) = (Sigma / 2^e)^+ mu and q (N,) = mu . y,
-    so the scaling by 2^e is exact whatever Sigma's scale; kernel (N, m), the
-    part of mu in Sigma's kernel, and kernel_norm (N,) its norm; mean_norm
+    Per stage, for the stages' Sigma and mu: eigenvalues (N, m) of Sigma,
+    ascending, and rank (N,) under the cutoff; exponent (N,), the e of the
+    power of two 2^e at Sigma's largest eigenvalue magnitude;
+    y (N, m) = (Sigma / 2^e)^+ mu and q (N,) = mu . y, so the scaling by 2^e
+    is exact whatever Sigma's scale; kernel (N, m), the part of mu in
+    Sigma's kernel, and kernel_norm (N,) its norm; mean_norm
     (N,) = ||mu||; in_range (N,), the range condition, mu in Sigma's column
-    space, by the range test of Eigenbasis.solve; and dropped_residual (N,),
-    mu's residual once the direction y leaves the range as well.
+    space, by the range test of Eigenbasis.solve; dropped_residual (N,),
+    mu's residual once the direction y leaves the range as well; and cov_max
+    and mean_max (N,), the largest entry magnitudes of Sigma and mu, which
+    bound G's entries.
     """
 
-    cov: np.ndarray
-    mean: np.ndarray
     eigenvalues: np.ndarray
     rank: np.ndarray
     exponent: np.ndarray
@@ -188,6 +196,46 @@ class CovarianceSolve:
     mean_norm: np.ndarray
     in_range: np.ndarray
     dropped_residual: np.ndarray
+    cov_max: np.ndarray
+    mean_max: np.ndarray
+
+    def _rank_rule(self, k: int, cw: np.ndarray, mow: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rank rule for stage k's gain matrices, one per weight pair: (den,
+        enters, leaves), whether mu's kernel part enters G's range and whether
+        mu leaves it. Where neither, G's rank is Sigma's.
+
+        den = cw 2^e + mow q, and G^+ mu = y / den while mu stays in
+        range(Sigma). mu_K enters when mow ||mu_K||^2 clears the rank cutoff
+        against G's scale, max(|cw| sigma_max, |mow| ||mu||^2). Otherwise mu
+        leaves when den, which cancels from |cw| 2^e + |mow| q, is within the
+        cutoff of that sum: G has lost the one rank the determinant lemma lets
+        it lose.
+        """
+        e, q, size = self.exponent[k], self.q[k], np.abs(mow)
+        den = np.ldexp(cw, e) + mow * q
+        scale = np.maximum(np.abs(cw) * np.abs(self.eigenvalues[k]).max(), size * self.mean_norm[k] ** 2)
+        enters = size * self.kernel_norm[k] ** 2 > DEFAULT_PINV_RTOL * scale
+        return den, enters, ~enters & (np.abs(den) <= DEFAULT_PINV_RTOL * (np.ldexp(np.abs(cw), e) + size * q))
+
+    def _is_psd(
+        self, k: int, cw: np.ndarray, mow: np.ndarray, den: np.ndarray, enters: np.ndarray, leaves: np.ndarray
+    ) -> np.ndarray:
+        """The PSD test of stage k's gain matrices from G's inertia, given the rank rule's outcome.
+
+        Sigma's kept eigenvalues are positive, so cw Sigma is PSD when cw >= 0
+        or Sigma is zero. When mu's kernel part mu_K enters, the Schur
+        complement on it gives G the inertia of {cw sigma_i} and
+        mow ||mu_K||^2: G is PSD when cw Sigma is and mow > 0. Otherwise G acts
+        on range(Sigma), zero when Sigma is, where the eigenvalue the rank-one
+        term moves across zero crosses it with den: G is PSD when den >= 0, or
+        mu leaves, and cw Sigma is PSD or has one negative eigenvalue that
+        mow > 0 lifts.
+        """
+        rank = self.rank[k]
+        definite = (cw >= 0) | (rank == 0)
+        # a NaN den, 0 * inf past the float range, fails no test: the solve's non-finite X is rejected
+        on_range = (~(den < 0) | leaves) & (definite | ((rank == 1) & (mow > 0)))
+        return np.where(enters, definite & (mow > 0), on_range | (rank == 0))
 
     def solve(
         self, k: int, cov_weight: np.ndarray, mean_weight: np.ndarray, row_scale: np.ndarray
@@ -195,52 +243,64 @@ class CovarianceSolve:
         """Stage k's gain matrices G = mean_weight mu mu^T + cov_weight Sigma, one
         per weight pair (D,), solved for the rows v = row_scale[d, j] mu, (D, r).
 
-        Returns (eigenvalues (D, m) of G ascending, X (D, r, m), residual (D, r),
-        ok (D, r)) with the meaning of Eigenbasis.solve: X = G^+ v, the residual
-        of v against G's range and ok the same range test. The eigenvalues are
-        cov_weight times Sigma's while every mean_weight is zero; otherwise one
-        stacked eigvalsh of the G gives them. G's rank under the cutoff then
-        decides: equal to Sigma's, X = v . y / den with
-        den = cov_weight 2^e + mean_weight q and v's residual is its kernel
-        part; one more, mu's kernel part enters G's range and
-        X = v . kernel / (mean_weight kernel_norm^2), solving v exactly; fewer,
-        mu leaves G's range, X is zero and the residual is dropped_residual's
-        multiple. A non-finite weight, row scale or gain matrix raises
-        LinAlgError, so an overflow never reads as a failed range test.
+        Returns (X (D, r, m), residual (D, r), ok (D, r), psd (D,)): X = G^+ v,
+        the residual of v against G's range and ok the range test, with the
+        meaning of Eigenbasis.solve, and psd G's PSD test (_is_psd). The rank
+        rule (_rank_rule) decides, and no G is built: G's rank equal to
+        Sigma's, X = v . y / den and v's residual is its kernel part; mu's
+        kernel part entering G's range, X = v . kernel / (mean_weight
+        kernel_norm^2), solving v exactly; mu leaving G's range, X is zero and
+        the residual is dropped_residual's multiple. A non-finite weight, row
+        scale or gain matrix entry raises LinAlgError, so an overflow never
+        reads as a failed range test; the entries are bounded by
+        |mean_weight| mean_max^2 + |cov_weight| cov_max.
         """
         cw, mow, scale = (np.asarray(a, dtype=float) for a in (cov_weight, mean_weight, row_scale))
-        # a non-finite weight shows in G or its eigenvalues; a row scale only here
         if not np.isfinite(scale).all():
             raise np.linalg.LinAlgError("gain solve: non-finite right-hand side")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if mow.any():
-                mean = self.mean[k]
-                G = mow[:, None, None] * np.outer(mean, mean) + cw[:, None, None] * self.cov[k]
-                if not np.isfinite(G).all():
-                    raise np.linalg.LinAlgError("gain matrix has non-finite entries")
-                w = np.linalg.eigvalsh(G)
-            else:
-                w = cw[:, None] * self.eigenvalues[k]
-                if not np.isfinite(w).all():
-                    raise np.linalg.LinAlgError("gain matrix has non-finite entries")
-                w.sort(axis=-1)
-            rank = np.count_nonzero(_kept(w), axis=-1)
+            # mean_max^2 is inf past 1e154; it reaches G only through a nonzero mean weight
+            mean_term = np.where(mow != 0, np.abs(mow) * self.mean_max[k] ** 2, 0.0)
+            if not np.isfinite(np.abs(cw) * self.cov_max[k] + mean_term).all():
+                raise np.linalg.LinAlgError("gain matrix has non-finite entries")
+            den, enters, leaves = self._rank_rule(k, cw, mow)
+            psd = self._is_psd(k, cw, mow, den, enters, leaves)
             # scale the right-hand sides first: a subnormal den must not overflow 1 / den
             X = scale[..., None] * self.y[k]
-            X /= (np.ldexp(cw, self.exponent[k]) + mow * self.q[k])[:, None, None]
+            X /= den[:, None, None]
             mean_residual = np.full(len(cw), self.kernel_norm[k])
-            if (rank != self.rank[k]).any():
-                kernel_sq = mow * self.kernel_norm[k] ** 2
-                enters = (rank > self.rank[k]) & (kernel_sq != 0)
-                leaves = rank < self.rank[k]
-                X[enters] = (scale[enters, :, None] * self.kernel[k]) / kernel_sq[enters, None, None]
+            if enters.any() or leaves.any():
+                kernel_sq = mow[enters] * self.kernel_norm[k] ** 2
+                X[enters] = (scale[enters, :, None] * self.kernel[k]) / kernel_sq[:, None, None]
                 X[leaves] = 0.0
                 mean_residual[enters] = 0.0
                 mean_residual[leaves] = self.dropped_residual[k]
         size = np.abs(scale)
         residual = size * mean_residual[:, None]
-        return w, X, residual, _in_range(residual, lambda: size * self.mean_norm[k])
+        return X, residual, _in_range(residual, lambda: size * self.mean_norm[k]), psd
 
+
+def gain_eigenvalues(
+    cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray, cov_weight: np.ndarray, mean_weight: np.ndarray
+) -> np.ndarray:
+    """Eigenvalues (n, m), ascending, of n gain matrices G = mean_weight mu mu^T + cov_weight Sigma.
+
+    cov (n, m, m), mean (n, m) and eigenvalues (n, m) are each G's Sigma, mu
+    and Sigma's eigenvalues; cov_weight and mean_weight (n,) its weights. No
+    solve needs them: they serve the outputs that print them and the residual
+    of a failed PSD test. A G without a mean term takes cov_weight times
+    Sigma's eigenvalues, sorted; the others are built elementwise and
+    decomposed by one stacked eigvalsh.
+    """
+    cw, mow = np.asarray(cov_weight, dtype=float), np.asarray(mean_weight, dtype=float)
+    w = cw[:, None] * eigenvalues
+    w.sort(axis=-1)
+    outer = np.flatnonzero(mow != 0)
+    if outer.size:
+        mu = mean[outer]
+        G = mow[outer, None, None] * (mu[:, :, None] * mu[:, None, :]) + cw[outer, None, None] * cov[outer]
+        w[outer] = np.linalg.eigvalsh(G)
+    return w
 
 def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray) -> CovarianceSolve:
     """The weight-free solves Sigma^+ mu of the stages (N, m, m) and means (N, m),
@@ -272,8 +332,6 @@ def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray)
     # mu's residual against range(Sigma) less the direction y: its kernel part and mu . y / ||y||
     along_y = np.divide(np.abs(q), y_norm, out=np.zeros_like(q), where=y_norm > 0)
     return CovarianceSolve(
-        cov=cov,
-        mean=mean,
         eigenvalues=eigenvalues,
         rank=rank,
         exponent=exponent,
@@ -284,4 +342,6 @@ def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray)
         mean_norm=mean_norm,
         in_range=_in_range(kernel_norm, lambda: mean_norm),
         dropped_residual=np.hypot(kernel_norm, along_y),
+        cov_max=np.maximum(cov.max(axis=(-2, -1)), -cov.min(axis=(-2, -1))),  # no |cov| copy
+        mean_max=np.abs(mean).max(axis=-1, initial=0.0),
     )

@@ -321,6 +321,10 @@ def _best_spikes(
         raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the policy's cost overflows")
     grad = 2.0 * second[0, 1] * sigma_u + np.outer(2.0 * w_cov_mean[:, 0] - mean_weight * mean[0], mu)
     hess = 2.0 * (second[0, 0] * sigma + cov[0, 0] * np.outer(mu, mu))
+    # Var(beta) can be finite while the Hessian's mu mu' term overflows
+    overflow = ~np.isfinite(grad).all(axis=1) | ~np.isfinite(hess).all()
+    if overflow.any():
+        raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the deviation cost's derivatives overflow")
 
     eig = eigenbasis(hess)
     eigs = eig.eigenvalues

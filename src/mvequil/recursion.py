@@ -13,15 +13,16 @@ cross term. G is Cov(O_k) plus a rank-one term in the mean, and all three
 right-hand sides (the range condition's mean and the two targets) are
 multiples of the mean, so one weight-free solve Cov(O_k)^+ mean per stage,
 made before the loop (``linalg.covariance_solve``), gives the gains, the
-offsets and every range residual in closed form. The market's covariance
-eigenvalues give G's while mean_outer_weight is zero, as at every stage of
-the open-loop recursion; otherwise one eigvalsh of G per stage gives them,
-and with them the PSD test.
+offsets and every range residual in closed form, and linalg's rank rule on
+the same quantities gives G's rank and the PSD test: no stage decomposes G.
+G's eigenvalues are computed only where they are printed, by
+``EquilibriumSolution.gain_eigenvalues``, or where a PSD test fails and the
+report needs -lambda_min (``linalg.gain_eigenvalues`` both times).
 
 The recursion carries a leading axis of D strategy parts, so many mixed
-solutions of one market cost one stacked eigvalsh per stage, not D; a part
-that fails a check leaves the stack with its report. The open-loop and
-feedback recursions, and a single mixed solve, are the case D = 1.
+solutions of one market share each stage's covariance solve; a part that
+fails a check leaves the stack with its report. The open-loop and feedback
+recursions, and a single mixed solve, are the case D = 1.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import covariance_solve, is_psd_spectrum
+from .linalg import covariance_solve, gain_eigenvalues
 from .market import ExcessMoments, MarketSpec, ValidationError, derive_excess_moments
 from .policy import AffinePolicy, InternalInconsistencyError, NonexistenceReport, PolicyKind, PureFeedbackPart
 from .policy import FailingCondition as Cond
@@ -72,7 +73,6 @@ class RecursionTrace:
     offset_coupling: np.ndarray
     gain_target: np.ndarray
     offset_target: np.ndarray
-    gain_eigenvalues: np.ndarray
     stage_ok: np.ndarray
     range_residual: np.ndarray
     gain_residual: np.ndarray
@@ -80,7 +80,7 @@ class RecursionTrace:
 
     @classmethod
     def empty(cls, draws: int, N: int, m: int) -> RecursionTrace:
-        rows = ("offset_coupling", "gain_target", "offset_target", "gain_eigenvalues")
+        rows = ("offset_coupling", "gain_target", "offset_target")
         return cls(
             **{name: np.full((draws, N + 1), np.nan) for name in _WEIGHTS},
             **{name: np.full((draws, N, m), np.nan) for name in rows},
@@ -96,13 +96,32 @@ class RecursionTrace:
 class EquilibriumSolution:
     """A solved policy and the trace of its recursion; policy.kind names the notion.
 
-    Only a mixed solution holds a strategy part; the frozen part realizes
-    frozen_gains * X_k + policy.offset(k) and keeps that after a deviation.
+    cov_eigenvalues (N - t, m) are the covariance eigenvalues of stages
+    t = policy.start_stage on, as the recursion's covariance solve kept them,
+    shared by every solution of one recursion. Only a mixed solution holds a
+    strategy part; the frozen part realizes frozen_gains * X_k +
+    policy.offset(k) and keeps that after a deviation.
     """
 
     policy: AffinePolicy
     trace: RecursionTrace
+    cov_eigenvalues: np.ndarray
     feedback_part: PureFeedbackPart | None = None
+
+    def gain_eigenvalues(self, spec: MarketSpec) -> np.ndarray:
+        """Each stage's gain matrix eigenvalues (N, m) on the solved market, ascending,
+        NaN before the start stage: one stacked eigvalsh of the stages with a
+        mean outer term (linalg.gain_eigenvalues)."""
+        t, tr, moments = self.policy.start_stage, self.trace, derive_excess_moments(spec)
+        w = np.full(tr.gain_target.shape, np.nan)
+        w[t:] = gain_eigenvalues(
+            moments.cov_excess[t:],
+            moments.mean_excess[t:],
+            self.cov_eigenvalues,
+            tr.cov_weight[t + 1 :],
+            tr.mean_outer_weight[t + 1 :],
+        )
+        return w
 
     @property
     def frozen_gains(self) -> np.ndarray:
@@ -134,17 +153,15 @@ def backward_recursion(
     others refuse them, and a part not of shape (N, m) raises ValueError.
     Every part is solved in the same stage loop: each stage solves the gain
     matrices of the parts still alive through the stage's one covariance
-    solve, with one stacked eigvalsh for their eigenvalues once a mean outer
-    weight is nonzero. A part that
-    fails a stage check gets the report of its first failing condition and
-    leaves the stack. Returns one outcome per part, in order; the
-    open-loop and feedback kinds are the case of one zero part, with one
-    outcome. A feedback failure while every range condition holds, or a
-    negative open-loop cov_weight, contradicts the theory and raises
-    InternalInconsistencyError. A gain matrix, gain, offset or weight that
-    leaves the float range, including an open-loop cov_weight that underflows
-    to zero, raises ValidationError naming the stage: the market's scale, not
-    the theory, failed there.
+    solve, and decomposes none of them. A part that fails a stage check
+    gets the report of its first failing condition and leaves the stack.
+    Returns one outcome per part, in order; the open-loop and feedback kinds
+    are the case of one zero part, with one outcome. A feedback failure while
+    every range condition holds, or a negative open-loop cov_weight,
+    contradicts the theory and raises InternalInconsistencyError. A gain
+    matrix, gain, offset or weight that leaves the float range, including an
+    open-loop cov_weight that underflows to zero, raises ValidationError
+    naming the stage: the market's scale, not the theory, failed there.
     """
     if (feedback_parts is None) is (kind is PolicyKind.MIXED):
         raise ValueError(f"{kind.value} recursion: a strategy part is given exactly when the kind is mixed")
@@ -181,18 +198,24 @@ def backward_recursion(
         tr.gain_target[live, k], tr.offset_target[live, k] = rhs[:, 1], rhs[:, 2]
 
         try:
-            w, X, residual, ok = stages.solve(k - t, cw, mow, row_scale)
+            X, residual, ok, psd = stages.solve(k - t, cw, mow, row_scale)
         except np.linalg.LinAlgError as exc:
             raise ValidationError(f"stage {k}: the recursion leaves the float range ({exc})") from None
-        tr.gain_eigenvalues[live, k] = w
         tr.range_residual[live, k], tr.gain_residual[live, k], tr.offset_residual[live, k] = residual.T
-        passed = np.column_stack((ok[:, 0], is_psd_spectrum(w), ok[:, 1:]))[:, checks]
+        passed = np.column_stack((ok[:, 0], psd, ok[:, 1:]))[:, checks]
         if not passed.all():
             failed = ~passed.all(axis=1)
-            residual = np.column_stack((residual[:, 0], np.maximum(-w[:, 0], 0.0), residual[:, 1:]))[:, checks]
+            residual = np.column_stack((residual[:, 0], np.full(len(cw), np.nan), residual[:, 1:]))[:, checks]
             for i in np.flatnonzero(failed):
                 first = int(np.argmin(passed[i]))  # the first check failed
-                report = NonexistenceReport(k, _CONDITIONS[checks][first], float(residual[i, first]))
+                condition = _CONDITIONS[checks][first]
+                if condition is Cond.PSD_CONDITION:
+                    # the residual is -lambda_min, from the one gain matrix this rare path decomposes
+                    w = gain_eigenvalues(
+                        cov_ex[None], mean_ex[None], stages.eigenvalues[k - t : k - t + 1], cw[i : i + 1], mow[i : i + 1]
+                    )
+                    residual[i, first] = np.maximum(-w[0, 0], 0.0)
+                report = NonexistenceReport(k, condition, float(residual[i, first]))
                 # feedback solvability is guaranteed when every range condition
                 # holds, so tell genuine nonexistence from a numerics bug
                 if kind is PolicyKind.FEEDBACK and stages.in_range.all():
@@ -233,7 +256,9 @@ def backward_recursion(
     for d in ids:
         policy = AffinePolicy(kind=kind, start_stage=t, gains=gains[d], offsets=offsets[d])
         part = None if feedback_parts is None else feedback_parts[d]
-        outcomes[d] = EquilibriumSolution(policy=policy, trace=tr.draw(d), feedback_part=part)
+        outcomes[d] = EquilibriumSolution(
+            policy=policy, trace=tr.draw(d), cov_eigenvalues=stages.eigenvalues, feedback_part=part
+        )
     return outcomes
 
 
@@ -252,7 +277,7 @@ def trace_csv(solution, spec: MarketSpec) -> str:
         before = [("coupling", tr.offset_coupling.__getitem__)]
     else:
         before = [("strategy", solution.feedback_part.gains.__getitem__)]
-        after, tail = [("gain_eig", tr.gain_eigenvalues.__getitem__)], tail + ["stage_ok"]
+        after, tail = [("gain_eig", solution.gain_eigenvalues(spec).__getitem__)], tail + ["stage_ok"]
     vectors = before + [("K", policy.gain), ("c", policy.offset)] + after
 
     buf = io.StringIO()

@@ -2,8 +2,8 @@
 
 The recursion does not keep G: it is mean_outer_weight[k+1] outer(mean) +
 cov_weight[k+1] Cov(O_k), and the trace holds both weights. The expression
-is the recursion's own, elementwise, so the matrix is bitwise the one the
-recursion decomposed.
+is the one EquilibriumSolution.gain_eigenvalues decomposes, elementwise, so
+the matrix is bitwise the same.
 """
 
 import numpy as np

@@ -134,7 +134,7 @@ def test_criterion_3_mixed_golden_table_and_eigenvalues(preset):
     sol = mv.solve_mixed(preset, mv.PureFeedbackPart(gains=MIXED_STRATEGY))
     gain_err = float(np.max(np.abs(sol.policy.gains - MIXED_GAINS)))
     offset_err = float(np.max(np.abs(sol.policy.offsets - MIXED_OFFSETS)))
-    eigs = np.sort(sol.trace.gain_eigenvalues[preset.horizon - 1])
+    eigs = np.sort(sol.gain_eigenvalues(preset)[preset.horizon - 1])
     eig_err = float(np.max(np.abs(eigs - MIXED_LAST_GAIN_EIGENVALUES)))
     ok = gain_err < TOL and offset_err < TOL and eig_err < TOL
     _report(3, "golden mixed reproduction", ok)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvequil import linalg
-from mvequil.linalg import covariance_solve, eigenbasis, is_psd_spectrum
+from mvequil.linalg import covariance_solve, eigenbasis, gain_eigenvalues, is_psd_spectrum
 
 
 def random_spd_spectrum(rng, n, zero_frac=0.4):
@@ -88,15 +88,18 @@ def test_rank_one_diagonal_pseudoinverse_is_exact():
 @pytest.mark.parametrize("small, rank", [(2e-10, 1), (2.1e-10, 2)])
 def test_one_rank_cutoff_at_its_boundary(monkeypatch, small, rank):
     # the cutoff is 1e-10 times the largest magnitude, exactly 2e-10 here, and
-    # an eigenvalue counts only above it: eigenbasis, the stage solves before
-    # the recursion and the gain matrix's rank at mow = 0 all apply that rule
+    # an eigenvalue counts only above it: eigenbasis and the stage solves
+    # before the recursion apply that rule; the gain matrix at mow = 0 keeps
+    # their rank by the closed-form rank rule, without a cutoff of its own
     cov, mean = np.diag([2.0, small]), np.array([1.0, 1.0])
     stages = covariance_solve(cov[None], mean[None], np.linalg.eigvalsh(cov)[None])
     assert eigenbasis(cov).rank == stages.rank[0] == rank
     solve_ranks, kept = [], linalg._kept
     monkeypatch.setattr(linalg, "_kept", lambda w: solve_ranks.append(np.count_nonzero(kept(w))) or kept(w))
-    stages.solve(0, np.array([1.0]), np.array([0.0]), np.ones((1, 3)))
-    assert solve_ranks == [rank]
+    _, residual, ok, _ = stages.solve(0, np.array([1.0]), np.array([0.0]), np.ones((1, 3)))
+    assert solve_ranks == []
+    # the mean's second coordinate lies in the range, or in the kernel, by the same cutoff
+    assert ok[0, 0] == (rank == 2) and residual[0, 0] == (0.0 if rank == 2 else 1.0)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6))
@@ -198,10 +201,10 @@ def test_stacked_solve_matches_each_matrix():
 
 
 def _solve_both(cov, mean, cw, mow, scale):
-    """The stage solve through Sigma and the eigenbasis solve of each G it stands for."""
+    """The covariance solve, its stage solve, and the eigenbasis and its solve of each G it stands for."""
     stages = covariance_solve(cov[None], mean[None], np.linalg.eigvalsh(cov)[None])
     G = mow[:, None, None] * np.outer(mean, mean) + cw[:, None, None] * cov
-    return stages.solve(0, cw, mow, scale), eigenbasis(G), eigenbasis(G).solve(scale[..., None] * mean)
+    return stages, stages.solve(0, cw, mow, scale), eigenbasis(G), eigenbasis(G).solve(scale[..., None] * mean)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 6), st.booleans())
@@ -216,9 +219,11 @@ def test_covariance_solve_matches_the_gain_matrix_eigenbasis(seed, n, in_range):
     mow = np.concatenate([[0.0], rng.uniform(-2.0, 2.0, size=3)]) * (rng.random() < 0.7)  # all zero: no eigvalsh
     scale = rng.standard_normal((4, 3))
     scale[0, 1] = 0.0
-    (w, X, residual, ok), eig, (X_ref, residual_ref, ok_ref) = _solve_both(cov, mean, cw, mow, scale)
+    stages, (X, residual, ok, psd), eig, (X_ref, residual_ref, ok_ref) = _solve_both(cov, mean, cw, mow, scale)
+    w = gain_eigenvalues(*(np.repeat(a[None], len(cw), axis=0) for a in (cov, mean, stages.eigenvalues[0])), cw, mow)
     radius = np.abs(eig.eigenvalues).max(axis=-1, keepdims=True)
     assert np.all(np.abs(w - eig.eigenvalues) <= 1e-12 * np.maximum(radius, 1.0))
+    assert np.array_equal(psd, is_psd_spectrum(eig.eigenvalues))
     assert np.array_equal(ok, ok_ref)
     assert np.allclose(X[ok], X_ref[ok], rtol=1e-7, atol=1e-9)
     assert np.allclose(residual, residual_ref, rtol=1e-6, atol=1e-9)
@@ -232,11 +237,64 @@ def test_covariance_solve_when_mu_leaves_the_gain_matrix_range():
     q = mean @ np.linalg.solve(cov, mean)
     cw, mow = np.array([1.0, 1.0]), np.array([-1.0 / q, 0.5])
     scale = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
-    (w, X, residual, ok), eig, (_, residual_ref, ok_ref) = _solve_both(cov, mean, cw, mow, scale)
+    _, (X, residual, ok, _), eig, (_, residual_ref, ok_ref) = _solve_both(cov, mean, cw, mow, scale)
     assert eig.rank.tolist() == [3, 4]
     assert ok.tolist() == ok_ref.tolist() == [[False, True, False], [True, True, True]]
     assert np.allclose(residual, residual_ref, rtol=1e-6)
     assert np.array_equal(X[0], np.zeros((3, 4)))
+
+
+def _conditioned_market(rng, m, rank, cond, in_range):
+    """Sigma of the given rank with kept eigenvalues from 1 down to 1 / cond, and
+    mu in its range or with a kernel part as large as its range part."""
+    Q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    sigma = np.zeros(m)
+    sigma[:rank] = np.geomspace(1.0, 1.0 / cond, rank)
+    cov = (Q * sigma) @ Q.T
+    mean = Q[:, :rank] @ rng.standard_normal(rank)
+    if not in_range:
+        mean += 0.5 * Q[:, rank:] @ rng.standard_normal(m - rank)
+    return 0.5 * (cov + cov.T), mean
+
+
+def test_rank_rule_agrees_with_the_gain_matrix_spectrum_as_den_vanishes():
+    # mow = -cw 2^e / q (1 + delta) drives den = cw 2^e + mow q to -delta cw 2^e.
+    # To first order, the eigenvalue of G that vanishes with den is den q / ||y||^2,
+    # and q / ||y||^2 lies between Sigma's smallest and largest kept eigenvalue
+    # (over 2^e). So the closed-form rules, which read den against
+    # |cw| 2^e + |mow| q, and the cutoff and PSD slack on eigvalsh(G) may
+    # disagree only inside the band RTOL / 10 <= that ratio <= 10 cond RTOL,
+    # cond being Sigma's condition number on its range. Outside it they agree.
+    rtol = linalg.DEFAULT_PINV_RTOL
+    deltas = np.array([0.0] + [sign * 10.0**-p for p in range(2, 15, 2) for sign in (1, -1)])
+    outside = entered = left = indefinite = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(4, 9))
+        for rank, in_range, cond in [
+            (r, inside, c) for r in (m, m - 2) for inside in {True, r == m} for c in (1.0, 1e3, 1e6)
+        ]:
+            cov, mean = _conditioned_market(rng, m, rank, cond, in_range)
+            stages = covariance_solve(cov[None], mean[None], np.linalg.eigvalsh(cov)[None])
+            for sign in (1.0, -1.0):  # mow negative, then positive
+                cw = np.full(len(deltas), sign * rng.uniform(0.5, 2.0))
+                mow = -np.ldexp(cw, stages.exponent[0]) / stages.q[0] * (1.0 + deltas)
+                den, enters, leaves = stages._rank_rule(0, cw, mow)
+                G = mow[:, None, None] * np.outer(mean, mean) + cw[:, None, None] * cov
+                w = np.linalg.eigvalsh(G)
+                spread = np.ldexp(np.abs(cw), stages.exponent[0]) + np.abs(mow) * stages.q[0]
+                ratio = np.abs(den) / spread
+                clear = (ratio < rtol / 10) | (ratio > 10 * cond * rtol)
+                rank_rule = stages.rank[0] + enters.astype(int) - leaves
+                psd_rule = stages.solve(0, cw, mow, np.ones((len(cw), 1)))[-1]
+                assert np.array_equal(rank_rule[clear], np.count_nonzero(linalg._kept(w), axis=-1)[clear])
+                assert np.array_equal(psd_rule[clear], is_psd_spectrum(w)[clear])
+                outside += clear.sum()
+                entered += (clear & enters).sum()
+                left += (clear & leaves).sum()
+                indefinite += (clear & ~psd_rule).sum()
+    # the agreement covers most cases, rank changes both ways and failed PSD tests
+    assert outside > 12 * 9 * 2 * len(deltas) / 2 and min(entered, left, indefinite) > 300
 
 
 def test_covariance_solve_raises_on_non_finite_weights():

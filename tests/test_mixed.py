@@ -36,7 +36,7 @@ def test_golden_table(preset_mixed):
 
 def test_golden_last_stage_gain_eigenvalues(preset_mixed):
     spec, sol = preset_mixed
-    eigs = np.sort(sol.trace.gain_eigenvalues[spec.horizon - 1])
+    eigs = np.sort(sol.gain_eigenvalues(spec)[spec.horizon - 1])
     assert np.max(np.abs(eigs - MIXED_LAST_GAIN_EIGENVALUES)) < 5e-4
 
 
@@ -213,7 +213,7 @@ def test_gain_matrix_need_not_be_psd():
     phi = PureFeedbackPart(gains=5 * np.random.default_rng(7).standard_normal((spec.horizon, spec.num_assets)))
     sol = mv.solve_mixed(spec, phi)
     assert not isinstance(sol, NonexistenceReport)
-    lam_min = sol.trace.gain_eigenvalues[:, 0]
+    lam_min = sol.gain_eigenvalues(spec)[:, 0]
     assert lam_min.min() < -0.1
     tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
     assert mv.verify_equilibrium(tree, spec, sol).passed.all()

@@ -299,6 +299,22 @@ def test_overflowing_cost_raises_validation_error(preset_setup):
         mv.evaluate_cost_exact(tree, spec, sol, x=1e308)
 
 
+def test_overflowing_hessian_raises_validation_error(monkeypatch):
+    # the sampled-part mixed solution of the (250, 50) benchmark market, seed 7:
+    # at stage 66 Var(beta) and J* are finite but the Hessian's mu mu' term is not
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    spec = mv.make_market_spec(**workloads.SolveLarge(7).raw)
+    sol = mv.solve_mixed(spec, mv.sample_pure_feedback(1, spec.horizon, spec.num_assets))
+    tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+    with pytest.raises(mv.ValidationError, match="wealth 1 at stage 65: the policy's cost overflows"):
+        mv.best_spike_deviation(tree, spec, sol, 65, 1.0)
+    with pytest.raises(mv.ValidationError, match="wealth 1 at stage 66: the deviation cost's derivatives overflow"):
+        mv.best_spike_deviation(tree, spec, sol, 66, 1.0)
+    mv.best_spike_deviation(tree, spec, sol, 67, 1.0)  # from stage 67 on, nothing overflows
+
+
 def test_nonconvex_fit_raises(monkeypatch, preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_open_loop(spec)

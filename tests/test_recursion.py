@@ -2,9 +2,10 @@
 
 The recursion reads the market validation's covariance eigenvalues and
 solves each stage through the covariance: one stacked eigh of the
-rank-deficient stages per solve, and one eigvalsh per stage only where the
-gain matrix has a mean outer term. The covariance readers outside the
-recursion decompose all stages with one stacked call.
+rank-deficient stages per solve, and no decomposition of a gain matrix. The
+outputs that print the gain matrices' eigenvalues take one stacked eigvalsh
+per solution. The covariance readers outside the recursion decompose all
+stages with one stacked call.
 """
 
 import numpy as np
@@ -66,16 +67,9 @@ def test_decompositions_per_solve(monkeypatch, spec, deficient):
         calls.clear()
         assert not isinstance(solve(), NonexistenceReport), name
         counts[name] = (calls.count("eigvalsh"), calls.count("eigh"))
-    stages = spec.horizon - spec.initial_time
     # one stacked eigh of the rank-deficient stages, none on a full-rank
-    # market; a gain matrix cov_weight * Sigma (open-loop, a zero part, every
-    # kind's last stage) takes Sigma's eigenvalues, any other one eigvalsh
-    assert counts == {
-        "open_loop": (0, deficient),
-        "mixed_zero": (0, deficient),
-        "feedback": (stages - 1, deficient),
-        "mixed": (stages - 1, deficient),
-    }
+    # market; the rank rule and the PSD test need no gain matrix eigenvalues
+    assert counts == dict.fromkeys(solves, (0, deficient))
 
 
 @pytest.mark.parametrize("market", [PRESET, "rank-deficient"])
@@ -88,9 +82,9 @@ def test_batch_decomposes_once_per_stage_for_all_draws(monkeypatch, tmp_path, ma
     calls = _count_eigendecompositions(monkeypatch)
     out = tmp_path / "batch.csv"
     assert main(["batch", "--market", market, "--draws", "16", "--format", "csv", "--out", str(out)]) == 0
-    # the market's validation, then one stacked eigvalsh per stage below the
-    # last for all draws, not one per draw and stage
-    assert calls.count("eigvalsh") == 1 + (spec.horizon - 1)
+    # the market's validation, then the output's one stacked eigvalsh per
+    # draw, for its stages below the last, not one per draw and stage
+    assert calls.count("eigvalsh") == 1 + 16
     assert calls.count("eigh") == deficient
     assert out.read_text().count(",solved,") == 16 * spec.horizon
 
@@ -165,7 +159,7 @@ def test_stage_solves_match_an_eigendecomposition_of_the_gain_matrix(spec):
     for solution in (mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, phi)):
         if isinstance(solution, NonexistenceReport):
             continue
-        policy, tr = solution.policy, solution.trace
+        policy, tr, eigenvalues = solution.policy, solution.trace, solution.gain_eigenvalues(spec)
         for k in range(policy.start_stage, spec.horizon):
             G = gain_matrix(spec, tr, k)
             X, _, ok = eigenbasis(G).solve(np.stack([tr.gain_target[k], tr.offset_target[k]]))
@@ -173,7 +167,25 @@ def test_stage_solves_match_an_eigendecomposition_of_the_gain_matrix(spec):
             for got, ref in ((policy.gain(k), -X[0]), (policy.offset(k), -X[1])):
                 assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max(), (policy.kind, k)
             w = np.linalg.eigvalsh(G)
-            assert np.abs(tr.gain_eigenvalues[k] - w).max() <= 1e-12 * np.abs(w).max(), (policy.kind, k)
+            assert np.abs(eigenvalues[k] - w).max() <= 1e-12 * np.abs(w).max(), (policy.kind, k)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in REFERENCE_MARKETS], ids=[name for name, _ in REFERENCE_MARKETS])
+def test_gain_eigenvalues_decompose_the_gain_matrix_rebuilt_from_the_trace(spec):
+    # bitwise eigvalsh of the gain matrix rebuilt from the trace where it has a
+    # mean outer term; otherwise cov_weight times the covariance's eigenvalues
+    phi = mv.sample_pure_feedback(5, spec.horizon, spec.num_assets)
+    for solution in (mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, phi)):
+        if isinstance(solution, NonexistenceReport):
+            continue
+        t, tr, eigenvalues = solution.policy.start_stage, solution.trace, solution.gain_eigenvalues(spec)
+        assert np.isnan(eigenvalues[:t]).all()
+        for k in range(t, spec.horizon):
+            if tr.mean_outer_weight[k + 1] != 0:
+                expected = np.linalg.eigvalsh(gain_matrix(spec, tr, k))
+            else:
+                expected = np.sort(tr.cov_weight[k + 1] * solution.cov_eigenvalues[k - t])
+            assert np.array_equal(eigenvalues[k], expected), (solution.policy.kind, k)
 
 
 def test_trace_csv_columns_per_kind():
@@ -205,6 +217,8 @@ def test_kind_specific_trace_invariants():
     assert np.all(open_loop.trace.mean_outer_weight == 0.0)
     assert np.all(open_loop.trace.stage_ok)
     assert np.all(open_loop.trace.range_residual <= 1e-12)
-    later = mv.solve_feedback(mv.with_initial_state(spec, t=2))
-    assert np.isnan(later.trace.gain_eigenvalues[:2]).all() and not later.trace.stage_ok[:2].any()
-    assert np.all(later.trace.gain_eigenvalues[2:, 0] > 0)
+    from_2 = mv.with_initial_state(spec, t=2)
+    later = mv.solve_feedback(from_2)
+    eigenvalues = later.gain_eigenvalues(from_2)
+    assert np.isnan(eigenvalues[:2]).all() and not later.trace.stage_ok[:2].any()
+    assert np.all(eigenvalues[2:, 0] > 0)
