@@ -16,11 +16,9 @@ from .feedback import solve_feedback
 from .linalg import Eigenbasis, eigenbasis, is_psd_spectrum
 from .market import (
     ExcessMoments,
-    ExistenceReport,
     MarketSpec,
     PRESETS,
     ValidationError,
-    check_open_loop_existence,
     derive_excess_moments,
     dump_market_spec,
     get_preset,
@@ -67,7 +65,6 @@ __all__ = [
     "Eigenbasis",
     "EquilibriumStructureError",
     "ExcessMoments",
-    "ExistenceReport",
     "FailingCondition",
     "InternalInconsistencyError",
     "MAX_LEAF_PATHS",
@@ -84,7 +81,6 @@ __all__ = [
     "backward_recursion",
     "best_spike_deviation",
     "build_matched_tree",
-    "check_open_loop_existence",
     "derive_excess_moments",
     "eigenbasis",
     "dump_market_spec",

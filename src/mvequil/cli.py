@@ -181,9 +181,16 @@ def _policy_pretty(title: str, policy, extra_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_list(values: np.ndarray) -> list:
+    """values as nested lists, NaN (a stage before the start stage) as None: JSON null, not a bare NaN."""
+    if values.dtype != float or not np.isnan(values).any():
+        return values.tolist()
+    return np.where(np.isnan(values), None, values.astype(object)).tolist()
+
+
 def _solution_json(solution, spec) -> str:
-    trace = {f.name: getattr(solution.trace, f.name).tolist() for f in dataclass_fields(solution.trace)}
-    trace["gain_eigenvalues"] = solution.gain_eigenvalues(spec).tolist()
+    trace = {f.name: _json_list(getattr(solution.trace, f.name)) for f in dataclass_fields(solution.trace)}
+    trace["gain_eigenvalues"] = _json_list(solution.gain_eigenvalues(spec))
     data = {
         "kind": solution.policy.kind.value,
         "start_stage": solution.policy.start_stage,
@@ -397,9 +404,9 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    level_name = os.environ.get("MV_EQ_LOG", "").upper()
+    level = logging.getLevelName(os.environ.get("MV_EQ_LOG", "").upper())  # a level's number, or a string
     logging.basicConfig(
-        level=getattr(logging, level_name, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )

@@ -1,4 +1,4 @@
-"""Market data: validation, normalization, excess-return moments, existence check.
+"""Market data: validation, normalization and excess-return moments.
 
 A market has one riskless asset with deterministic gross return per period and
 m risky assets with stagewise-independent random gross returns, specified by
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _require_symmetric, eigenbasis, is_psd_spectrum
+from .linalg import _require_symmetric, is_psd_spectrum
 
 
 class ValidationError(ValueError):
@@ -65,9 +65,7 @@ class ExcessMoments:
     """First two moments of the excess returns O_k = e_k - s_k * 1.
 
     mean_excess (N, m); cov_excess (N, m, m), equal to the return covariance
-    since subtracting a deterministic scalar shifts nothing. cov_eigenvalues
-    (N, m), read-only, are its eigenvalues in ascending order: the market's,
-    from derive_excess_moments, or one eigvalsh on first read.
+    since subtracting a deterministic scalar shifts nothing.
     """
 
     mean_excess: np.ndarray
@@ -76,23 +74,6 @@ class ExcessMoments:
     def __post_init__(self):
         for name in ("mean_excess", "cov_excess"):
             object.__setattr__(self, name, _frozen_copy(getattr(self, name)))
-
-    @cached_property
-    def cov_eigenvalues(self) -> np.ndarray:
-        return _frozen(np.linalg.eigvalsh(self.cov_excess))
-
-
-@dataclass(frozen=True)
-class ExistenceReport:
-    """Per-stage range-condition results for open-loop existence.
-
-    per_stage[k] is True when mean_excess[k] lies in the column space of
-    cov_excess[k]; overall ANDs the stages from the queried initial time on.
-    """
-
-    per_stage: tuple[bool, ...]
-    residual_norms: tuple[float, ...]
-    overall: bool
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -108,13 +89,6 @@ def _frozen_copy(value) -> np.ndarray:
     if isinstance(value, np.ndarray) and value.dtype == float and value.base is None and not value.flags.writeable:
         return value
     return _frozen(np.array(value, dtype=float))
-
-
-def _keep_eigenvalues(target, eigenvalues: np.ndarray):
-    """target with cov_eigenvalues already read: a cached_property is stored in
-    the instance __dict__, which a frozen dataclass leaves writable."""
-    target.__dict__["cov_eigenvalues"] = eigenvalues
-    return target
 
 
 def _broadcast_stagewise(value, horizon: int, inner_shape: tuple, what: str) -> np.ndarray:
@@ -225,7 +199,8 @@ def make_market_spec(
         initial_wealth=initial_wealth,
         warnings=tuple(warnings),
     )
-    return _keep_eigenvalues(spec, _frozen(w))
+    spec.__dict__["cov_eigenvalues"] = _frozen(w)  # as if read: a cached_property's value lives in __dict__
+    return spec
 
 
 def load_market_spec(path) -> MarketSpec:
@@ -254,20 +229,8 @@ def dump_market_spec(spec: MarketSpec) -> str:
 
 def derive_excess_moments(spec: MarketSpec) -> ExcessMoments:
     """Excess-return moments O_k = e_k - s_k * 1 for every stage."""
-    # ExcessMoments shares the spec's frozen covariance, and its eigenvalues with it
     mean_excess = spec.mean_returns - spec.riskless[:, None]
-    moments = ExcessMoments(mean_excess=mean_excess, cov_excess=spec.return_cov)
-    return _keep_eigenvalues(moments, spec.cov_eigenvalues)
-
-
-def check_open_loop_existence(moments: ExcessMoments, t: int = 0) -> ExistenceReport:
-    """Range condition per stage: mean excess inside the covariance's column space.
-
-    One stacked decomposition of all the stages' covariances and one solve.
-    """
-    _, residual, passed = eigenbasis(moments.cov_excess).solve(moments.mean_excess)
-    ok = tuple(bool(p) for p in passed)
-    return ExistenceReport(per_stage=ok, residual_norms=tuple(map(float, residual)), overall=all(ok[t:]))
+    return ExcessMoments(mean_excess=mean_excess, cov_excess=spec.return_cov)  # shares the frozen covariance
 
 
 def _example_preset() -> MarketSpec:
@@ -320,5 +283,5 @@ def with_initial_state(spec: MarketSpec, t=None, x=None) -> MarketSpec:
         raise ValidationError("initial_wealth must be finite")
     moved = replace(spec, initial_time=t, initial_wealth=x)
     if "cov_eigenvalues" in spec.__dict__:
-        _keep_eigenvalues(moved, spec.cov_eigenvalues)
+        moved.__dict__["cov_eigenvalues"] = spec.cov_eigenvalues  # shared, not decomposed again
     return moved

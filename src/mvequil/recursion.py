@@ -148,6 +148,8 @@ def backward_recursion(
 ) -> list[EquilibriumSolution | NonexistenceReport]:
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
+    moments is derive_excess_moments(spec), or None to derive it here; the
+    covariance eigenvalues come from spec.cov_eigenvalues, their one cache.
     feedback_parts are the mixed solutions' strategy parts P, one row per
     stage each, kept on the solutions; the mixed kind requires them, the
     others refuse them, and a part not of shape (N, m) raises ValueError.
@@ -184,7 +186,7 @@ def backward_recursion(
     checks = _CHECKS[kind]
     ids = np.arange(D)  # the draws still in the stack
     live = slice(None)  # indexes them: a slice, so a view, until a draw leaves
-    stages = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:], moments.cov_eigenvalues[t:])
+    stages = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:], spec.cov_eigenvalues[t:])
 
     for k in range(N - 1, t - 1, -1):
         s_k, mean_ex, cov_ex = spec.riskless[k], moments.mean_excess[k], moments.cov_excess[k]

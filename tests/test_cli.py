@@ -1,7 +1,12 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +64,35 @@ def test_solve_mixed_json(capsys):
     assert data["kind"] == "mixed"
     assert np.asarray(data["gains"]).shape == (4, 3)
     assert "gain_eigenvalues" in data["trace"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+@pytest.mark.parametrize("solver", ["open-loop", "feedback", "mixed"])
+def test_solve_json_is_strict_json_from_any_stage(solver, t, capsys):
+    # stages before t were not solved: null, not a bare NaN, which RFC 8259 parsers reject
+    assert main([f"solve-{solver}", "--t", str(t), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    spec = mv.with_initial_state(mv.get_preset(PRESET), t=t)
+    solution = {
+        "open-loop": mv.solve_open_loop,
+        "feedback": mv.solve_feedback,
+        "mixed": lambda s: mv.solve_mixed(s, mv.zero_pure_feedback(s.horizon, s.num_assets)),
+    }[solver](spec)
+    assert data["start_stage"] == t
+    assert data["gains"] == solution.policy.gains.tolist() and data["offsets"] == solution.policy.offsets.tolist()
+    trace = {f.name: getattr(solution.trace, f.name) for f in dataclasses.fields(solution.trace)}
+    trace["gain_eigenvalues"] = solution.gain_eigenvalues(spec)
+    assert sorted(data["trace"]) == sorted(trace)
+    for name, values in trace.items():
+        if name == "stage_ok":
+            assert data["trace"][name] == values.tolist()
+            continue
+        assert data["trace"][name][t:] == values[t:].tolist(), name
+        assert all(row is None or set(row) == {None} for row in data["trace"][name][:t]), name
 
 
 def test_solve_mixed_phi_file(tmp_path, capsys):
@@ -427,6 +461,14 @@ def test_log_level_from_env(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", ["basic_format", "10"])
+def test_log_level_that_is_not_a_level_name_falls_back_to_warning(name, monkeypatch, capsys):
+    monkeypatch.setenv("MV_EQ_LOG", name)
+    assert main(["solve-open-loop"]) == 0
+    assert logging.getLogger().level == logging.WARNING
+    assert "open-loop equilibrium control" in capsys.readouterr().out
+
+
 def test_pretty_table_keeps_its_columns_for_huge_gains(tmp_path, capsys):
     # a 1e-310 covariance gives a gain near 1.5e308, too wide for four decimals
     market = tmp_path / "subnormal.json"
@@ -444,3 +486,20 @@ def test_pretty_table_keeps_its_columns_for_huge_gains(tmp_path, capsys):
     header, *rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
     assert "1.50e+308" in rows[1]
+
+
+_IMPORTED_PACKAGES = """
+import sys
+before = set(sys.modules)
+import mvequil.cli
+print(" ".join(sorted({name.split(".")[0] for name in set(sys.modules) - before} - sys.stdlib_module_names)))
+"""
+
+
+def test_cli_imports_no_package_but_numpy():
+    # start-up time is mostly import time, and scipy or hypothesis alone would add a fifth of it
+    src = str(Path(mv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _IMPORTED_PACKAGES], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["mvequil", "numpy"]

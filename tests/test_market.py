@@ -1,4 +1,4 @@
-"""Market loading, validation, broadcasting, moments, existence check."""
+"""Market loading, validation, broadcasting, moments, and the range condition on them."""
 
 import json
 
@@ -7,6 +7,7 @@ import pytest
 
 import mvequil as mv
 from mvequil import ValidationError
+from mvequil.linalg import covariance_solve
 
 from instgen import off_range_market, random_market
 
@@ -252,21 +253,20 @@ def test_validation_eigenvalues_are_kept_and_handed_on(monkeypatch):
     assert "cov_eigenvalues" not in spec.to_json_dict()
     with pytest.raises(AttributeError):
         spec.cov_eigenvalues = w
-    # no decomposition after validation: moments and a moved spec share the array
+    # no decomposition after validation: a moved spec shares the array, the moments the covariance
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args))
     moments = mv.derive_excess_moments(spec)
     moved = mv.with_initial_state(spec, t=2)
-    assert moments.cov_eigenvalues is w and moved.cov_eigenvalues is w
+    assert moved.cov_eigenvalues is w
     assert moments.cov_excess is spec.return_cov  # a frozen array is shared, not copied
     assert calls == []
 
 
-def test_directly_built_spec_and_moments_decompose_once_on_first_read(monkeypatch):
+def test_directly_built_spec_decomposes_once_on_first_read(monkeypatch):
     preset = mv.get_preset(PRESET)
     fields = ("horizon", "num_assets", "riskless", "mean_returns", "return_cov", "mu1", "mu2")
     spec = mv.MarketSpec(**{name: getattr(preset, name) for name in fields})
-    moments = mv.ExcessMoments(mean_excess=np.array([[0.1, 0.2]]), cov_excess=np.array([[[0.04, 0.0], [0.0, 0.0]]]))
     original, calls = np.linalg.eigvalsh, []
 
     def counted(a):
@@ -276,8 +276,7 @@ def test_directly_built_spec_and_moments_decompose_once_on_first_read(monkeypatc
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     for _ in range(2):
         assert np.allclose(spec.cov_eigenvalues, preset.cov_eigenvalues, rtol=1e-14, atol=0)
-        assert np.array_equal(moments.cov_eigenvalues, [[0.0, 0.04]])
-    assert calls == [(4, 3, 3), (1, 2, 2)]
+    assert calls == [(4, 3, 3)]
 
 
 def test_zero_excess_moments():
@@ -309,11 +308,14 @@ def test_single_asset_moments():
     assert moments.cov_excess[0, 0, 0] == pytest.approx(0.04)
 
 
-def test_existence_check_preset_and_degenerate():
-    preset_moments = mv.derive_excess_moments(mv.get_preset(PRESET))
-    report = mv.check_open_loop_existence(preset_moments)
-    assert report.overall
-    assert all(report.per_stage)
+def _covariance_solve(spec):
+    """The recursion's range test on every stage of spec."""
+    moments = mv.derive_excess_moments(spec)
+    return covariance_solve(moments.cov_excess, moments.mean_excess, spec.cov_eigenvalues)
+
+
+def test_range_condition_preset_and_degenerate():
+    assert _covariance_solve(mv.get_preset(PRESET)).in_range.all()
 
     spec = mv.make_market_spec(
         horizon=2,
@@ -324,10 +326,15 @@ def test_existence_check_preset_and_degenerate():
         mu1=1.0,
         mu2=1.0,
     )
-    report = mv.check_open_loop_existence(mv.derive_excess_moments(spec))
-    assert not report.overall
-    assert list(report.per_stage) == [False, False]
-    assert all(r > 0.05 for r in report.residual_norms)
+    stages = _covariance_solve(spec)
+    assert stages.in_range.tolist() == [False, False]
+    assert np.all(stages.kernel_norm > 0.05)
+    # the open-loop solve reports the last stage that fails, with its residual
+    for market in (spec, off_range_market()):
+        report = mv.solve_open_loop(market)
+        assert isinstance(report, mv.NonexistenceReport)
+        assert report.failing_stage == 1 and report.failing_condition is mv.FailingCondition.RANGE_CONDITION
+        assert report.residual == pytest.approx(0.1, rel=1e-12)
 
 
 def test_with_initial_state():
@@ -357,16 +364,20 @@ def test_resolve_market_prefers_preset(tmp_path):
         mv.resolve_market(str(tmp_path / "missing.json"))
 
 
-def test_stacked_existence_check_equals_a_per_stage_loop():
+def test_range_condition_equals_a_per_stage_eigenbasis_loop():
+    # the flags match exactly; the residuals to rounding, since a full-rank
+    # stage's kernel part is exactly zero where the loop's projection rounds
     off_range = off_range_market()
     specs = [mv.get_preset(PRESET), off_range] + [random_market(300 + i, 6, 4) for i in range(20)]
     for spec in specs:
         moments = mv.derive_excess_moments(spec)
         loop = [mv.eigenbasis(moments.cov_excess[k]).solve(moments.mean_excess[k]) for k in range(spec.horizon)]
-        per_stage = tuple(bool(ok) for _, _, ok in loop)
-        residuals = tuple(float(residual) for _, residual, _ in loop)
+        per_stage = [bool(ok) for _, _, ok in loop]
+        residuals = np.array([residual for _, residual, _ in loop])
+        tolerance = 1e-13 * np.maximum(1.0, np.linalg.norm(moments.mean_excess, axis=1))
         for t in range(spec.horizon):
-            report = mv.check_open_loop_existence(moments, t)
-            assert report.per_stage == per_stage and report.residual_norms == residuals
-            assert report.overall == all(per_stage[t:])
-    assert mv.check_open_loop_existence(mv.derive_excess_moments(off_range)).per_stage == (False, False, True)
+            # the recursion's solve of the stages from t on
+            stages = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:], spec.cov_eigenvalues[t:])
+            assert stages.in_range.tolist() == per_stage[t:]
+            assert np.all(np.abs(stages.kernel_norm - residuals[t:]) <= tolerance[t:])
+    assert _covariance_solve(off_range).in_range.tolist() == [False, False, True]

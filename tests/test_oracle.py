@@ -222,7 +222,7 @@ def test_stage_outside_the_policy_raises(preset_setup, call, past_end):
     # a policy solved from t = 2 has no row for stage 1 or for the horizon
     spec, moments, tree = preset_setup
     tail = mv.with_initial_state(spec, t=2)
-    policy = mv.solve_open_loop(tail, moments).policy
+    policy = mv.solve_open_loop(tail).policy
     k = policy.horizon if past_end else policy.start_stage - 1
     with pytest.raises(ValueError, match="outside the policy's stages 2..3"):
         call(tree, tail, policy, k)
