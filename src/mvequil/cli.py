@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -63,6 +64,7 @@ EXIT_NONEXISTENT = 3
 EXIT_VERIFICATION = 4
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -253,7 +255,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"{name}: {'PASS' if summary['passed'] else 'FAIL'}"
             f" nodes={summary['count']} min_gap={summary['min_gap']:.3e}"
         )
-        blocks.append(export_verification_jsonl(result))
+        if args.out:
+            blocks.append(export_verification_jsonl(result))
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(blocks)

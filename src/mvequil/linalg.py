@@ -13,22 +13,32 @@ stated once (``_kept``); it sets every eigenvalue-based rank in the
 package: the covariances' in the stage solves, the oracle's tree and Monte
 Carlo. The gain matrices' rank rule below applies the same DEFAULT_PINV_RTOL.
 
+Most covariances need no eigenvalues for that rule. ``certify_covariances``
+factors each stage's Sigma, less twice the cutoff times its trace, by
+Cholesky: a factorization that completes proves every eigenvalue clears the
+cutoff (Higham 2002, ch. 10), so the stage is full rank and positive
+definite. Only the stages it leaves are decomposed, by one stacked ``eigh``,
+and the market keeps that certificate as each covariance's one
+decomposition.
+
 Every backward recursion in this package solves stage equations
 ``G u = -target`` with G = mean_weight mu mu^T + cov_weight Sigma, a
 covariance plus a rank-one term in the mean, and every right-hand side a
 multiple of mu. ``covariance_solve`` therefore solves Sigma^+ mu once per
-stage, weight-free, and ``CovarianceSolve.solve`` gives G^+ mu, every range
-residual and G's PSD test in closed form for any weights. G's rank against
-Sigma's decides, and the rank rule (``CovarianceSolve._rank_rule``) states
-it without G's eigenvalues (the rank-one update; Golub 1973, Bunch, Nielsen
-& Sorensen 1978): one more when mu's kernel part enters G's range, one fewer
-when mu leaves it, which happens when den = cov_weight 2^e + mean_weight q,
-the number G^+ mu = y / den divides by, is zero within the cutoff. To first
-order, den measures G's vanishing eigenvalue only up to Sigma's condition
-number on its range, so the rule and the cutoff on G's eigenvalues may
-disagree inside a band of that width at the cutoff; outside it they agree.
-No solve decomposes G: ``gain_eigenvalues`` computes its eigenvalues for the
-outputs that print them, and for the residual of a failed PSD test.
+stage, weight-free, through the certificate: by LU where the stage is full
+rank, through the eigenbasis where it is not. ``CovarianceSolve.solve``
+gives G^+ mu, every range residual and G's PSD test in closed form for any
+weights. G's rank against Sigma's decides, and the rank rule
+(``CovarianceSolve.rank_rule``) states it without G's eigenvalues (the
+rank-one update; Golub 1973, Bunch, Nielsen & Sorensen 1978): one more when
+mu's kernel part enters G's range, one fewer when mu leaves it, which
+happens when den = cov_weight 2^e + mean_weight q, the number
+G^+ mu = y / den divides by, is zero within the cutoff. To first order, den
+measures G's vanishing eigenvalue only up to Sigma's condition number on
+its range, so the rule and the cutoff on G's eigenvalues may disagree
+inside a band of that width at the cutoff; outside it they agree. No solve
+decomposes G: ``gain_eigenvalues`` computes its eigenvalues for the outputs
+that print them, and for the residual of a failed PSD test.
 
 Everything works on a stack of matrices (..., m, m) as well as on one: a
 stack is decomposed by one ``eigh`` call and solved by one batched product,
@@ -48,6 +58,8 @@ DEFAULT_PINV_RTOL = 1e-10
 DEFAULT_RANGE_RTOL = 1e-8
 DEFAULT_PSD_TOL = 1e-10
 _SYM_RTOL = 1e-8
+# stages per stacked LU solve: their scaled copies stay under 1 MB at m = 50
+_LU_BLOCK = 32
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -137,6 +149,10 @@ class Eigenbasis:
             return X[..., 0, :], residual[..., 0], ok[..., 0]
         return X, residual, ok
 
+    def __getitem__(self, index) -> Eigenbasis:
+        """The eigenbasis of the matrices index selects from a stack."""
+        return Eigenbasis(self.eigenvalues[index], self.vectors[index], self.keep[index])
+
     def split(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The coordinates of the rows v of V (..., r, m) on the eigenvectors,
         zero on those not kept, and each row's part v - B B^T v outside the
@@ -170,24 +186,91 @@ def eigenbasis(M: np.ndarray) -> Eigenbasis:
 
 
 @dataclass(frozen=True)
+class CovarianceCertificate:
+    """Each stage's covariance decomposed once: a Cholesky certificate of full
+    rank, or an eigendecomposition where the certificate fails.
+
+    Per stage (N,): cov_max, the largest entry magnitude of Sigma, and
+    exponent, the e of the power of two 2^e at it, by which every
+    decomposition scales Sigma first, so a subnormal covariance decomposes;
+    certified, whether the Cholesky factorization of
+    Sigma / 2^e - 2 DEFAULT_PINV_RTOL tr(Sigma / 2^e) I completes. It
+    completes only if Sigma's smallest eigenvalue exceeds that shift up to
+    rounding (Higham 2002, ch. 10), and tr >= lambda_max for a PSD matrix, so
+    a certified stage is positive definite and full rank under the cutoff,
+    with a factor 2 to spare for the factorization's rounding. uncertified is
+    the Eigenbasis of Sigma / 2^e of the other stages, stacked in stage
+    order: the one eigendecomposition those stages get.
+    """
+
+    cov_max: np.ndarray
+    exponent: np.ndarray
+    certified: np.ndarray
+    uncertified: Eigenbasis
+
+    @property
+    def uncertified_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues (n, m) of the uncertified stages' Sigma, ascending, unscaled."""
+        return np.ldexp(self.uncertified.eigenvalues, self.exponent[~self.certified, None])
+
+    def from_stage(self, t: int) -> CovarianceCertificate:
+        """The certificate of stages t on."""
+        before = np.count_nonzero(~self.certified[:t])
+        return CovarianceCertificate(self.cov_max[t:], self.exponent[t:], self.certified[t:], self.uncertified[before:])
+
+
+def certify_covariances(cov: np.ndarray) -> CovarianceCertificate:
+    """Certify or decompose each symmetric Sigma of a stack (N, m, m): one Cholesky
+    factorization per stage, each in its own try, since a stacked call raises
+    for the whole stack, then one stacked eigh of the stages not certified."""
+    cov = np.asarray(cov, dtype=float)
+    m = cov.shape[-1]
+    cov_max = np.maximum(cov.max(axis=(-2, -1)), -cov.min(axis=(-2, -1)))  # no |cov| copy
+    exponent = np.frexp(cov_max)[1]
+    certified = np.zeros(len(cov), dtype=bool)
+    shifted = np.empty((m, m))
+    diagonal = shifted.reshape(-1)[:: m + 1]  # a view
+    for k in range(len(cov)):
+        np.ldexp(cov[k], -exponent[k], out=shifted)
+        diagonal -= 2.0 * DEFAULT_PINV_RTOL * diagonal.sum()
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue
+        certified[k] = True
+    scaled = cov[~certified]
+    if len(scaled):
+        np.ldexp(scaled, -exponent[~certified, None, None], out=scaled)
+        eig = eigenbasis(scaled)
+    else:  # every stage certified: no eigh call at all
+        eig = Eigenbasis(np.zeros((0, m)), scaled, np.zeros((0, m), dtype=bool))
+    return CovarianceCertificate(cov_max, exponent, certified, eig)
+
+
+@dataclass(frozen=True)
 class CovarianceSolve:
     """Each stage's solve of Sigma^+ mu, weight-free, for the gain matrices built on it.
 
-    Per stage, for the stages' Sigma and mu: eigenvalues (N, m) of Sigma,
-    ascending, and rank (N,) under the cutoff; exponent (N,), the e of the
-    power of two 2^e at Sigma's largest eigenvalue magnitude;
-    y (N, m) = (Sigma / 2^e)^+ mu and q (N,) = mu . y, so the scaling by 2^e
-    is exact whatever Sigma's scale; kernel (N, m), the part of mu in
-    Sigma's kernel, and kernel_norm (N,) its norm; mean_norm
+    Per stage, for the stages' Sigma and mu: rank (N,) under the cutoff, and
+    sigma_max (N,), Sigma's largest eigenvalue magnitude on the stages its
+    eigendecomposition solves, zero on the others, whose kernel is zero;
+    exponent (N,), the e of the power of two 2^e at Sigma's largest entry
+    magnitude; y (N, m) = (Sigma / 2^e)^+ mu and q (N,) = mu . y, so the
+    scaling by 2^e is exact whatever Sigma's scale; kernel (N, m), the part
+    of mu in Sigma's kernel, and kernel_norm (N,) its norm; mean_norm
     (N,) = ||mu||; in_range (N,), the range condition, mu in Sigma's column
     space, by the range test of Eigenbasis.solve; dropped_residual (N,),
     mu's residual once the direction y leaves the range as well; and cov_max
     and mean_max (N,), the largest entry magnitudes of Sigma and mu, which
     bound G's entries.
+
+    Its methods take a stage index k and weights for that stage: an int k
+    with weights (D,), one per gain matrix, or an index array or slice of
+    stages with weights that broadcast against it.
     """
 
-    eigenvalues: np.ndarray
     rank: np.ndarray
+    sigma_max: np.ndarray
     exponent: np.ndarray
     y: np.ndarray
     q: np.ndarray
@@ -199,7 +282,7 @@ class CovarianceSolve:
     cov_max: np.ndarray
     mean_max: np.ndarray
 
-    def _rank_rule(self, k: int, cw: np.ndarray, mow: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def rank_rule(self, k, cw, mow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rank rule for stage k's gain matrices, one per weight pair: (den,
         enters, leaves), whether mu's kernel part enters G's range and whether
         mu leaves it. Where neither, G's rank is Sigma's.
@@ -209,17 +292,17 @@ class CovarianceSolve:
         against G's scale, max(|cw| sigma_max, |mow| ||mu||^2). Otherwise mu
         leaves when den, which cancels from |cw| 2^e + |mow| q, is within the
         cutoff of that sum: G has lost the one rank the determinant lemma lets
-        it lose.
+        it lose. Numbers in, numbers out: weights given as numpy scalars come
+        back as numpy scalars.
         """
-        e, q, size = self.exponent[k], self.q[k], np.abs(mow)
-        den = np.ldexp(cw, e) + mow * q
-        scale = np.maximum(np.abs(cw) * np.abs(self.eigenvalues[k]).max(), size * self.mean_norm[k] ** 2)
+        q, size = self.q[k], abs(mow)
+        scaled = np.ldexp(cw, self.exponent[k])
+        den = scaled + mow * q
+        scale = np.maximum(abs(cw) * self.sigma_max[k], size * self.mean_norm[k] ** 2)
         enters = size * self.kernel_norm[k] ** 2 > DEFAULT_PINV_RTOL * scale
-        return den, enters, ~enters & (np.abs(den) <= DEFAULT_PINV_RTOL * (np.ldexp(np.abs(cw), e) + size * q))
+        return den, enters, ~enters & (abs(den) <= DEFAULT_PINV_RTOL * (abs(scaled) + size * q))
 
-    def _is_psd(
-        self, k: int, cw: np.ndarray, mow: np.ndarray, den: np.ndarray, enters: np.ndarray, leaves: np.ndarray
-    ) -> np.ndarray:
+    def _is_psd(self, k, cw, mow, den, enters, leaves) -> np.ndarray:
         """The PSD test of stage k's gain matrices from G's inertia, given the rank rule's outcome.
 
         Sigma's kept eigenvalues are positive, so cw Sigma is PSD when cw >= 0
@@ -237,47 +320,55 @@ class CovarianceSolve:
         on_range = (~(den < 0) | leaves) & (definite | ((rank == 1) & (mow > 0)))
         return np.where(enters, definite & (mow > 0), on_range | (rank == 0))
 
+    def out_of_range(self, k, cw, mow, row_scale) -> tuple[np.ndarray, np.ndarray]:
+        """Which of stage k's solves leave the float range: (rhs, entries), a
+        non-finite row scale (..., r) and a non-finite weight or gain matrix
+        entry, one flag per weight pair. The entries are bounded by
+        |mow| mean_max^2 + |cw| cov_max; mean_max^2 is inf past 1e154, and it
+        reaches G only through a nonzero mean weight."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_term = np.where(mow != 0, abs(mow) * self.mean_max[k] ** 2, 0.0)
+            entries = ~np.isfinite(abs(cw) * self.cov_max[k] + mean_term)
+        return ~np.isfinite(row_scale).all(axis=-1), entries
+
     def solve(
-        self, k: int, cov_weight: np.ndarray, mean_weight: np.ndarray, row_scale: np.ndarray
+        self, k, cov_weight: np.ndarray, mean_weight: np.ndarray, row_scale: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Stage k's gain matrices G = mean_weight mu mu^T + cov_weight Sigma, one
-        per weight pair (D,), solved for the rows v = row_scale[d, j] mu, (D, r).
+        per weight pair (...,), solved for the rows v = row_scale[..., j] mu, (..., r).
 
-        Returns (X (D, r, m), residual (D, r), ok (D, r), psd (D,)): X = G^+ v,
+        Returns (X (..., r, m), residual (..., r), ok (..., r), psd (...,)): X = G^+ v,
         the residual of v against G's range and ok the range test, with the
         meaning of Eigenbasis.solve, and psd G's PSD test (_is_psd). The rank
-        rule (_rank_rule) decides, and no G is built: G's rank equal to
+        rule (rank_rule) decides, and no G is built: G's rank equal to
         Sigma's, X = v . y / den and v's residual is its kernel part; mu's
         kernel part entering G's range, X = v . kernel / (mean_weight
         kernel_norm^2), solving v exactly; mu leaving G's range, X is zero and
-        the residual is dropped_residual's multiple. A non-finite weight, row
-        scale or gain matrix entry raises LinAlgError, so an overflow never
-        reads as a failed range test; the entries are bounded by
-        |mean_weight| mean_max^2 + |cov_weight| cov_max.
+        the residual is dropped_residual's multiple. A solve out of the float
+        range (out_of_range) raises LinAlgError, so an overflow never reads
+        as a failed range test.
         """
         cw, mow, scale = (np.asarray(a, dtype=float) for a in (cov_weight, mean_weight, row_scale))
-        if not np.isfinite(scale).all():
+        rhs, entries = self.out_of_range(k, cw, mow, scale)
+        if rhs.any():
             raise np.linalg.LinAlgError("gain solve: non-finite right-hand side")
+        if entries.any():
+            raise np.linalg.LinAlgError("gain matrix has non-finite entries")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # mean_max^2 is inf past 1e154; it reaches G only through a nonzero mean weight
-            mean_term = np.where(mow != 0, np.abs(mow) * self.mean_max[k] ** 2, 0.0)
-            if not np.isfinite(np.abs(cw) * self.cov_max[k] + mean_term).all():
-                raise np.linalg.LinAlgError("gain matrix has non-finite entries")
-            den, enters, leaves = self._rank_rule(k, cw, mow)
+            den, enters, leaves = self.rank_rule(k, cw, mow)
             psd = self._is_psd(k, cw, mow, den, enters, leaves)
             # scale the right-hand sides first: a subnormal den must not overflow 1 / den
-            X = scale[..., None] * self.y[k]
-            X /= den[:, None, None]
-            mean_residual = np.full(len(cw), self.kernel_norm[k])
+            X = scale[..., None] * self.y[k][..., None, :]
+            X /= den[..., None, None]
+            mean_residual = np.broadcast_to(self.kernel_norm[k], cw.shape)
             if enters.any() or leaves.any():
-                kernel_sq = mow[enters] * self.kernel_norm[k] ** 2
-                X[enters] = (scale[enters, :, None] * self.kernel[k]) / kernel_sq[:, None, None]
-                X[leaves] = 0.0
-                mean_residual[enters] = 0.0
-                mean_residual[leaves] = self.dropped_residual[k]
+                kernel_sq = mow * self.kernel_norm[k] ** 2
+                X_kernel = (scale[..., None] * self.kernel[k][..., None, :]) / kernel_sq[..., None, None]
+                X = np.where(enters[..., None, None], X_kernel, np.where(leaves[..., None, None], 0.0, X))
+                mean_residual = np.where(enters, 0.0, np.where(leaves, self.dropped_residual[k], mean_residual))
         size = np.abs(scale)
-        residual = size * mean_residual[:, None]
-        return X, residual, _in_range(residual, lambda: size * self.mean_norm[k]), psd
+        residual = size * mean_residual[..., None]
+        return X, residual, _in_range(residual, lambda: size * self.mean_norm[k][..., None]), psd
 
 
 def gain_eigenvalues(
@@ -302,39 +393,46 @@ def gain_eigenvalues(
         w[outer] = np.linalg.eigvalsh(G)
     return w
 
-def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray) -> CovarianceSolve:
-    """The weight-free solves Sigma^+ mu of the stages (N, m, m) and means (N, m),
-    given each stage's eigenvalues (N, m) of Sigma, ascending.
 
-    A stage that is full rank under the cutoff takes one LU solve; the
-    rank-deficient stages take one stacked eigenbasis, whose eigenvalues
-    replace the given ones. Each Sigma is scaled by its 2^e first, so a
+def covariance_solve(
+    cov: np.ndarray, mean: np.ndarray, certificate: CovarianceCertificate | None = None
+) -> CovarianceSolve:
+    """The weight-free solves Sigma^+ mu of the stages (N, m, m) and means (N, m),
+    through the stages' certificate (certify_covariances, made here if not given).
+
+    The stages of full rank, the certified ones and those whose
+    eigendecomposition keeps every eigenvalue, take stacked LU solves of
+    _LU_BLOCK stages each; the rank-deficient ones solve through the
+    certificate's eigenbasis. Each Sigma is scaled by its 2^e first, so a
     subnormal covariance solves.
     """
     cov, mean = np.asarray(cov, dtype=float), np.asarray(mean, dtype=float)
-    eigenvalues = np.array(eigenvalues, dtype=float)
-    exponent = np.frexp(np.abs(eigenvalues).max(axis=-1, initial=0.0))[1]
-    rank = np.count_nonzero(_kept(eigenvalues), axis=-1)
+    cert = certify_covariances(cov) if certificate is None else certificate
+    e, eig, m = cert.exponent, cert.uncertified, mean.shape[-1]
+    uncertified = np.flatnonzero(~cert.certified)
+    rank, sigma_max = np.full(len(cov), m), np.zeros(len(cov))
+    rank[uncertified] = eig.rank
+    sigma_max[uncertified] = np.ldexp(np.abs(eig.eigenvalues).max(axis=-1, initial=0.0), e[uncertified])
     y, kernel = np.zeros_like(mean), np.zeros_like(mean)
-    full = rank == mean.shape[-1]
-    for k in np.flatnonzero(full):
-        y[k] = np.linalg.solve(np.ldexp(cov[k], -exponent[k]), mean[k])
-    deficient = np.flatnonzero(~full)
-    if deficient.size:
-        e, mean_d = exponent[deficient], mean[deficient]
-        eig = eigenbasis(np.ldexp(cov[deficient], -e[:, None, None]))
-        y[deficient] = eig.solve(mean_d)[0]
-        kernel[deficient] = eig.split(mean_d[:, None, :])[1][:, 0]
-        eigenvalues[deficient] = np.ldexp(eig.eigenvalues, e[:, None])
-        rank[deficient] = eig.rank
+    full = np.flatnonzero(rank == m)
+    for start in range(0, full.size, _LU_BLOCK):
+        block = full[start : start + _LU_BLOCK]
+        scaled = cov[block]
+        np.ldexp(scaled, -e[block, None, None], out=scaled)
+        y[block] = np.linalg.solve(scaled, mean[block, :, None])[..., 0]
+    deficient = eig.rank < m
+    if deficient.any():
+        stages, sub = uncertified[deficient], eig[deficient]
+        y[stages] = sub.solve(mean[stages])[0]
+        kernel[stages] = sub.split(mean[stages, None, :])[1][:, 0]
     q = np.einsum("ki,ki->k", mean, y)
     kernel_norm, y_norm, mean_norm = _row_norms(kernel), _row_norms(y), _row_norms(mean)
     # mu's residual against range(Sigma) less the direction y: its kernel part and mu . y / ||y||
     along_y = np.divide(np.abs(q), y_norm, out=np.zeros_like(q), where=y_norm > 0)
     return CovarianceSolve(
-        eigenvalues=eigenvalues,
         rank=rank,
-        exponent=exponent,
+        sigma_max=sigma_max,
+        exponent=e,
         y=y,
         q=q,
         kernel=kernel,
@@ -342,6 +440,6 @@ def covariance_solve(cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray)
         mean_norm=mean_norm,
         in_range=_in_range(kernel_norm, lambda: mean_norm),
         dropped_residual=np.hypot(kernel_norm, along_y),
-        cov_max=np.maximum(cov.max(axis=(-2, -1)), -cov.min(axis=(-2, -1))),  # no |cov| copy
+        cov_max=cert.cov_max,
         mean_max=np.abs(mean).max(axis=-1, initial=0.0),
     )

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _require_symmetric, is_psd_spectrum
+from .linalg import CovarianceCertificate, _require_symmetric, certify_covariances, is_psd_spectrum
 
 
 class ValidationError(ValueError):
@@ -30,9 +30,17 @@ class MarketSpec:
     horizon N and num_assets m; riskless has shape (N,), mean_returns (N, m),
     return_cov (N, m, m). initial_time is the first trading stage and
     initial_wealth the wealth there. warnings collects non-fatal findings
-    (currently only riskless returns at or below 1). cov_eigenvalues (N, m),
-    read-only, are each stage's covariance eigenvalues in ascending order:
-    those of make_market_spec's PSD check, or one eigvalsh on first read.
+    (currently only riskless returns at or below 1).
+
+    Two read-only caches hold what the covariances' decompositions found.
+    cov_certificate is each stage's Cholesky certificate of full rank, or
+    its eigendecomposition where the certificate fails
+    (linalg.certify_covariances): make_market_spec's PSD check made it, or
+    it is made on first read, and the solvers' covariance solve reuses it.
+    cov_eigenvalues (N, m) are each stage's covariance eigenvalues in
+    ascending order, for the outputs that print gain matrix eigenvalues:
+    the uncertified stages' from the certificate, the certified stages'
+    from one stacked eigvalsh on first read.
     """
 
     horizon: int
@@ -56,8 +64,17 @@ class MarketSpec:
         return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
     @cached_property
+    def cov_certificate(self) -> CovarianceCertificate:
+        return certify_covariances(self.return_cov)
+
+    @cached_property
     def cov_eigenvalues(self) -> np.ndarray:
-        return _frozen(np.linalg.eigvalsh(self.return_cov))
+        cert = self.cov_certificate
+        w = np.empty((self.horizon, self.num_assets))
+        w[~cert.certified] = cert.uncertified_eigenvalues
+        if cert.certified.any():
+            w[cert.certified] = np.linalg.eigvalsh(self.return_cov[cert.certified])
+        return _frozen(w)
 
 
 @dataclass(frozen=True)
@@ -128,9 +145,11 @@ def make_market_spec(
 
     Scalar riskless, a single mean vector, or a single covariance matrix are
     expanded across all stages. Covariances are symmetrized as (M + M^T) / 2
-    before the PSD check; both checks, and the one eigvalsh of the PSD check,
-    cover all stages at once. Raises ValidationError naming the first violated
-    invariant and the first stage where it occurred.
+    before the PSD check. The PSD check reads the covariances' certificate
+    (linalg.certify_covariances), which the spec keeps: a certified stage is
+    positive definite, and the others' eigenvalues come from one stacked
+    eigh. Raises ValidationError naming the first violated invariant and the
+    first stage where it occurred.
     """
     horizon = _whole(horizon, "horizon")
     num_assets = _whole(num_assets, "num_assets")
@@ -181,11 +200,13 @@ def make_market_spec(
                 _require_symmetric(covs[k], "covariance")
             except np.linalg.LinAlgError:
                 raise ValidationError(f"covariance not symmetric at stage {k}") from None
-    w = np.linalg.eigvalsh(covs)
+    cert = certify_covariances(covs)
+    w = cert.uncertified_eigenvalues
     psd = is_psd_spectrum(w)
     if not psd.all():
-        k = int(np.argmin(psd))  # the first stage that fails
-        raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[k, 0]:.3e})")
+        i = int(np.argmin(psd))  # the first stage that fails
+        k = int(np.flatnonzero(~cert.certified)[i])
+        raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[i, 0]:.3e})")
 
     spec = MarketSpec(
         horizon=horizon,
@@ -199,7 +220,7 @@ def make_market_spec(
         initial_wealth=initial_wealth,
         warnings=tuple(warnings),
     )
-    spec.__dict__["cov_eigenvalues"] = _frozen(w)  # as if read: a cached_property's value lives in __dict__
+    spec.__dict__["cov_certificate"] = cert  # as if read: a cached_property's value lives in __dict__
     return spec
 
 
@@ -282,6 +303,7 @@ def with_initial_state(spec: MarketSpec, t=None, x=None) -> MarketSpec:
     if not np.isfinite(x):
         raise ValidationError("initial_wealth must be finite")
     moved = replace(spec, initial_time=t, initial_wealth=x)
-    if "cov_eigenvalues" in spec.__dict__:
-        moved.__dict__["cov_eigenvalues"] = spec.cov_eigenvalues  # shared, not decomposed again
+    for cache in ("cov_certificate", "cov_eigenvalues"):
+        if cache in spec.__dict__:
+            moved.__dict__[cache] = spec.__dict__[cache]  # shared, not decomposed again
     return moved

@@ -413,15 +413,33 @@ def verification_summary(result: VerificationResult) -> dict:
 
 
 _JSONL_KEYS = ("stage", "node", "j_star", "j_dev", "gap", "passed", "semantics", "deviation", "tol")
+# a node's line: the keys in order, each value the JSON text of its column's element
+_JSONL_LINE = "{" + ", ".join(f"{json.dumps(key)}: %s" for key in _JSONL_KEYS) + "}"
+
+
+def _json_elements(values: list, nested: bool = False) -> list[str]:
+    """The JSON text of each element of a list, from one json.dumps of the
+    whole list; nested, its elements are lists of numbers, split at "], [". """
+    if not values:
+        return []
+    if nested:
+        return ["[" + row + "]" for row in json.dumps(values)[2:-2].split("], [")]
+    return json.dumps(values)[1:-1].split(", ")
 
 
 def export_verification_jsonl(result: VerificationResult) -> str:
-    """One JSON line per node, keys in _JSONL_KEYS order, plus a trailing summary line."""
+    """One JSON line per node, keys in _JSONL_KEYS order, plus a trailing summary line.
+
+    Each line is byte-identical to json.dumps of the node's dict; each column
+    is encoded by one json.dumps of its list instead.
+    """
     columns = [
-        repeat(result.semantics.value) if key == "semantics" else getattr(result, key).tolist()
+        repeat(json.dumps(result.semantics.value))
+        if key == "semantics"
+        else _json_elements(getattr(result, key).tolist(), nested=key == "deviation")
         for key in _JSONL_KEYS
     ]
-    lines = [json.dumps(dict(zip(_JSONL_KEYS, row))) for row in zip(*columns)]
+    lines = [_JSONL_LINE % row for row in zip(*columns)]
     summary = verification_summary(result)
     summary["summary"] = True
     lines.append(json.dumps(summary))

@@ -12,10 +12,13 @@ cp = s_k + mean . P, the applied one cm = s_k + mean . K and the covariance
 cross term. G is Cov(O_k) plus a rank-one term in the mean, and all three
 right-hand sides (the range condition's mean and the two targets) are
 multiples of the mean, so one weight-free solve Cov(O_k)^+ mean per stage,
-made before the loop (``linalg.covariance_solve``), gives the gains, the
-offsets and every range residual in closed form, and linalg's rank rule on
-the same quantities gives G's rank and the PSD test: no stage decomposes G.
-G's eigenvalues are computed only where they are printed, by
+made before the loop (``linalg.covariance_solve``) with the market's one
+decomposition of each covariance (``MarketSpec.cov_certificate``), gives the
+gains, the offsets and every range residual in closed form, and linalg's
+rank rule on the same quantities gives G's rank and the PSD test: no stage
+decomposes G. The loop itself carries scalars only, a few per strategy part
+and stage; the gains, offsets and checks of all stages are read off after
+it. G's eigenvalues are computed only where they are printed, by
 ``EquilibriumSolution.gain_eigenvalues``, or where a PSD test fails and the
 report needs -lambda_min (``linalg.gain_eigenvalues`` both times).
 
@@ -96,28 +99,25 @@ class RecursionTrace:
 class EquilibriumSolution:
     """A solved policy and the trace of its recursion; policy.kind names the notion.
 
-    cov_eigenvalues (N - t, m) are the covariance eigenvalues of stages
-    t = policy.start_stage on, as the recursion's covariance solve kept them,
-    shared by every solution of one recursion. Only a mixed solution holds a
-    strategy part; the frozen part realizes frozen_gains * X_k +
-    policy.offset(k) and keeps that after a deviation.
+    Only a mixed solution holds a strategy part; the frozen part realizes
+    frozen_gains * X_k + policy.offset(k) and keeps that after a deviation.
     """
 
     policy: AffinePolicy
     trace: RecursionTrace
-    cov_eigenvalues: np.ndarray
     feedback_part: PureFeedbackPart | None = None
 
     def gain_eigenvalues(self, spec: MarketSpec) -> np.ndarray:
         """Each stage's gain matrix eigenvalues (N, m) on the solved market, ascending,
         NaN before the start stage: one stacked eigvalsh of the stages with a
-        mean outer term (linalg.gain_eigenvalues)."""
+        mean outer term (linalg.gain_eigenvalues), cov_weight times
+        spec.cov_eigenvalues on the others."""
         t, tr, moments = self.policy.start_stage, self.trace, derive_excess_moments(spec)
         w = np.full(tr.gain_target.shape, np.nan)
         w[t:] = gain_eigenvalues(
             moments.cov_excess[t:],
             moments.mean_excess[t:],
-            self.cov_eigenvalues,
+            spec.cov_eigenvalues[t:],
             tr.cov_weight[t + 1 :],
             tr.mean_outer_weight[t + 1 :],
         )
@@ -131,15 +131,21 @@ class EquilibriumSolution:
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a (D, m) with b's matching row, or with b (m,).
+    """Dot products of a (..., m) and b along their last axis.
 
     A batched matmul gives each draw the same dot product, rounding included,
     as one draw solved on its own; einsum sums in another order.
     """
-    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a value out of the float range is rejected, not warned about
+def _by_stage(a: np.ndarray):
+    """Per-draw values (D, n) indexed by stage: a row of D values, or, for one
+    draw, a numpy scalar, whose arithmetic costs a fraction of a one-element array's."""
+    return a[0] if len(a) == 1 else a.T
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a value out of the float range is rejected
 def backward_recursion(
     spec: MarketSpec,
     moments: ExcessMoments | None,
@@ -149,21 +155,27 @@ def backward_recursion(
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
     moments is derive_excess_moments(spec), or None to derive it here; the
-    covariance eigenvalues come from spec.cov_eigenvalues, their one cache.
+    covariance decompositions come from spec.cov_certificate, their one cache.
     feedback_parts are the mixed solutions' strategy parts P, one row per
     stage each, kept on the solutions; the mixed kind requires them, the
     others refuse them, and a part not of shape (N, m) raises ValueError.
-    Every part is solved in the same stage loop: each stage solves the gain
-    matrices of the parts still alive through the stage's one covariance
-    solve, and decomposes none of them. A part that fails a stage check
-    gets the report of its first failing condition and leaves the stack.
-    Returns one outcome per part, in order; the open-loop and feedback kinds
-    are the case of one zero part, with one outcome. A feedback failure while
-    every range condition holds, or a negative open-loop cov_weight,
-    contradicts the theory and raises InternalInconsistencyError. A gain
-    matrix, gain, offset or weight that leaves the float range, including an
-    open-loop cov_weight that underflows to zero, raises ValidationError
-    naming the stage: the market's scale, not the theory, failed there.
+
+    Every part is solved in one stage loop. A stage's gain and offset are
+    multiples of one vector, y = (Sigma / 2^e)^+ mu or mu's kernel part
+    (linalg.CovarianceSolve.solve), so the loop carries per part only
+    scalars: the four weights the next stage reads, from the rank rule's
+    outcome and dot products made before the loop. After it, the gains,
+    offsets, targets and every check are read off arrays over all parts and
+    stages, in stage order: a part that fails a stage check gets the report
+    of its first failing condition, and what the loop computed for it at
+    earlier stages is dropped. Returns one outcome per part, in order; the
+    open-loop and feedback kinds are the case of one zero part, with one
+    outcome. A feedback failure while every range condition holds, or a
+    negative open-loop cov_weight, contradicts the theory and raises
+    InternalInconsistencyError. A gain matrix, gain, offset or weight that
+    leaves the float range, including an open-loop cov_weight that
+    underflows to zero, raises ValidationError naming the stage: the
+    market's scale, not the theory, failed there.
     """
     if (feedback_parts is None) is (kind is PolicyKind.MIXED):
         raise ValueError(f"{kind.value} recursion: a strategy part is given exactly when the kind is mixed")
@@ -177,90 +189,139 @@ def backward_recursion(
             if part.gains.shape != (N, m):
                 raise ValueError(f"strategy part shape {part.gains.shape} does not match market {(N, m)}")
         parts = np.array([p.gains for p in feedback_parts]).reshape(-1, N, m)
-    D = len(parts)
+    D, n, feedback = len(parts), N - t, kind is PolicyKind.FEEDBACK
+    cov, mean, riskless = moments.cov_excess[t:], moments.mean_excess[t:], spec.riskless[t:]
+    stages = covariance_solve(cov, mean, spec.cov_certificate.from_stage(t))
+
+    # the dot products the loop reads, for b = y or mu's kernel part: b . mu,
+    # and b . Sigma b / 2^e for feedback, which re-applies -dag_gain, a
+    # multiple of b; P . mu and P Sigma b for a given part P
+    y, kernel, q, exponent = stages.y, stages.kernel, stages.q, stages.exponent
+    kernel_mu = _row_dot(kernel, mean)
+    if feedback:
+        cov_basis = cov @ np.stack((y, kernel), axis=-1)
+        cov_y, cov_kernel = (np.ldexp(_row_dot(b, cov_basis[..., i]), -exponent) for i, b in enumerate((y, kernel)))
+    else:
+        part_cov = (parts[:, t:, None, :] @ cov)[..., 0, :]
+        part_mu = _by_stage(_row_dot(parts[:, t:], mean))
+        cov_y, cov_kernel = (_by_stage(_row_dot(part_cov, b)) for b in (y, kernel))
+
     tr = RecursionTrace.empty(D, N, m)
-    tr.cov_weight[:, N], tr.mean_outer_weight[:, N], tr.riskless_growth_sq[:, N] = 1.0, 0.0, 1.0
-    tr.mean_coupling[:, N], tr.mean_offset[:, N] = -spec.mu1 / 2.0, -spec.mu2 / 2.0
-    gains, offsets = np.zeros((D, N - t, m)), np.zeros((D, N - t, m))
-    outcomes: list[EquilibriumSolution | NonexistenceReport | None] = [None] * D
-    checks = _CHECKS[kind]
-    ids = np.arange(D)  # the draws still in the stack
-    live = slice(None)  # indexes them: a slice, so a view, until a draw leaves
-    stages = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:], spec.cov_eigenvalues[t:])
-
-    for k in range(N - 1, t - 1, -1):
-        s_k, mean_ex, cov_ex = spec.riskless[k], moments.mean_excess[k], moments.cov_excess[k]
-        cw, mow = tr.cov_weight[live, k + 1], tr.mean_outer_weight[live, k + 1]
-        coupling_next, offset_next = tr.mean_coupling[live, k + 1], tr.mean_offset[live, k + 1]
-        # rows: the range condition's mean excess return, then the gain and offset targets
-        row_scale = np.ones((ids.size, 3))
-        row_scale[:, 1] = s_k * mow + coupling_next
-        row_scale[:, 2] = offset_next
-        rhs = row_scale[:, :, None] * mean_ex
-        tr.gain_target[live, k], tr.offset_target[live, k] = rhs[:, 1], rhs[:, 2]
-
-        try:
-            X, residual, ok, psd = stages.solve(k - t, cw, mow, row_scale)
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError(f"stage {k}: the recursion leaves the float range ({exc})") from None
-        tr.range_residual[live, k], tr.gain_residual[live, k], tr.offset_residual[live, k] = residual.T
-        passed = np.column_stack((ok[:, 0], psd, ok[:, 1:]))[:, checks]
-        if not passed.all():
-            failed = ~passed.all(axis=1)
-            residual = np.column_stack((residual[:, 0], np.full(len(cw), np.nan), residual[:, 1:]))[:, checks]
-            for i in np.flatnonzero(failed):
-                first = int(np.argmin(passed[i]))  # the first check failed
-                condition = _CONDITIONS[checks][first]
-                if condition is Cond.PSD_CONDITION:
-                    # the residual is -lambda_min, from the one gain matrix this rare path decomposes
-                    w = gain_eigenvalues(
-                        cov_ex[None], mean_ex[None], stages.eigenvalues[k - t : k - t + 1], cw[i : i + 1], mow[i : i + 1]
-                    )
-                    residual[i, first] = np.maximum(-w[0, 0], 0.0)
-                report = NonexistenceReport(k, condition, float(residual[i, first]))
-                # feedback solvability is guaranteed when every range condition
-                # holds, so tell genuine nonexistence from a numerics bug
-                if kind is PolicyKind.FEEDBACK and stages.in_range.all():
-                    raise InternalInconsistencyError(
-                        f"stage {k}: {report.failing_condition.value} failed (residual "
-                        f"{report.residual:.3e}) although the range condition holds at every stage"
-                    )
-                outcomes[ids[i]] = report
-            ids = live = ids[~failed]
-            if not ids.size:
-                break
-            X, cw, mow, coupling_next, offset_next = (a[~failed] for a in (X, cw, mow, coupling_next, offset_next))
-        tr.stage_ok[live, k] = True
-
-        dag_gain, dag_offset = X[:, 1], X[:, 2]
-        gains[live, k - t], offsets[live, k - t] = -dag_gain, -dag_offset
-        P = -dag_gain if kind is PolicyKind.FEEDBACK else parts[live, k]
-        P_cov = (P[:, None, :] @ cov_ex)[:, 0]  # one vector-matrix product per draw
-        cp = s_k + _row_dot(P, mean_ex)
-        cm = s_k - _row_dot(dag_gain, mean_ex)
-        cross = _row_dot(P_cov, dag_gain)
+    terminal = np.array([1.0, 0.0, -spec.mu1 / 2.0, -spec.mu2 / 2.0])
+    tr.cov_weight[:, N], tr.mean_outer_weight[:, N], tr.mean_coupling[:, N], tr.mean_offset[:, N] = terminal
+    cw, mow, coupling, offset = terminal if D == 1 else np.repeat(terminal[:, None], D, axis=1)
+    rows = []
+    for j in range(n - 1, -1, -1):
+        s = riskless[j]
+        s1 = s * mow + coupling
+        den, enters, leaves = stages.rank_rule(j, cw, mow)
+        # dag_gain = s1 b / div and dag_offset = offset b / div, with b = y and
+        # div = den while G's rank is Sigma's; b = mu's kernel part where it
+        # enters G's range, and div = inf, a zero solve, where mu leaves it
+        div, b_mu, cov_b = den, q[j], cov_y[j]
+        if (enters | leaves).any():
+            div = np.where(enters, mow * stages.kernel_norm[j] ** 2, np.where(leaves, np.inf, den))
+            b_mu, cov_b = np.where(enters, kernel_mu[j], b_mu), np.where(enters, cov_kernel[j], cov_b)
+        # numerators first, so a subnormal div does not overflow 1 / div
+        gain_mu, offset_mu = (s1 * b_mu) / div, (offset * b_mu) / div
+        if feedback:  # the cross terms are -dag_gain Sigma dag_gain and -dag_gain Sigma dag_offset
+            ratio = s1 / np.ldexp(div, -exponent[j])
+            p_mu, cross, offset_cross = -gain_mu, -ratio * ((s1 * cov_b) / div), -ratio * ((offset * cov_b) / div)
+        else:  # P Sigma dag_gain and P Sigma dag_offset
+            p_mu, cross, offset_cross = part_mu[j], (s1 * cov_b) / div, (offset * cov_b) / div
+        cp, cm = s + p_mu, s - gain_mu
         mow_cp = mow * cp
-        cov_weight = tr.cov_weight[live, k] = cw * (cp * cm - cross)
-        tr.mean_outer_weight[live, k] = mow_cp * cm - cw * cross
-        tr.mean_coupling[live, k] = cp * coupling_next
-        coupling = tr.offset_coupling[live, k] = mow_cp[:, None] * mean_ex + cw[:, None] * P_cov
-        tr.mean_offset[live, k] = -_row_dot(coupling, dag_offset) + cp * offset_next
-        tr.riskless_growth_sq[live, k] = s_k**2 * tr.riskless_growth_sq[live, k + 1]
-        if kind is PolicyKind.OPEN_LOOP and not cov_weight.min() > 0:
-            if cov_weight.min() < 0:
-                raise InternalInconsistencyError(f"cov_weight nonpositive ({cov_weight.min()}) at stage {k}")
-            raise ValidationError(f"stage {k}: cov_weight {cov_weight.min()} leaves the float range")
+        cw, mow, coupling, offset = (
+            cw * (cp * cm - cross),
+            mow_cp * cm - cw * cross,
+            cp * coupling,
+            cp * offset - (mow_cp * offset_mu + cw * offset_cross),
+        )
+        rows.append((cw, mow, coupling, offset, cp))
+    *carried, cp = np.array(rows[::-1], dtype=float).reshape(n, 5, D).transpose(1, 2, 0)
+    for name, values in zip(_WEIGHTS, carried):
+        getattr(tr, name)[:, t:N] = values
+    tr.riskless_growth_sq[:, t:] = np.append(np.cumprod(riskless[::-1] ** 2)[::-1], 1.0)
 
-    # once, after the loop; not X[:, 0], the range row, which is about inf at a 1e-310 covariance
+    # every stage's solve, checks and targets, over all draws and stages at once
+    cw, mow = tr.cov_weight[:, t + 1 :], tr.mean_outer_weight[:, t + 1 :]
+    row_scale = np.stack(
+        (np.ones((D, n)), riskless * mow + tr.mean_coupling[:, t + 1 :], tr.mean_offset[:, t + 1 :]), axis=-1
+    )
+    tr.gain_target[:, t:], tr.offset_target[:, t:] = (row_scale[..., r, None] * mean for r in (1, 2))
+    rhs_bad, entries_bad = stages.out_of_range(slice(None), cw, mow, row_scale)
+    fine = ~(rhs_bad | entries_bad)  # the others raise where their draw is still in the stack
+    X, residual, passed = np.full((D, n, 3, m), np.nan), np.full((D, n, 3), np.nan), np.ones((D, n, 4), dtype=bool)
+    X[fine], residual[fine], ok, psd = stages.solve(np.nonzero(fine)[1], cw[fine], mow[fine], row_scale[fine])
+    passed[fine] = np.column_stack((ok[:, 0], psd, ok[:, 1:]))
+    tr.range_residual[:, t:], tr.gain_residual[:, t:], tr.offset_residual[:, t:] = residual.transpose(2, 0, 1)
+    checks = _CHECKS[kind]
+    passed = passed[..., checks]
+    failed = ~passed.all(axis=-1)
+    # a draw leaves the stack at its first failed stage in stage order, its last index
+    left_at = np.where(failed.any(axis=1), n - 1 - np.argmax(failed[:, ::-1], axis=1), -1)
+    alive = np.arange(n) >= left_at[:, None]
+    tr.stage_ok[:, t:] = alive & ~failed
+
+    reports = {}
+    check_residual = np.insert(residual, 1, np.nan, axis=-1)[..., checks]  # the columns of passed
+    for d in np.flatnonzero(left_at >= 0):
+        j = left_at[d]
+        first = int(np.argmin(passed[d, j]))  # the first check failed
+        condition, value = _CONDITIONS[checks][first], check_residual[d, j, first]
+        if condition is Cond.PSD_CONDITION:
+            # the residual is -lambda_min, from the one gain matrix this rare path decomposes
+            eigenvalues = spec.cov_eigenvalues[t + j : t + j + 1]
+            w = gain_eigenvalues(cov[j : j + 1], mean[j : j + 1], eigenvalues, cw[d, j : j + 1], mow[d, j : j + 1])
+            value = np.maximum(-w[0, 0], 0.0)
+        reports[d] = NonexistenceReport(t + j, condition, float(value))
+
+    # the first error in stage order; within a stage, a solve out of the float
+    # range, then a failed check, then the open-loop weight it leaves
+    errors = []
+    out = ~fine & alive
+    if out.any():
+        j = np.flatnonzero(out.any(axis=0))[-1]
+        rhs = (rhs_bad & alive)[:, j].any()
+        reason = "gain solve: non-finite right-hand side" if rhs else "gain matrix has non-finite entries"
+        errors.append((j, 2, ValidationError(f"stage {t + j}: the recursion leaves the float range ({reason})")))
+    if feedback and reports and stages.in_range.all():
+        # feedback solvability is guaranteed when every range condition
+        # holds, so tell genuine nonexistence from a numerics bug
+        report = reports[0]
+        error = InternalInconsistencyError(
+            f"stage {report.failing_stage}: {report.failing_condition.value} failed (residual "
+            f"{report.residual:.3e}) although the range condition holds at every stage"
+        )
+        errors.append((left_at[0], 1, error))
+    if kind is PolicyKind.OPEN_LOOP:
+        weight = tr.cov_weight[0, t:N]
+        nonpositive = np.flatnonzero(~(weight > 0) & (np.arange(n) > left_at[0]))
+        if nonpositive.size:
+            j = nonpositive[-1]
+            if weight[j] < 0:
+                error = InternalInconsistencyError(f"cov_weight nonpositive ({weight[j]}) at stage {t + j}")
+            else:
+                error = ValidationError(f"stage {t + j}: cov_weight {weight[j]} leaves the float range")
+            errors.append((j, 0, error))
+    if errors:
+        raise max(errors, key=lambda error: error[:2])[2]
+
+    gains, offsets = -X[..., 1, :], -X[..., 2, :]
+    P_cov = (gains[..., None, :] @ cov)[..., 0, :] if feedback else part_cov
+    tr.offset_coupling[:, t:] = (mow * cp)[..., None] * mean + cw[..., None] * P_cov
+    ids = np.flatnonzero(left_at < 0)
     weights = [getattr(tr, name)[ids, t:] for name in _WEIGHTS]
     if not all(np.isfinite(a).all() for a in (gains[ids], offsets[ids], *weights)):
         raise ValidationError(f"stages {t} to {N - 1}: a gain, offset or weight leaves the float range")
-    for d in ids:
+    outcomes: list[EquilibriumSolution | NonexistenceReport] = []
+    for d in range(D):
+        if d in reports:
+            outcomes.append(reports[d])
+            continue
         policy = AffinePolicy(kind=kind, start_stage=t, gains=gains[d], offsets=offsets[d])
         part = None if feedback_parts is None else feedback_parts[d]
-        outcomes[d] = EquilibriumSolution(
-            policy=policy, trace=tr.draw(d), cov_eigenvalues=stages.eigenvalues, feedback_part=part
-        )
+        outcomes.append(EquilibriumSolution(policy=policy, trace=tr.draw(d), feedback_part=part))
     return outcomes
 
 

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvequil import linalg
-from mvequil.linalg import covariance_solve, eigenbasis, gain_eigenvalues, is_psd_spectrum
+from mvequil.linalg import (
+    CovarianceCertificate,
+    certify_covariances,
+    covariance_solve,
+    eigenbasis,
+    gain_eigenvalues,
+    is_psd_spectrum,
+)
+
+from instgen import SMALL_SCALES, TINY_SCALES
 
 
 def random_spd_spectrum(rng, n, zero_frac=0.4):
@@ -92,7 +101,7 @@ def test_one_rank_cutoff_at_its_boundary(monkeypatch, small, rank):
     # before the recursion apply that rule; the gain matrix at mow = 0 keeps
     # their rank by the closed-form rank rule, without a cutoff of its own
     cov, mean = np.diag([2.0, small]), np.array([1.0, 1.0])
-    stages = covariance_solve(cov[None], mean[None], np.linalg.eigvalsh(cov)[None])
+    stages = covariance_solve(cov[None], mean[None])
     assert eigenbasis(cov).rank == stages.rank[0] == rank
     solve_ranks, kept = [], linalg._kept
     monkeypatch.setattr(linalg, "_kept", lambda w: solve_ranks.append(np.count_nonzero(kept(w))) or kept(w))
@@ -202,7 +211,7 @@ def test_stacked_solve_matches_each_matrix():
 
 def _solve_both(cov, mean, cw, mow, scale):
     """The covariance solve, its stage solve, and the eigenbasis and its solve of each G it stands for."""
-    stages = covariance_solve(cov[None], mean[None], np.linalg.eigvalsh(cov)[None])
+    stages = covariance_solve(cov[None], mean[None])
     G = mow[:, None, None] * np.outer(mean, mean) + cw[:, None, None] * cov
     return stages, stages.solve(0, cw, mow, scale), eigenbasis(G), eigenbasis(G).solve(scale[..., None] * mean)
 
@@ -220,7 +229,7 @@ def test_covariance_solve_matches_the_gain_matrix_eigenbasis(seed, n, in_range):
     scale = rng.standard_normal((4, 3))
     scale[0, 1] = 0.0
     stages, (X, residual, ok, psd), eig, (X_ref, residual_ref, ok_ref) = _solve_both(cov, mean, cw, mow, scale)
-    w = gain_eigenvalues(*(np.repeat(a[None], len(cw), axis=0) for a in (cov, mean, stages.eigenvalues[0])), cw, mow)
+    w = gain_eigenvalues(*(np.repeat(a[None], len(cw), axis=0) for a in (cov, mean, np.linalg.eigvalsh(cov))), cw, mow)
     radius = np.abs(eig.eigenvalues).max(axis=-1, keepdims=True)
     assert np.all(np.abs(w - eig.eigenvalues) <= 1e-12 * np.maximum(radius, 1.0))
     assert np.array_equal(psd, is_psd_spectrum(eig.eigenvalues))
@@ -275,11 +284,11 @@ def test_rank_rule_agrees_with_the_gain_matrix_spectrum_as_den_vanishes():
             (r, inside, c) for r in (m, m - 2) for inside in {True, r == m} for c in (1.0, 1e3, 1e6)
         ]:
             cov, mean = _conditioned_market(rng, m, rank, cond, in_range)
-            stages = covariance_solve(cov[None], mean[None], np.linalg.eigvalsh(cov)[None])
+            stages = covariance_solve(cov[None], mean[None])
             for sign in (1.0, -1.0):  # mow negative, then positive
                 cw = np.full(len(deltas), sign * rng.uniform(0.5, 2.0))
                 mow = -np.ldexp(cw, stages.exponent[0]) / stages.q[0] * (1.0 + deltas)
-                den, enters, leaves = stages._rank_rule(0, cw, mow)
+                den, enters, leaves = stages.rank_rule(0, cw, mow)
                 G = mow[:, None, None] * np.outer(mean, mean) + cw[:, None, None] * cov
                 w = np.linalg.eigvalsh(G)
                 spread = np.ldexp(np.abs(cw), stages.exponent[0]) + np.abs(mow) * stages.q[0]
@@ -298,7 +307,7 @@ def test_rank_rule_agrees_with_the_gain_matrix_spectrum_as_den_vanishes():
 
 
 def test_covariance_solve_raises_on_non_finite_weights():
-    stages = covariance_solve(np.eye(2)[None], np.array([[0.1, 0.2]]), np.ones((1, 2)))
+    stages = covariance_solve(np.eye(2)[None], np.array([[0.1, 0.2]]))
     finite = (np.array([1.0]), np.array([0.5]), np.ones((1, 3)))
     for position, bad in ((0, np.inf), (1, np.nan), (2, np.inf)):
         args = list(finite)
@@ -307,3 +316,39 @@ def test_covariance_solve_raises_on_non_finite_weights():
             stages.solve(0, *args)
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         stages.solve(0, np.array([np.inf]), np.array([0.0]), np.ones((1, 3)))
+
+
+# lambda_min / lambda_max below, at and above the cutoff of 1e-10, and at 1e-9,
+# the only ratio the certificate's shift of 2e-10 tr, about 3e-10 lambda_max, clears
+CUTOFF_RATIOS = (5e-11, 1e-10 * (1 - 1e-6), 1e-10 * (1 + 1e-6), 2e-10, 1e-9)
+
+
+@pytest.mark.parametrize("scale", (1e-300, 1.0, 1e150) + SMALL_SCALES + TINY_SCALES)
+def test_cholesky_certificate_agrees_with_the_eigenvalue_cutoff(scale):
+    # diagonal stages, in two orders, so every eigenvalue is exact; the mean
+    # lies in the range of the two large eigenvalues, or also has a part
+    # along the small one
+    spectra = [np.array([1.0, 0.5, ratio])[list(order)] for ratio in CUTOFF_RATIOS for order in ([0, 1, 2], [2, 0, 1])]
+    spectra += [np.array([1.0, 2.0, 1.5]) * 1e-3]  # a covariance of small_scale_market's kind
+    cov = np.array([np.diag(w) for w in spectra for _ in range(2)]) * scale
+    mean = np.array([np.where(w == w.min(), along, 1.0) * [0.3, -0.2, 0.1] for w in spectra for along in (0.0, 1.0)])
+    cert = certify_covariances(cov)
+    ratios = np.array([w.min() / w.max() for w in spectra]).repeat(2)
+    assert np.array_equal(cert.certified, ratios >= 1e-9)
+    # the eigenvalue-cutoff path: no stage certified, each solved through its eigh
+    scaled = np.ldexp(cov, -cert.exponent[:, None, None])
+    reference = CovarianceCertificate(cert.cov_max, cert.exponent, np.zeros(len(cov), dtype=bool), eigenbasis(scaled))
+    fast, slow = covariance_solve(cov, mean, cert), covariance_solve(cov, mean, reference)
+    assert np.array_equal(fast.rank, np.count_nonzero(linalg._kept(np.linalg.eigvalsh(cov)), axis=-1))
+    assert np.array_equal(fast.rank, slow.rank) and np.array_equal(fast.rank == 3, ratios > 1e-10)
+    for name in ("y", "q", "kernel", "kernel_norm", "in_range", "dropped_residual"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    assert np.array_equal(fast.in_range, [eigenbasis(c).solve(mu)[2] for c, mu in zip(cov, mean)])
+    # every stage solve's outcome, for weights of either sign, a zero mean
+    # weight and the mean weight at which mu leaves G's range
+    cw = np.array([1.0, -1.0, 0.5, 2.0])
+    row_scale = np.array([[1.0, 0.3, -2.0]] * len(cw))
+    for k in range(len(cov)):
+        mow = np.array([0.0, 0.7, -0.3, -np.ldexp(2.0, fast.exponent[k]) / fast.q[k]])
+        for got, want in zip(fast.solve(k, cw, mow, row_scale), slow.solve(k, cw, mow, row_scale)):
+            assert np.array_equal(got, want, equal_nan=True), k

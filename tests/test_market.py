@@ -244,21 +244,39 @@ def test_moments_copy_the_callers_arrays():
     assert not (moments.mean_excess.flags.writeable or moments.cov_excess.flags.writeable)
 
 
+def _count_eigendecompositions(monkeypatch) -> list:
+    """Each eigh and eigvalsh call from here on, as (name, shape of its argument)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def test_validation_eigenvalues_are_kept_and_handed_on(monkeypatch):
     raw = mv.get_preset(PRESET).to_json_dict()
+    calls = _count_eigendecompositions(monkeypatch)
     spec = mv.make_market_spec(**raw)
+    # validation certifies every stage of the preset by Cholesky: no eigendecomposition
+    assert calls == [] and spec.cov_certificate.certified.all()
     w = spec.cov_eigenvalues
+    # the first read decomposes the certified stages with one stacked eigvalsh
+    assert calls == [("eigvalsh", (4, 3, 3))]
     assert w.shape == (4, 3) and np.all(np.diff(w, axis=-1) >= 0) and not w.flags.writeable
     assert np.allclose(w, np.linalg.eigvalsh(spec.return_cov), rtol=1e-14, atol=0)
-    assert "cov_eigenvalues" not in spec.to_json_dict()
+    assert "cov_eigenvalues" not in spec.to_json_dict() and "cov_certificate" not in spec.to_json_dict()
     with pytest.raises(AttributeError):
         spec.cov_eigenvalues = w
-    # no decomposition after validation: a moved spec shares the array, the moments the covariance
-    calls = []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: calls.append(args))
+    # no decomposition after that: a moved spec shares both caches, the moments the covariance
+    calls.clear()
     moments = mv.derive_excess_moments(spec)
     moved = mv.with_initial_state(spec, t=2)
-    assert moved.cov_eigenvalues is w
+    assert moved.cov_eigenvalues is w and moved.cov_certificate is spec.cov_certificate
     assert moments.cov_excess is spec.return_cov  # a frozen array is shared, not copied
     assert calls == []
 
@@ -267,16 +285,29 @@ def test_directly_built_spec_decomposes_once_on_first_read(monkeypatch):
     preset = mv.get_preset(PRESET)
     fields = ("horizon", "num_assets", "riskless", "mean_returns", "return_cov", "mu1", "mu2")
     spec = mv.MarketSpec(**{name: getattr(preset, name) for name in fields})
-    original, calls = np.linalg.eigvalsh, []
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    expected = preset.cov_eigenvalues
+    calls = _count_eigendecompositions(monkeypatch)
     for _ in range(2):
-        assert np.allclose(spec.cov_eigenvalues, preset.cov_eigenvalues, rtol=1e-14, atol=0)
-    assert calls == [(4, 3, 3)]
+        assert np.allclose(spec.cov_eigenvalues, expected, rtol=1e-14, atol=0)
+    # the certificate certifies all four stages, so one eigvalsh of them, and no eigh
+    assert calls == [("eigvalsh", (4, 3, 3))]
+
+
+@pytest.mark.parametrize(
+    "stages",
+    [
+        # certified, rank-deficient, then two indefinite stages
+        [np.diag([0.04, 0.09]), np.diag([0.04, 0.0]), [[0.02, 0.05], [0.05, 0.02]], np.diag([-1.0, 1.0])],
+        # indefinite only within the PSD slack, which the certificate leaves to the eigenvalues
+        [np.diag([-1e-12, 1.0]), np.diag([0.04, 0.09]), [[0.02, 0.05], [0.05, 0.02]], [[0.02, 0.05], [0.05, 0.02]]],
+    ],
+    ids=["certified-deficient-indefinite", "within-slack"],
+)
+def test_the_first_stage_that_is_not_psd_is_named(stages):
+    # the Cholesky certificate fails on an indefinite stage; the eigenvalues
+    # of the stages it leaves name the first of them, with its eigenvalue
+    with pytest.raises(ValidationError, match=r"covariance not PSD at stage 2 \(min eigenvalue -3\.000e-02\)"):
+        mv.make_market_spec(4, 2, 1.02, [1.05, 1.03], stages, 1.0, 1.0)
 
 
 def test_zero_excess_moments():
@@ -311,7 +342,7 @@ def test_single_asset_moments():
 def _covariance_solve(spec):
     """The recursion's range test on every stage of spec."""
     moments = mv.derive_excess_moments(spec)
-    return covariance_solve(moments.cov_excess, moments.mean_excess, spec.cov_eigenvalues)
+    return covariance_solve(moments.cov_excess, moments.mean_excess, spec.cov_certificate)
 
 
 def test_range_condition_preset_and_degenerate():
@@ -377,7 +408,8 @@ def test_range_condition_equals_a_per_stage_eigenbasis_loop():
         tolerance = 1e-13 * np.maximum(1.0, np.linalg.norm(moments.mean_excess, axis=1))
         for t in range(spec.horizon):
             # the recursion's solve of the stages from t on
-            stages = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:], spec.cov_eigenvalues[t:])
+            certificate = spec.cov_certificate.from_stage(t)
+            stages = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:], certificate)
             assert stages.in_range.tolist() == per_stage[t:]
             assert np.all(np.abs(stages.kernel_norm - residuals[t:]) <= tolerance[t:])
     assert _covariance_solve(off_range).in_range.tolist() == [False, False, True]

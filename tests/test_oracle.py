@@ -688,3 +688,43 @@ def test_monte_carlo_standard_error_scaling(preset_setup):
     large = mv.simulate_monte_carlo(spec, sol.policy, 200_000, seed=5, distribution=tree)
     ratio = small.se_cost / large.se_cost
     assert 5 < ratio < 20  # expect about sqrt(100) = 10
+
+
+def _jsonl_per_node(result) -> str:
+    """The export's reference: one json.dumps of each node's dict, then the summary's."""
+    columns = [
+        itertools.repeat(result.semantics.value) if key == "semantics" else getattr(result, key).tolist()
+        for key in oracle_module._JSONL_KEYS
+    ]
+    lines = [json.dumps(dict(zip(oracle_module._JSONL_KEYS, row))) for row in zip(*columns)]
+    lines.append(json.dumps({**mv.verification_summary(result), "summary": True}))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_jsonl_export_is_json_dumps_of_each_node_byte_for_byte(m, preset_setup):
+    # every column is encoded by one json.dumps of its list: the lines must
+    # equal one json.dumps per node, special values and both booleans included
+    special = np.array([-np.inf, np.nan, -0.0, 0.0, np.inf, 1e-310, -1.5e308, 0.1, 2.0 / 3.0])
+    n = len(special)
+    rng = np.random.default_rng(m)
+    deviation = rng.standard_normal((n, m))
+    deviation[:, 0] = special[::-1]
+    result = oracle_module.VerificationResult(
+        semantics=PolicyKind.MIXED,
+        stage=np.repeat(np.arange(3), 3),
+        node=np.tile(np.arange(3), 3),
+        j_star=special,
+        j_dev=special[::-1].copy(),
+        gap=np.roll(special, 1),
+        tol=np.abs(special),
+        passed=np.arange(n) % 2 == 0,
+        deviation=deviation,
+    )
+    text = mv.export_verification_jsonl(result)
+    assert text == _jsonl_per_node(result)
+    assert "-Infinity" in text and "NaN" in text and "-0.0" in text and "true" in text and "false" in text
+    # and a verified solution's nodes
+    spec, _, tree = preset_setup
+    verified = mv.verify_equilibrium(tree, spec, mv.solve_feedback(spec))
+    assert mv.export_verification_jsonl(verified) == _jsonl_per_node(verified)

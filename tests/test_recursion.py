@@ -1,11 +1,13 @@
 """The shared backward recursion: its decompositions, one trace, one CSV writer.
 
-The recursion reads the market validation's covariance eigenvalues and
-solves each stage through the covariance: one stacked eigh of the
-rank-deficient stages per solve, and no decomposition of a gain matrix. The
-outputs that print the gain matrices' eigenvalues take one stacked eigvalsh
-per solution. The covariance readers outside the recursion decompose all
-stages with one stacked call.
+Market validation certifies each full-rank stage's covariance by a Cholesky
+factorization and decomposes only the others, with one stacked eigh; the
+recursion solves each stage through the covariance with that one
+decomposition, and decomposes no gain matrix. The outputs that print the
+gain matrices' eigenvalues take one stacked eigvalsh per solution, and the
+first of them one eigvalsh of the certified stages' covariances. The
+covariance readers outside the recursion decompose all stages with one
+stacked call.
 """
 
 import numpy as np
@@ -30,13 +32,14 @@ PRESET = "li-duan-example-2"
 
 
 def _count_eigendecompositions(monkeypatch) -> list:
+    """Each eigh and eigvalsh call from here on, as (name, shape of its argument)."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
@@ -47,11 +50,16 @@ def _count_eigendecompositions(monkeypatch) -> list:
     [
         (mv.get_preset(PRESET), 0),
         (mv.with_initial_state(mv.get_preset(PRESET), t=2), 0),
-        (random_market(13), 1),  # covariance ranks 3, 1, 2, 1
+        (random_market(13), 3),  # covariance ranks 3, 1, 2, 1
     ],
     ids=["preset", "preset-from-stage-2", "rank-deficient"],
 )
 def test_decompositions_per_solve(monkeypatch, spec, deficient):
+    calls = _count_eigendecompositions(monkeypatch)
+    spec = mv.with_initial_state(mv.make_market_spec(**spec.to_json_dict()), t=spec.initial_time)
+    # validation: one stacked eigh of the stages the Cholesky certificate
+    # leaves, none on a full-rank market, and no eigvalsh
+    assert calls == ([("eigh", (deficient, spec.num_assets, spec.num_assets))] if deficient else [])
     moments = mv.derive_excess_moments(spec)
     phi = mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)
     zero = mv.zero_pure_feedback(spec.horizon, spec.num_assets)
@@ -61,31 +69,36 @@ def test_decompositions_per_solve(monkeypatch, spec, deficient):
         "feedback": lambda: mv.solve_feedback(spec, moments),
         "mixed": lambda: mv.solve_mixed(spec, phi, moments),
     }
-    calls = _count_eigendecompositions(monkeypatch)
     counts = {}
     for name, solve in solves.items():
         calls.clear()
         assert not isinstance(solve(), NonexistenceReport), name
-        counts[name] = (calls.count("eigvalsh"), calls.count("eigh"))
-    # one stacked eigh of the rank-deficient stages, none on a full-rank
-    # market; the rank rule and the PSD test need no gain matrix eigenvalues
-    assert counts == dict.fromkeys(solves, (0, deficient))
+        counts[name] = (sum(n == "eigvalsh" for n, _ in calls), sum(n == "eigh" for n, _ in calls))
+    # the solves reuse validation's decomposition; the rank rule and the PSD
+    # test need no gain matrix eigenvalues
+    assert counts == dict.fromkeys(solves, (0, 0))
 
 
 @pytest.mark.parametrize("market", [PRESET, "rank-deficient"])
 def test_batch_decomposes_once_per_stage_for_all_draws(monkeypatch, tmp_path, market):
-    deficient = int(market == "rank-deficient")
+    deficient = 3 if market == "rank-deficient" else 0  # random_market(13) certifies stage 0 only
     if deficient:
         market = str(tmp_path / "market.json")
         (tmp_path / "market.json").write_text(mv.dump_market_spec(random_market(13)))
     spec = mv.resolve_market(market)
+    m = spec.num_assets
     calls = _count_eigendecompositions(monkeypatch)
     out = tmp_path / "batch.csv"
     assert main(["batch", "--market", market, "--draws", "16", "--format", "csv", "--out", str(out)]) == 0
-    # the market's validation, then the output's one stacked eigvalsh per
-    # draw, for its stages below the last, not one per draw and stage
-    assert calls.count("eigvalsh") == 1 + 16
-    assert calls.count("eigh") == deficient
+    # the market's validation makes the one stacked eigh of the uncertified
+    # stages; the first printed eigenvalues one eigvalsh of the certified
+    # stages' covariances; then the output's one stacked eigvalsh per draw,
+    # for its stages below the last, not one per draw and stage
+    names = [name for name, _ in calls]
+    assert names == ["eigh"] * bool(deficient) + ["eigvalsh"] * (1 + 16)
+    assert calls[: 1 + bool(deficient)] == (
+        [("eigh", (deficient, m, m))] * bool(deficient) + [("eigvalsh", (spec.horizon - deficient, m, m))]
+    )
     assert out.read_text().count(",solved,") == 16 * spec.horizon
 
 
@@ -99,31 +112,24 @@ def test_market_validation_eigenvalues_serve_the_solve(monkeypatch, kind, start)
         "feedback": mv.solve_feedback,
         "mixed": lambda spec: mv.solve_mixed(spec, phi),
     }[kind]
-    shapes = []
-    original = np.linalg.eigvalsh
-
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    calls = _count_eigendecompositions(monkeypatch)
     spec = mv.with_initial_state(mv.make_market_spec(**raw), t=start)
     assert not isinstance(solve(spec), NonexistenceReport)
-    # one stacked eigvalsh of all stages' covariances, from make_market_spec
-    assert shapes.count((4, 3, 3)) == 1
-    assert all(shape == (1, 3, 3) for shape in shapes if shape != (4, 3, 3))
+    # validation certifies all four stages, and the solve reuses its
+    # certificate: neither decomposes, from any start stage
+    assert calls == [] and spec.cov_certificate.certified.all()
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, validation",
     [
-        mv.get_preset(PRESET),
-        mv.make_market_spec(12, 3, 1.04, [1.162, 1.246, 1.228], mv.get_preset(PRESET).return_cov[0], 1, 1),
-        random_market(13),  # covariance ranks 3, 1, 2, 1
+        (mv.get_preset(PRESET), []),
+        (mv.make_market_spec(12, 3, 1.04, [1.162, 1.246, 1.228], mv.get_preset(PRESET).return_cov[0], 1, 1), []),
+        (random_market(13), ["eigh"]),  # covariance ranks 3, 1, 2, 1
     ],
     ids=["preset", "preset-12-stages", "rank-deficient"],
 )
-def test_one_stacked_decomposition_per_covariance_reader(monkeypatch, spec):
+def test_one_stacked_decomposition_per_covariance_reader(monkeypatch, spec, validation):
     moments = mv.derive_excess_moments(spec)
     solution = mv.solve_open_loop(spec, moments)
     calls = _count_eigendecompositions(monkeypatch)
@@ -136,10 +142,11 @@ def test_one_stacked_decomposition_per_covariance_reader(monkeypatch, spec):
     for name, read in readers.items():
         calls.clear()
         read()
-        counts[name] = calls.copy()
-    # one stacked call each, whatever the horizon
+        counts[name] = [name for name, _ in calls]
+    # one stacked call each, whatever the horizon; validation's only of the
+    # stages its Cholesky certificate leaves, none on a full-rank market
     assert counts == {
-        "make_market_spec": ["eigvalsh"],
+        "make_market_spec": validation,
         "build_matched_tree": ["eigh"],
         "simulate_monte_carlo": ["eigh"],
     }
@@ -184,7 +191,7 @@ def test_gain_eigenvalues_decompose_the_gain_matrix_rebuilt_from_the_trace(spec)
             if tr.mean_outer_weight[k + 1] != 0:
                 expected = np.linalg.eigvalsh(gain_matrix(spec, tr, k))
             else:
-                expected = np.sort(tr.cov_weight[k + 1] * solution.cov_eigenvalues[k - t])
+                expected = np.sort(tr.cov_weight[k + 1] * spec.cov_eigenvalues[k])
             assert np.array_equal(eigenvalues[k], expected), (solution.policy.kind, k)
 
 
@@ -222,3 +229,38 @@ def test_kind_specific_trace_invariants():
     eigenvalues = later.gain_eigenvalues(from_2)
     assert np.isnan(eigenvalues[:2]).all() and not later.trace.stage_ok[:2].any()
     assert np.all(eigenvalues[2:, 0] > 0)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in REFERENCE_MARKETS], ids=[name for name, _ in REFERENCE_MARKETS])
+def test_trace_weights_follow_from_the_gain_and_offset_vectors(spec):
+    # the loop carries scalars; the reference recomputes each stage's weights
+    # from the solved gain and offset vectors and the re-applied part, with
+    # dot products of the vectors themselves, to rounding of the terms
+    moments = mv.derive_excess_moments(spec)
+    phi = mv.sample_pure_feedback(5, spec.horizon, spec.num_assets)
+    for solution in (mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, phi)):
+        if isinstance(solution, NonexistenceReport):
+            continue
+        policy, tr = solution.policy, solution.trace
+        for k in range(policy.start_stage, spec.horizon):
+            s, mean, cov = spec.riskless[k], moments.mean_excess[k], moments.cov_excess[k]
+            K, c = policy.gain(k), policy.offset(k)
+            P = {mv.PolicyKind.OPEN_LOOP: 0.0 * K, mv.PolicyKind.FEEDBACK: K}.get(policy.kind)
+            P = solution.feedback_part.gains[k] if P is None else P
+            cw, mow = tr.cov_weight[k + 1], tr.mean_outer_weight[k + 1]
+            cp, cm, P_cov = s + P @ mean, s + K @ mean, P @ cov
+            cross = -(P_cov @ K)
+            coupling = mow * cp * mean + cw * P_cov
+            expected = {
+                "cov_weight": (cw * (cp * cm - cross), abs(cw) * (abs(cp * cm) + abs(cross))),
+                "mean_outer_weight": (mow * cp * cm - cw * cross, abs(mow * cp * cm) + abs(cw * cross)),
+                "mean_coupling": (cp * tr.mean_coupling[k + 1], abs(cp * tr.mean_coupling[k + 1])),
+                "mean_offset": (
+                    coupling @ c + cp * tr.mean_offset[k + 1],
+                    np.abs(coupling) @ np.abs(c) + abs(cp * tr.mean_offset[k + 1]),
+                ),
+            }
+            for name, (value, size) in expected.items():
+                assert abs(getattr(tr, name)[k] - value) <= 1e-12 * size + 1e-300, (policy.kind, k, name)
+            size = np.abs(mow * cp * mean) + np.abs(cw * P_cov)
+            assert np.all(np.abs(tr.offset_coupling[k] - coupling) <= 1e-12 * size + 1e-300), (policy.kind, k)
