@@ -208,11 +208,6 @@ class CovarianceCertificate:
     certified: np.ndarray
     uncertified: Eigenbasis
 
-    @property
-    def uncertified_eigenvalues(self) -> np.ndarray:
-        """The eigenvalues (n, m) of the uncertified stages' Sigma, ascending, unscaled."""
-        return np.ldexp(self.uncertified.eigenvalues, self.exponent[~self.certified, None])
-
     def from_stage(self, t: int) -> CovarianceCertificate:
         """The certificate of stages t on."""
         before = np.count_nonzero(~self.certified[:t])
@@ -371,27 +366,17 @@ class CovarianceSolve:
         return X, residual, _in_range(residual, lambda: size * self.mean_norm[k][..., None]), psd
 
 
-def gain_eigenvalues(
-    cov: np.ndarray, mean: np.ndarray, eigenvalues: np.ndarray, cov_weight: np.ndarray, mean_weight: np.ndarray
-) -> np.ndarray:
+def gain_eigenvalues(cov: np.ndarray, mean: np.ndarray, cov_weight: np.ndarray, mean_weight: np.ndarray) -> np.ndarray:
     """Eigenvalues (n, m), ascending, of n gain matrices G = mean_weight mu mu^T + cov_weight Sigma.
 
-    cov (n, m, m), mean (n, m) and eigenvalues (n, m) are each G's Sigma, mu
-    and Sigma's eigenvalues; cov_weight and mean_weight (n,) its weights. No
-    solve needs them: they serve the outputs that print them and the residual
-    of a failed PSD test. A G without a mean term takes cov_weight times
-    Sigma's eigenvalues, sorted; the others are built elementwise and
-    decomposed by one stacked eigvalsh.
+    cov (n, m, m) and mean (n, m) are each G's Sigma and mu, cov_weight and
+    mean_weight (n,) its weights. No solve needs them: they serve the outputs
+    that print them and the residual of a failed PSD test. Every G is built
+    elementwise and all are decomposed by one stacked eigvalsh.
     """
     cw, mow = np.asarray(cov_weight, dtype=float), np.asarray(mean_weight, dtype=float)
-    w = cw[:, None] * eigenvalues
-    w.sort(axis=-1)
-    outer = np.flatnonzero(mow != 0)
-    if outer.size:
-        mu = mean[outer]
-        G = mow[outer, None, None] * (mu[:, :, None] * mu[:, None, :]) + cw[outer, None, None] * cov[outer]
-        w[outer] = np.linalg.eigvalsh(G)
-    return w
+    G = mow[:, None, None] * (mean[:, :, None] * mean[:, None, :]) + cw[:, None, None] * cov
+    return np.linalg.eigvalsh(G)
 
 
 def covariance_solve(

@@ -32,15 +32,11 @@ class MarketSpec:
     initial_wealth the wealth there. warnings collects non-fatal findings
     (currently only riskless returns at or below 1).
 
-    Two read-only caches hold what the covariances' decompositions found.
+    One read-only cache holds the covariances' one decomposition.
     cov_certificate is each stage's Cholesky certificate of full rank, or
     its eigendecomposition where the certificate fails
     (linalg.certify_covariances): make_market_spec's PSD check made it, or
     it is made on first read, and the solvers' covariance solve reuses it.
-    cov_eigenvalues (N, m) are each stage's covariance eigenvalues in
-    ascending order, for the outputs that print gain matrix eigenvalues:
-    the uncertified stages' from the certificate, the certified stages'
-    from one stacked eigvalsh on first read.
     """
 
     horizon: int
@@ -67,15 +63,6 @@ class MarketSpec:
     def cov_certificate(self) -> CovarianceCertificate:
         return certify_covariances(self.return_cov)
 
-    @cached_property
-    def cov_eigenvalues(self) -> np.ndarray:
-        cert = self.cov_certificate
-        w = np.empty((self.horizon, self.num_assets))
-        w[~cert.certified] = cert.uncertified_eigenvalues
-        if cert.certified.any():
-            w[cert.certified] = np.linalg.eigvalsh(self.return_cov[cert.certified])
-        return _frozen(w)
-
 
 @dataclass(frozen=True)
 class ExcessMoments:
@@ -93,11 +80,6 @@ class ExcessMoments:
             object.__setattr__(self, name, _frozen_copy(getattr(self, name)))
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def _frozen_copy(value) -> np.ndarray:
     """A read-only float array of value's entries: value itself if it is one
     already and owns its data, as another spec's or moments' arrays do, so
@@ -105,7 +87,9 @@ def _frozen_copy(value) -> np.ndarray:
     writable."""
     if isinstance(value, np.ndarray) and value.dtype == float and value.base is None and not value.flags.writeable:
         return value
-    return _frozen(np.array(value, dtype=float))
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return arr
 
 
 def _broadcast_stagewise(value, horizon: int, inner_shape: tuple, what: str) -> np.ndarray:
@@ -201,7 +185,7 @@ def make_market_spec(
             except np.linalg.LinAlgError:
                 raise ValidationError(f"covariance not symmetric at stage {k}") from None
     cert = certify_covariances(covs)
-    w = cert.uncertified_eigenvalues
+    w = np.ldexp(cert.uncertified.eigenvalues, cert.exponent[~cert.certified, None])
     psd = is_psd_spectrum(w)
     if not psd.all():
         i = int(np.argmin(psd))  # the first stage that fails
@@ -303,7 +287,6 @@ def with_initial_state(spec: MarketSpec, t=None, x=None) -> MarketSpec:
     if not np.isfinite(x):
         raise ValidationError("initial_wealth must be finite")
     moved = replace(spec, initial_time=t, initial_wealth=x)
-    for cache in ("cov_certificate", "cov_eigenvalues"):
-        if cache in spec.__dict__:
-            moved.__dict__[cache] = spec.__dict__[cache]  # shared, not decomposed again
+    if "cov_certificate" in spec.__dict__:
+        moved.__dict__["cov_certificate"] = spec.cov_certificate  # shared, not decomposed again
     return moved

@@ -153,8 +153,8 @@ def _check_tree(tree: ScenarioTree, spec: MarketSpec, start: int | None = None):
     leaves = 0 if start is None else tree.leaf_count(start)
     if leaves > MAX_LEAF_PATHS:
         raise ValidationError(
-            f"tree has {leaves} leaf paths from stage {start}, above the exact-evaluation "
-            f"cap of {MAX_LEAF_PATHS}; use Monte Carlo instead"
+            f"tree has 10^{math.log10(leaves):.1f} leaf paths from stage {start}, above the exact-evaluation "
+            f"cap of 10^{math.log10(MAX_LEAF_PATHS):g}; use Monte Carlo instead"
         )
 
 
@@ -326,13 +326,18 @@ def _best_spikes(
     if overflow.any():
         raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the deviation cost's derivatives overflow")
 
-    eig = eigenbasis(hess)
+    # a Hessian whose largest entry passes 1 is decomposed, with the gradients,
+    # in units of that entry's power of two 2^e: the step is the same, the
+    # spectrum stays in the float range, and the range test's floor of 1
+    # becomes 2^e, so a gradient tiny against the Hessian is not unbounded
+    e = max(int(np.frexp(np.abs(hess).max())[1]), 0)
+    eig = eigenbasis(np.ldexp(hess, -e))
     eigs = eig.eigenvalues
     if not is_psd_spectrum(eigs, 1e-8):
         raise EquilibriumStructureError(
-            f"deviation cost at stage {k} is not convex (min curvature {eigs[0]:.3e})"
+            f"deviation cost at stage {k} is not convex (min curvature {np.ldexp(eigs[0], e):.3e})"
         )
-    step, _, bounded = eig.solve(-grad)
+    step, _, bounded = eig.solve(np.ldexp(-grad, -e))
     j_dev = j_star + _rowdot(grad, step) + 0.5 * _rowdot(step @ hess, step)
     return u + step, np.where(bounded, j_dev, -np.inf), j_star
 

@@ -109,15 +109,13 @@ class EquilibriumSolution:
 
     def gain_eigenvalues(self, spec: MarketSpec) -> np.ndarray:
         """Each stage's gain matrix eigenvalues (N, m) on the solved market, ascending,
-        NaN before the start stage: one stacked eigvalsh of the stages with a
-        mean outer term (linalg.gain_eigenvalues), cov_weight times
-        spec.cov_eigenvalues on the others."""
+        NaN before the start stage: one stacked eigvalsh of the stages' gain
+        matrices, built from the trace's weights (linalg.gain_eigenvalues)."""
         t, tr, moments = self.policy.start_stage, self.trace, derive_excess_moments(spec)
         w = np.full(tr.gain_target.shape, np.nan)
         w[t:] = gain_eigenvalues(
             moments.cov_excess[t:],
             moments.mean_excess[t:],
-            spec.cov_eigenvalues[t:],
             tr.cov_weight[t + 1 :],
             tr.mean_outer_weight[t + 1 :],
         )
@@ -271,8 +269,7 @@ def backward_recursion(
         condition, value = _CONDITIONS[checks][first], check_residual[d, j, first]
         if condition is Cond.PSD_CONDITION:
             # the residual is -lambda_min, from the one gain matrix this rare path decomposes
-            eigenvalues = spec.cov_eigenvalues[t + j : t + j + 1]
-            w = gain_eigenvalues(cov[j : j + 1], mean[j : j + 1], eigenvalues, cw[d, j : j + 1], mow[d, j : j + 1])
+            w = gain_eigenvalues(cov[j : j + 1], mean[j : j + 1], cw[d, j : j + 1], mow[d, j : j + 1])
             value = np.maximum(-w[0, 0], 0.0)
         reports[d] = NonexistenceReport(t + j, condition, float(value))
 
@@ -311,9 +308,11 @@ def backward_recursion(
     P_cov = (gains[..., None, :] @ cov)[..., 0, :] if feedback else part_cov
     tr.offset_coupling[:, t:] = (mow * cp)[..., None] * mean + cw[..., None] * P_cov
     ids = np.flatnonzero(left_at < 0)
-    weights = [getattr(tr, name)[ids, t:] for name in _WEIGHTS]
-    if not all(np.isfinite(a).all() for a in (gains[ids], offsets[ids], *weights)):
-        raise ValidationError(f"stages {t} to {N - 1}: a gain, offset or weight leaves the float range")
+    values = [gains[ids], offsets[ids]] + [getattr(tr, name)[ids, t:N, None] for name in _WEIGHTS]
+    if not all(np.isfinite(a).all() for a in values):
+        finite = np.logical_and.reduce([np.isfinite(a).all(axis=(0, 2)) for a in values])
+        j = np.flatnonzero(~finite)[-1]  # the first stage the recursion reaches
+        raise ValidationError(f"stage {t + j}: a gain, offset or weight leaves the float range")
     outcomes: list[EquilibriumSolution | NonexistenceReport] = []
     for d in range(D):
         if d in reports:

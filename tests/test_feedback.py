@@ -1,6 +1,7 @@
 """Feedback equilibrium strategy solver."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,3 +226,14 @@ def test_overflowing_weight_is_an_error_never_a_report(tmp_path):
         market.write_text(mv.dump_market_spec(spec))
         for command in ("solve-feedback", "verify"):
             assert main([command, "--market", str(market)]) != EXIT_NONEXISTENT, command
+
+
+def test_float_range_error_names_the_first_stage_the_recursion_reaches(monkeypatch):
+    # the long market, 7,500 full-rank stages: cov_weight shrinks, but the squared
+    # product of the remaining riskless returns passes the float range at stage 124
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    spec = mv.make_market_spec(**workloads.random_market(np.random.default_rng(3), 7500, 3, degenerate=False))
+    with pytest.raises(mv.ValidationError, match=r"^stage 124: a gain, offset or weight leaves the float range$"):
+        mv.solve_feedback(spec)

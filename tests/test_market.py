@@ -258,39 +258,48 @@ def _count_eigendecompositions(monkeypatch) -> list:
     return calls
 
 
-def test_validation_eigenvalues_are_kept_and_handed_on(monkeypatch):
+def test_validation_certificate_is_kept_and_handed_on(monkeypatch):
     raw = mv.get_preset(PRESET).to_json_dict()
     calls = _count_eigendecompositions(monkeypatch)
     spec = mv.make_market_spec(**raw)
     # validation certifies every stage of the preset by Cholesky: no eigendecomposition
     assert calls == [] and spec.cov_certificate.certified.all()
-    w = spec.cov_eigenvalues
-    # the first read decomposes the certified stages with one stacked eigvalsh
-    assert calls == [("eigvalsh", (4, 3, 3))]
-    assert w.shape == (4, 3) and np.all(np.diff(w, axis=-1) >= 0) and not w.flags.writeable
-    assert np.allclose(w, np.linalg.eigvalsh(spec.return_cov), rtol=1e-14, atol=0)
-    assert "cov_eigenvalues" not in spec.to_json_dict() and "cov_certificate" not in spec.to_json_dict()
+    assert "cov_certificate" not in spec.to_json_dict()
     with pytest.raises(AttributeError):
-        spec.cov_eigenvalues = w
-    # no decomposition after that: a moved spec shares both caches, the moments the covariance
-    calls.clear()
+        spec.cov_certificate = None
+    # a moved spec shares the certificate, the moments the covariance
     moments = mv.derive_excess_moments(spec)
     moved = mv.with_initial_state(spec, t=2)
-    assert moved.cov_eigenvalues is w and moved.cov_certificate is spec.cov_certificate
+    assert moved.cov_certificate is spec.cov_certificate
     assert moments.cov_excess is spec.return_cov  # a frozen array is shared, not copied
     assert calls == []
 
 
-def test_directly_built_spec_decomposes_once_on_first_read(monkeypatch):
+def test_directly_built_spec_certifies_once_on_first_read(monkeypatch):
     preset = mv.get_preset(PRESET)
     fields = ("horizon", "num_assets", "riskless", "mean_returns", "return_cov", "mu1", "mu2")
     spec = mv.MarketSpec(**{name: getattr(preset, name) for name in fields})
-    expected = preset.cov_eigenvalues
     calls = _count_eigendecompositions(monkeypatch)
-    for _ in range(2):
-        assert np.allclose(spec.cov_eigenvalues, expected, rtol=1e-14, atol=0)
-    # the certificate certifies all four stages, so one eigvalsh of them, and no eigh
-    assert calls == [("eigvalsh", (4, 3, 3))]
+    assert "cov_certificate" not in spec.__dict__
+    cert = spec.cov_certificate
+    assert spec.cov_certificate is cert and cert.certified.all()
+    assert np.array_equal(cert.exponent, preset.cov_certificate.exponent)
+    # the certificate certifies all four stages: no eigh
+    assert calls == []
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_gain_eigenvalues_make_one_stacked_eigvalsh(monkeypatch, t):
+    spec = mv.with_initial_state(mv.get_preset(PRESET), t=t)
+    phi = mv.sample_pure_feedback(1, spec.horizon, spec.num_assets)
+    solutions = (mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, phi))
+    calls = _count_eigendecompositions(monkeypatch)
+    for solution in solutions:
+        calls.clear()
+        w = solution.gain_eigenvalues(spec)
+        # every stage from t on, with or without a mean outer term, in one call
+        assert calls == [("eigvalsh", (4 - t, 3, 3))], solution.policy.kind
+        assert np.isnan(w[:t]).all() and np.all(np.diff(w[t:], axis=-1) >= 0)
 
 
 @pytest.mark.parametrize(

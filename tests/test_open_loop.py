@@ -146,6 +146,41 @@ def test_wealth_coefficients(preset_solution):
     assert np.all(np.diff(path) > 0)  # positive drift in this market
 
 
+def _solve_every_kind(spec):
+    phi = mv.sample_pure_feedback(1, spec.horizon, spec.num_assets)
+    return [mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, phi)]
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_mean_wealth_path_ends_at_the_trees_exact_terminal_mean(t):
+    # the path's last entry against the mean over the matched tree's leaf
+    # paths, each carried stage by stage under the policy
+    spec = mv.with_initial_state(mv.get_preset(PRESET), t=t, x=1.5)
+    tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+    for sol in _solve_every_kind(spec):
+        wealth = np.array([spec.initial_wealth])
+        for k in range(t, spec.horizon):
+            controls = np.outer(wealth, sol.policy.gain(k)) + sol.policy.offset(k)
+            wealth = (spec.riskless[k] * wealth[:, None] + controls @ tree.atoms(k).T).reshape(-1)
+        assert len(wealth) == tree.leaf_count(t)
+        path = mv.mean_wealth_path(sol, spec)
+        assert len(path) == spec.horizon - t + 1 and path[0] == 1.5
+        assert path[-1] == pytest.approx(wealth.mean(), rel=1e-12), sol.policy.kind
+
+
+@pytest.mark.parametrize("t", [0, 2])
+def test_wealth_coefficients_are_the_closed_loop_mean_multipliers(t):
+    # a_k = s_k + mu_k . K_k and b_k = mu_k . c_k from the start stage on, for every kind
+    spec = mv.with_initial_state(mv.get_preset(PRESET), t=t)
+    mean = mv.derive_excess_moments(spec).mean_excess
+    for sol in _solve_every_kind(spec):
+        a, b = mv.equilibrium_wealth_coefficients(sol, spec)
+        assert len(a) == len(b) == spec.horizon - t
+        for i, k in enumerate(range(t, spec.horizon)):
+            assert a[i] == pytest.approx(spec.riskless[k] + mean[k] @ sol.policy.gain(k), rel=1e-14)
+            assert b[i] == pytest.approx(mean[k] @ sol.policy.offset(k), rel=1e-14)
+
+
 def test_solution_from_interior_start_matches_tail():
     spec = mv.get_preset(PRESET)
     full = mv.solve_open_loop(spec)

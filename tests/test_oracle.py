@@ -299,9 +299,25 @@ def test_overflowing_cost_raises_validation_error(preset_setup):
         mv.evaluate_cost_exact(tree, spec, sol, x=1e308)
 
 
+def test_leaf_cap_message_gives_the_leaf_count_as_a_power_of_ten(monkeypatch):
+    # the (250, 50) benchmark market: 177 stages of 101 atoms and 73 of fewer,
+    # 10^470.6 leaf paths, a 471-digit count
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import workloads
+
+    spec = mv.make_market_spec(**workloads.SolveLarge(7).raw)
+    tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+    zero = np.zeros((spec.horizon, spec.num_assets))
+    policy = AffinePolicy(kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=zero, offsets=zero)
+    with pytest.raises(mv.ValidationError, match=r"^tree has 10\^\d+\.\d leaf paths from stage 0") as caught:
+        mv.evaluate_cost_exact(tree, spec, policy)
+    assert len(str(caught.value)) < 200
+
+
 def test_overflowing_hessian_raises_validation_error(monkeypatch):
     # the sampled-part mixed solution of the (250, 50) benchmark market, seed 7:
-    # at stage 66 Var(beta) and J* are finite but the Hessian's mu mu' term is not
+    # at stage 66 Var(beta) and J* are finite but the Hessian's mu mu' term is not;
+    # from stage 67 on the Hessian's entries are finite, as large as 1.5e307
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
     import workloads
 
@@ -312,7 +328,13 @@ def test_overflowing_hessian_raises_validation_error(monkeypatch):
         mv.best_spike_deviation(tree, spec, sol, 65, 1.0)
     with pytest.raises(mv.ValidationError, match="wealth 1 at stage 66: the deviation cost's derivatives overflow"):
         mv.best_spike_deviation(tree, spec, sol, 66, 1.0)
-    mv.best_spike_deviation(tree, spec, sol, 67, 1.0)  # from stage 67 on, nothing overflows
+    for k in range(66):
+        with pytest.raises(mv.ValidationError, match=f"wealth 1 at stage {k}: "):
+            mv.best_spike_deviation(tree, spec, sol, k, 1.0)
+    # decomposed in units of its largest entry, the Hessian's range holds every
+    # gradient: no stage reads as an unbounded deviation
+    costs = [mv.best_spike_deviation(tree, spec, sol, k, 1.0)[1] for k in range(67, spec.horizon)]
+    assert np.isfinite(costs).all()
 
 
 def test_nonconvex_fit_raises(monkeypatch, preset_setup):
@@ -529,7 +551,7 @@ def test_leaf_cap_guards_exact_evaluation():
     policy = AffinePolicy(
         kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=np.zeros((25, 1)), offsets=np.zeros((25, 1))
     )
-    with pytest.raises(ValueError, match="leaf paths"):
+    with pytest.raises(ValueError, match=r"tree has 10\^11\.9 leaf paths from stage 0, .* cap of 10\^7;"):
         mv.evaluate_cost_exact(tree, spec, policy, 0, 1.0)
     # the zero policy's own cost is riskless growth alone
     assert tree.leaf_count(start=15) == 3**10 < mv.MAX_LEAF_PATHS

@@ -91,14 +91,9 @@ def test_batch_decomposes_once_per_stage_for_all_draws(monkeypatch, tmp_path, ma
     out = tmp_path / "batch.csv"
     assert main(["batch", "--market", market, "--draws", "16", "--format", "csv", "--out", str(out)]) == 0
     # the market's validation makes the one stacked eigh of the uncertified
-    # stages; the first printed eigenvalues one eigvalsh of the certified
-    # stages' covariances; then the output's one stacked eigvalsh per draw,
-    # for its stages below the last, not one per draw and stage
-    names = [name for name, _ in calls]
-    assert names == ["eigh"] * bool(deficient) + ["eigvalsh"] * (1 + 16)
-    assert calls[: 1 + bool(deficient)] == (
-        [("eigh", (deficient, m, m))] * bool(deficient) + [("eigvalsh", (spec.horizon - deficient, m, m))]
-    )
+    # stages; then the output's one stacked eigvalsh per draw, of all its
+    # stages, not one per draw and stage
+    assert calls == [("eigh", (deficient, m, m))] * bool(deficient) + [("eigvalsh", (spec.horizon, m, m))] * 16
     assert out.read_text().count(",solved,") == 16 * spec.horizon
 
 
@@ -179,8 +174,7 @@ def test_stage_solves_match_an_eigendecomposition_of_the_gain_matrix(spec):
 
 @pytest.mark.parametrize("spec", [spec for _, spec in REFERENCE_MARKETS], ids=[name for name, _ in REFERENCE_MARKETS])
 def test_gain_eigenvalues_decompose_the_gain_matrix_rebuilt_from_the_trace(spec):
-    # bitwise eigvalsh of the gain matrix rebuilt from the trace where it has a
-    # mean outer term; otherwise cov_weight times the covariance's eigenvalues
+    # bitwise eigvalsh of the gain matrix rebuilt from the trace, with or without a mean outer term
     phi = mv.sample_pure_feedback(5, spec.horizon, spec.num_assets)
     for solution in (mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, phi)):
         if isinstance(solution, NonexistenceReport):
@@ -188,10 +182,7 @@ def test_gain_eigenvalues_decompose_the_gain_matrix_rebuilt_from_the_trace(spec)
         t, tr, eigenvalues = solution.policy.start_stage, solution.trace, solution.gain_eigenvalues(spec)
         assert np.isnan(eigenvalues[:t]).all()
         for k in range(t, spec.horizon):
-            if tr.mean_outer_weight[k + 1] != 0:
-                expected = np.linalg.eigvalsh(gain_matrix(spec, tr, k))
-            else:
-                expected = np.sort(tr.cov_weight[k + 1] * spec.cov_eigenvalues[k])
+            expected = np.linalg.eigvalsh(gain_matrix(spec, tr, k))
             assert np.array_equal(eigenvalues[k], expected), (solution.policy.kind, k)
 
 
