@@ -17,8 +17,8 @@ rho, alpha) go backward exactly, one stage at a time, from the tree's stored
 moments, enumerating no suffix scenario; with the stage's own moments they give
 each node's cost and gradient and the stage's shared Hessian. verify_equilibrium
 runs the pass once, tests all nodes of a stage at once and returns one
-VerificationResult of per-node arrays. spike_cost, the brute-force reference,
-is the one reader that walks the suffix scenarios.
+VerificationResult of per-node arrays; evaluate_cost_exact reads one node's
+cost. spike_cost, the brute-force reference, alone walks suffix scenarios.
 
 The deviation notions differ only in the part P of each later control that is
 re-applied to the deviated wealth, u_dev = P X_dev + (u* - P X*): P = 0 (open
@@ -161,19 +161,21 @@ def _check_tree(tree: ScenarioTree, spec: MarketSpec, start: int | None = None):
 def evaluate_cost_exact(
     tree: ScenarioTree, spec: MarketSpec, policy, k: int | None = None, x: float | None = None
 ) -> float:
-    """Exact cost of following the policy from (k, x) on the tree.
+    """Exact cost E(X_N - E X_N)^2 - (mu1 x + mu2) E X_N of following the policy from (k, x) on the tree.
 
-    Returns E(X_N - E X_N)^2 - (mu1 x + mu2) E X_N with both moments computed
-    as equally weighted sums over all suffix scenarios: the spike cost of
-    the policy's own control at (k, x), with nothing re-applied, so the
-    continuation is the policy's. policy is an AffinePolicy or a solution
-    holding one. A cost that overflows a float raises ValidationError naming
-    the wealth.
+    This is the own cost J* that verify_equilibrium tests against, from the
+    same backward moment pass, so the tree may have any number of leaf paths.
+    policy is an AffinePolicy or a solution holding one. A cost that
+    overflows a float raises ValidationError naming the wealth.
     """
     applied = _policy_of(policy)
     k = applied.start_stage if k is None else int(k)
-    x = spec.initial_wealth if x is None else float(x)
-    return spike_cost(tree, spec, applied, k, x, applied.control(k, x), PolicyKind.OPEN_LOOP)
+    applied.row(k)  # ValueError unless stage k is one of the policy's
+    _check_tree(tree, spec)
+    # J* reads only rho and alpha; re-applying the own gains makes beta rho, so beta cannot overflow alone
+    mean, cov = _coefficient_moments(tree, spec, applied, applied.gains, k)[0]
+    x = np.array([spec.initial_wealth if x is None else float(x)])
+    return float(_own_costs(tree, spec, applied, k, mean, cov, x)[-1][0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
@@ -285,27 +287,14 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
-def _best_spikes(
-    tree: ScenarioTree,
-    spec: MarketSpec,
-    applied: AffinePolicy,
-    k: int,
-    mean: np.ndarray,
-    cov: np.ndarray,
-    x: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best deviation, its cost and the policy's own cost at nodes of stage k.
+def _own_costs(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
+    """u*, Sigma u*, C_v E[w], mu1 x + mu2 and the policy's own cost J* at nodes of stage k.
 
     x holds each node's wealth, where the policy plays u*; mean and cov are
-    the moments of (beta, rho, alpha) after stage k. A deviation to u* + d
-    leaves the stage-k wealths X_dev - X* = o.d and X* = s x + o.u*, so
-    terminal wealth is v.w for v = (beta, rho, alpha) independent of w = (o.d,
-    s x + o.u*, 1), and Var = tr(S_v C_w) + E[w]' C_v E[w] with S_v = C_v +
-    E[v] E[v]'. At d = 0 this is the cost, and its derivatives in d the
-    gradient and the Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu'). The
-    Hessian is shared by every node, so one eigendecomposition gives the
-    convexity check, and one least-norm solve through it gives every node's
-    step and whether its gradient lies in the Hessian's range.
+    the moments of v = (beta, rho, alpha) after stage k. Terminal wealth is v.w
+    for w = (0, s x + o.u*, 1) independent of v, so Var = tr(S_v C_w) +
+    E[w]' C_v E[w] with S_v = C_v + E[v] E[v]'. A J* beyond a float raises
+    ValidationError naming the wealth.
     """
     mu, sigma = tree.mean[k], tree.implied_cov(k)
     second = cov + np.outer(mean, mean)
@@ -319,6 +308,23 @@ def _best_spikes(
     overflow = ~np.isfinite(j_star)
     if overflow.any():
         raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the policy's cost overflows")
+    return u, sigma_u, w_cov_mean, mean_weight, j_star
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing derivative is rejected, not warned about
+def _best_spikes(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
+    """Best deviation, its cost and the policy's own cost at nodes of stage k, arguments as for _own_costs.
+
+    A deviation to u* + d leaves the stage-k wealths X_dev - X* = o.d and X* =
+    s x + o.u*, so w's first entry becomes o.d, and the cost's derivatives in d
+    are the gradient and the Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu').
+    The Hessian is shared by every node, so one eigendecomposition gives the
+    convexity check, and one least-norm solve through it gives every node's
+    step and whether its gradient lies in the Hessian's range.
+    """
+    mu, sigma = tree.mean[k], tree.implied_cov(k)
+    second = cov + np.outer(mean, mean)
+    u, sigma_u, w_cov_mean, mean_weight, j_star = _own_costs(tree, spec, applied, k, mean, cov, x)
     grad = 2.0 * second[0, 1] * sigma_u + np.outer(2.0 * w_cov_mean[:, 0] - mean_weight * mean[0], mu)
     hess = 2.0 * (second[0, 0] * sigma + cov[0, 0] * np.outer(mu, mu))
     # Var(beta) can be finite while the Hessian's mu mu' term overflows

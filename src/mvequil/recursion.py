@@ -47,7 +47,7 @@ from .policy import FailingCondition as Cond
 # PSD whatever G is.
 _CONDITIONS = (Cond.RANGE_CONDITION, Cond.PSD_CONDITION, Cond.GAIN_SOLVABILITY, Cond.OFFSET_SOLVABILITY)
 _CHECKS = {PolicyKind.OPEN_LOOP: slice(0, 1), PolicyKind.FEEDBACK: slice(1, 4), PolicyKind.MIXED: slice(2, 4)}
-_WEIGHTS = ("cov_weight", "mean_outer_weight", "mean_coupling", "mean_offset", "riskless_growth_sq")
+_WEIGHTS = ("cov_weight", "mean_outer_weight", "mean_coupling", "mean_offset")
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,10 @@ class RecursionTrace:
     Weights have length N + 1: cov_weight and mean_outer_weight build the stage
     gain matrix G = mean_outer_weight[k+1] outer(mean) + cov_weight[k+1] Cov(O_k)
     (feedback keeps cov_weight >= mean_outer_weight >= 0, open-loop keeps
-    mean_outer_weight = 0), mean_coupling and mean_offset carry the
-    terminal-mean term, riskless_growth_sq is the squared product of the
-    remaining riskless returns. Per-stage arrays have length N; the residuals
-    are the distances from G's range, under linalg's cutoff, of v the mean
-    excess return (the open-loop range condition) and the two targets. Stages
-    before the initial time are NaN.
+    mean_outer_weight = 0), mean_coupling and mean_offset carry the terminal-mean
+    term. Per-stage arrays have length N; the residuals are the distances from
+    G's range, under linalg's cutoff, of v the mean excess return (the open-loop
+    range condition) and the two targets. Stages before the initial time are NaN.
 
     While the recursion runs, one trace holds all its strategy draws along a
     leading axis, and draw(d) is the trace of draw d.
@@ -72,7 +70,6 @@ class RecursionTrace:
     mean_outer_weight: np.ndarray
     mean_coupling: np.ndarray
     mean_offset: np.ndarray
-    riskless_growth_sq: np.ndarray
     offset_coupling: np.ndarray
     gain_target: np.ndarray
     offset_target: np.ndarray
@@ -239,7 +236,6 @@ def backward_recursion(
     *carried, cp = np.array(rows[::-1], dtype=float).reshape(n, 5, D).transpose(1, 2, 0)
     for name, values in zip(_WEIGHTS, carried):
         getattr(tr, name)[:, t:N] = values
-    tr.riskless_growth_sq[:, t:] = np.append(np.cumprod(riskless[::-1] ** 2)[::-1], 1.0)
 
     # every stage's solve, checks and targets, over all draws and stages at once
     cw, mow = tr.cov_weight[:, t + 1 :], tr.mean_outer_weight[:, t + 1 :]
@@ -326,12 +322,10 @@ def backward_recursion(
 
 def trace_csv(solution, spec: MarketSpec) -> str:
     """CSV with one row per solved stage: the weights, the gains K_i and the
-    offsets c_i, plus the kind's own columns (open-loop: riskless_growth_sq and
-    range_residual; feedback: coupling_i and the residuals; mixed: strategy_i,
-    gain_eig_i, the residuals and stage_ok)."""
+    offsets c_i, plus the kind's own columns (open-loop: range_residual;
+    feedback: coupling_i and the residuals; mixed: strategy_i, gain_eig_i,
+    the residuals and stage_ok)."""
     policy, tr, kind = solution.policy, solution.trace, solution.policy.kind
-    second = "riskless_growth_sq" if kind is PolicyKind.OPEN_LOOP else "mean_outer_weight"
-    scalars = ["cov_weight", second, "mean_coupling", "mean_offset"]
     before, after, tail = [], [], ["gain_residual", "offset_residual"]
     if kind is PolicyKind.OPEN_LOOP:
         tail = ["range_residual"]
@@ -344,10 +338,10 @@ def trace_csv(solution, spec: MarketSpec) -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf)
-    header = ["k"] + scalars + [f"{name}_{i}" for name, _ in vectors for i in range(spec.num_assets)]
+    header = ["k"] + list(_WEIGHTS) + [f"{name}_{i}" for name, _ in vectors for i in range(spec.num_assets)]
     writer.writerow(header + tail)
     for k in range(policy.start_stage, spec.horizon):
-        row = [k] + [getattr(tr, name)[k] for name in scalars]
+        row = [k] + [getattr(tr, name)[k] for name in _WEIGHTS]
         row += [value for _, row_at in vectors for value in row_at(k)]
         writer.writerow(row + [getattr(tr, name)[k] for name in tail])
     return buf.getvalue()

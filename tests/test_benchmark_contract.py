@@ -25,6 +25,10 @@ def test_tracer_counts_the_nodes_of_one_verify_tree_op(tmp_path, monkeypatch):
         trace.uninstall()
     # three solvers, 1 + 7 + 49 + 343 nodes each on the (N=4, m=3) tree
     assert trace.counts["oracle.nodes"] == 3 * workload.nodes == 1200
+    # simulate's exact cost reads the moment pass: no leaf path is walked, so the
+    # spike_evals_per_node and suffix_scenarios_per_node metrics read 0
+    assert trace.calls["oracle.evaluate_cost_exact"] == 1
+    assert trace.calls["oracle.spike_cost"] == 0 and trace.counts["oracle.suffix_scenarios"] == 0
 
 
 # the spans whose counters run.py reads, besides the solvers'; the three

@@ -163,20 +163,25 @@ def _preset_market_file(path, **overrides):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code",
     [
-        ["verify", "--market", "LONG"],
-        ["simulate", "--distribution", "tree", "--market", "LONG", "--paths", "100"],
+        (["verify", "--market", "LONG"], 2),
+        (["simulate", "--distribution", "tree", "--market", "LONG", "--paths", "10000", "--format", "json"], 0),
     ],
     ids=["verify-leaves", "simulate-leaves"],
 )
-def test_tree_size_limits_exit_2(argv, tmp_path, capsys):
-    # 12 stages of 7 atoms give 7**12 leaf paths, above the exact-evaluation cap
+def test_tree_size_limits_exit_2(argv, code, tmp_path, capsys):
+    # 12 stages of 7 atoms give 7**12 leaf paths, above the cap of verify's node walk;
+    # simulate's exact cost reads the moment pass, which has no cap
     long_market = _preset_market_file(tmp_path / "long.json", horizon=12)
-    assert main([long_market if arg == "LONG" else arg for arg in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    assert main([long_market if arg == "LONG" else arg for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err.startswith("error:")
+    else:
+        record = json.loads(captured.out)
+        assert abs(record["cost"] - record["cost_exact"]) <= 4 * record["se_cost"]
 
 
 @pytest.mark.parametrize(
@@ -316,6 +321,11 @@ def test_simulate_tiny_covariance_keeps_the_spread(tmp_path, capsys):
     assert main(["simulate", "--market", str(market), "--paths", "1000", "--format", "json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert all(np.isfinite(record[key]) and record[key] > 0 for key in ("se_mean", "se_var"))
+    # on the tree law, the exact cost from the moment pass keeps it too
+    tree = ["--solver", "feedback", "--distribution", "tree", "--paths", "20000", "--seed", "1"]
+    assert main(["simulate", "--market", str(market), *tree, "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert abs(record["cost"] - record["cost_exact"]) <= 4 * record["se_cost"]
 
 
 def test_verify_tree_does_not_depend_on_the_seed(tmp_path):

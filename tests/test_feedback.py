@@ -228,12 +228,33 @@ def test_overflowing_weight_is_an_error_never_a_report(tmp_path):
             assert main([command, "--market", str(market)]) != EXIT_NONEXISTENT, command
 
 
-def test_float_range_error_names_the_first_stage_the_recursion_reaches(monkeypatch):
-    # the long market, 7,500 full-rank stages: cov_weight shrinks, but the squared
-    # product of the remaining riskless returns passes the float range at stage 124
+def test_float_range_error_names_the_first_stage_the_recursion_reaches():
+    # the 2-stage subnormal covariance from stage 1: the last stage's gains pass the float range
+    spec = mv.make_market_spec(
+        horizon=2,
+        num_assets=2,
+        riskless=1.02,
+        mean_returns=[1.05, 1.03],
+        return_cov=[[1e-310, 0], [0, 2e-310]],
+        mu1=1,
+        mu2=1,
+    )
+    with pytest.raises(mv.ValidationError, match=r"^stage 1: a gain, offset or weight leaves the float range$"):
+        mv.solve_feedback(mv.with_initial_state(spec, t=1))
+
+
+def test_feedback_solves_the_long_market(monkeypatch):
+    # the long market, 7,500 full-rank stages: cov_weight shrinks toward 0 and every gain,
+    # offset and weight stays finite; the open-loop gain matrix leaves the float range
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
     import workloads
 
     spec = mv.make_market_spec(**workloads.random_market(np.random.default_rng(3), 7500, 3, degenerate=False))
-    with pytest.raises(mv.ValidationError, match=r"^stage 124: a gain, offset or weight leaves the float range$"):
-        mv.solve_feedback(spec)
+    sol = mv.solve_feedback(spec)
+    assert np.isfinite(sol.policy.gains).all() and np.isfinite(sol.policy.offsets).all()
+    assert 0 < sol.trace.cov_weight[0] < 1e-17
+    with pytest.raises(mv.ValidationError, match=r"^stage 154: the recursion leaves the float range"):
+        mv.solve_open_loop(spec)
+    tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+    sim = mv.simulate_monte_carlo(spec, sol, 2000, seed=1, distribution=tree)
+    assert abs(sim.cost - mv.evaluate_cost_exact(tree, spec, sol)) <= 4 * sim.se_cost

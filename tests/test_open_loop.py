@@ -129,7 +129,7 @@ def test_cov_weight_positive_on_random_instances():
         sol = mv.solve_open_loop(spec)
         assert not isinstance(sol, NonexistenceReport), f"seed {seed}"
         assert np.all(sol.trace.cov_weight > 0), f"seed {seed}"
-        assert np.all(sol.trace.riskless_growth_sq > 0)
+        assert np.all(sol.trace.mean_outer_weight[spec.initial_time :] == 0.0)
 
 
 def test_wealth_coefficients(preset_solution):

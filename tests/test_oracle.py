@@ -169,15 +169,21 @@ def test_matched_tree_single_asset_cost_by_hand():
 
 
 def test_exact_cost_matches_brute_force():
+    checked = 0
     for seed in (0, 3, 9):
         spec = random_market(seed, max_horizon=3, max_assets=2)
-        sol = mv.solve_open_loop(spec)
         tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
-        for k in range(spec.initial_time, spec.horizon):
-            for x in (0.5, 1.0, 4.0):
-                fast = mv.evaluate_cost_exact(tree, spec, sol.policy, k, x)
-                slow = brute_force_cost(tree, spec, sol.policy, k, x)
-                assert fast == pytest.approx(slow, abs=1e-10)
+        part = mv.sample_pure_feedback(seed, spec.horizon, spec.num_assets)
+        for sol in (mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, part)):
+            if isinstance(sol, mv.NonexistenceReport):
+                continue
+            checked += 1
+            for k in range(spec.initial_time, spec.horizon):
+                for x in (0.5, 1.0, 4.0):
+                    fast = mv.evaluate_cost_exact(tree, spec, sol, k, x)
+                    slow = brute_force_cost(tree, spec, sol.policy, k, x)
+                    assert fast == pytest.approx(slow, abs=1e-10)
+    assert checked == 9
 
 
 def test_deterministic_single_stage_zero_policy():
@@ -295,7 +301,7 @@ def test_overflowing_cost_raises_validation_error(preset_setup):
     sol = mv.solve_open_loop(spec)
     with pytest.raises(mv.ValidationError, match=r"wealth 1e\+160 at stage 0: the policy's cost overflows"):
         mv.best_spike_deviation(tree, spec, sol, 0, 1e160)
-    with pytest.raises(mv.ValidationError, match=r"wealth 1e\+308: the policy's cost overflows"):
+    with pytest.raises(mv.ValidationError, match=r"wealth 1e\+308 at stage 0: the policy's cost overflows"):
         mv.evaluate_cost_exact(tree, spec, sol, x=1e308)
 
 
@@ -310,8 +316,13 @@ def test_leaf_cap_message_gives_the_leaf_count_as_a_power_of_ten(monkeypatch):
     zero = np.zeros((spec.horizon, spec.num_assets))
     policy = AffinePolicy(kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=zero, offsets=zero)
     with pytest.raises(mv.ValidationError, match=r"^tree has 10\^\d+\.\d leaf paths from stage 0") as caught:
-        mv.evaluate_cost_exact(tree, spec, policy)
+        mv.spike_cost(tree, spec, policy, 0, spec.initial_wealth, np.zeros(spec.num_assets))
     assert len(str(caught.value)) < 200
+    with pytest.raises(mv.ValidationError, match=r"^tree has 10\^\d+\.\d leaf paths from stage 0"):
+        mv.verify_equilibrium(tree, spec, policy)
+    # the exact cost reads the moment pass: the zero policy's cost is riskless growth alone
+    expected = -(spec.mu1 * spec.initial_wealth + spec.mu2) * np.prod(spec.riskless) * spec.initial_wealth
+    assert mv.evaluate_cost_exact(tree, spec, policy) == pytest.approx(expected, rel=1e-12)
 
 
 def test_overflowing_hessian_raises_validation_error(monkeypatch):
@@ -328,6 +339,10 @@ def test_overflowing_hessian_raises_validation_error(monkeypatch):
         mv.best_spike_deviation(tree, spec, sol, 65, 1.0)
     with pytest.raises(mv.ValidationError, match="wealth 1 at stage 66: the deviation cost's derivatives overflow"):
         mv.best_spike_deviation(tree, spec, sol, 66, 1.0)
+    # the exact cost forms no derivative, and its pass re-applies the own gains, so beta is rho:
+    # it is finite at every stage, where the mixed pass's beta moments overflow into J* at stages 0-65
+    costs = [mv.evaluate_cost_exact(tree, spec, sol, k, 1.0) for k in (0, 65, 66)]
+    assert np.isfinite(costs).all()
     for k in range(66):
         with pytest.raises(mv.ValidationError, match=f"wealth 1 at stage {k}: "):
             mv.best_spike_deviation(tree, spec, sol, k, 1.0)
@@ -353,6 +368,8 @@ def test_nonconvex_fit_raises(monkeypatch, preset_setup):
         mv.best_spike_deviation(tree, spec, sol.policy, 0, 1.0)
     with pytest.raises(mv.EquilibriumStructureError, match="not convex"):
         mv.verify_equilibrium(tree, spec, sol.policy)
+    # the policy's own cost reads the same moments but forms no Hessian
+    assert math.isfinite(mv.evaluate_cost_exact(tree, spec, sol.policy))
 
 
 def _node_wealths(tree, spec, policy):
@@ -366,7 +383,7 @@ def _node_wealths(tree, spec, policy):
 
 
 def _spike_cost_cross_check(tree, spec, target, semantics, last_stage=math.inf):
-    """Largest normalized distance of each node's costs from brute-force spike costs.
+    """Largest normalized distance of each node's costs, exact cost included, from brute-force spike costs.
 
     Nodes after last_stage are verified but not cross-checked.
     """
@@ -381,7 +398,8 @@ def _spike_cost_cross_check(tree, spec, target, semantics, last_stage=math.inf):
         x = float(states[k - applied.start_stage][node])
         scale = max(1.0, abs(j_star))
         own = mv.spike_cost(tree, spec, target, k, x, applied.control(k, x), semantics)
-        worst = max(worst, abs(own - j_star) / scale)
+        exact = mv.evaluate_cost_exact(tree, spec, target, k, x)
+        worst = max(worst, abs(own - j_star) / scale, abs(own - exact) / scale)
         if math.isfinite(j_dev):
             dev = mv.spike_cost(tree, spec, target, k, x, deviation, semantics)
             worst = max(worst, abs(dev - j_dev) / scale)
@@ -551,12 +569,18 @@ def test_leaf_cap_guards_exact_evaluation():
     policy = AffinePolicy(
         kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=np.zeros((25, 1)), offsets=np.zeros((25, 1))
     )
-    with pytest.raises(ValueError, match=r"tree has 10\^11\.9 leaf paths from stage 0, .* cap of 10\^7;"):
-        mv.evaluate_cost_exact(tree, spec, policy, 0, 1.0)
-    # the zero policy's own cost is riskless growth alone
+    message = r"tree has 10\^11\.9 leaf paths from stage 0, .* cap of 10\^7;"
+    with pytest.raises(ValueError, match=message):
+        mv.spike_cost(tree, spec, policy, 0, 1.0, np.zeros(1))
+    with pytest.raises(ValueError, match=message):
+        mv.verify_equilibrium(tree, spec, policy)
+    # the zero policy's own cost is riskless growth alone, under the cap or not
     assert tree.leaf_count(start=15) == 3**10 < mv.MAX_LEAF_PATHS
     cost = mv.evaluate_cost_exact(tree, spec, policy, 15, 1.0)
     assert cost == pytest.approx(-(spec.mu1 + spec.mu2) * 1.01**10, rel=1e-12)
+    assert mv.spike_cost(tree, spec, policy, 15, 1.0, np.zeros(1)) == pytest.approx(cost, rel=1e-12)
+    cost = mv.evaluate_cost_exact(tree, spec, policy, 0, 1.0)
+    assert cost == pytest.approx(-(spec.mu1 + spec.mu2) * 1.01**25, rel=1e-12)
     # the spike test enumerates no suffix scenario: it has no cap. With nothing invested later the
     # terminal wealth is g (s x + o u), g = 1.01^24, so the best u is (mu1 x + mu2) E[o] / (2 g Var(o))
     u, j = mv.best_spike_deviation(tree, spec, policy, 0, 1.0)
@@ -692,13 +716,20 @@ def test_monte_carlo_gaussian_variance_scales_inversely_with_the_covariance():
 
 def test_monte_carlo_tree_variance_scales_inversely_with_the_covariance():
     # the tree's shocks are its standard points times the stored factor, so its spread keeps its
-    # digits however small the covariance is against the mean's square
+    # digits however small the covariance is against the mean's square; so does the exact cost
     scaled = []
     for scale in VARIANCE_SCALES:
         spec = small_scale_market(scale)
         tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
-        sim = mv.simulate_monte_carlo(spec, mv.solve_open_loop(spec), 20_000, seed=1, distribution=tree)
+        sol = mv.solve_open_loop(spec)
+        sim = mv.simulate_monte_carlo(spec, sol, 20_000, seed=1, distribution=tree)
         assert sim.var_terminal > 0
+        if scale >= TINY_SCALES[-1]:
+            assert abs(sim.cost - mv.evaluate_cost_exact(tree, spec, sol)) <= 4 * sim.se_cost, scale
+        else:
+            # the cost is about 6e157 at 1e-160, but rho's raw second moment, about 1e314, is not a float
+            with pytest.raises(mv.ValidationError, match="wealth 1 at stage 0: the policy's cost overflows"):
+                mv.evaluate_cost_exact(tree, spec, sol)
         scaled.append(scale * sim.var_terminal)
     assert np.allclose(scaled, scaled[0], rtol=1e-3)
 

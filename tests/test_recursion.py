@@ -191,8 +191,7 @@ def test_trace_csv_columns_per_kind():
     vec = lambda prefix: [f"{prefix}_{i}" for i in range(3)]  # noqa: E731
     weights = ["cov_weight", "mean_outer_weight", "mean_coupling", "mean_offset"]
     expected = {
-        mv.PolicyKind.OPEN_LOOP: ["k", "cov_weight", "riskless_growth_sq", "mean_coupling", "mean_offset"]
-        + vec("K") + vec("c") + ["range_residual"],
+        mv.PolicyKind.OPEN_LOOP: ["k"] + weights + vec("K") + vec("c") + ["range_residual"],
         mv.PolicyKind.FEEDBACK: ["k"] + weights + vec("coupling") + vec("K") + vec("c")
         + ["gain_residual", "offset_residual"],
         mv.PolicyKind.MIXED: ["k"] + weights + vec("strategy") + vec("K") + vec("c")
