@@ -46,6 +46,8 @@ from .market import ExcessMoments, MarketSpec, ValidationError, derive_excess_mo
 from .policy import AffinePolicy, PolicyKind
 
 MAX_LEAF_PATHS = 10**7
+# paths per block of simulate_monte_carlo's draws and sums: its temporaries stay under 0.5 MB at rank 3
+_PATH_BLOCK = 8192
 
 
 class EquilibriumStructureError(RuntimeError):
@@ -496,8 +498,11 @@ def simulate_monte_carlo(
     same tree. Both laws read each stage's mean mu and factor F from one tree
     (for "gaussian", the market's matched tree) and take o = mu + F z; they
     differ only in the standard shock z: one of the tree's standard points,
-    drawn by rng.choice's rule on equal weights, or normals drawn as an
-    (n_paths, rank) array per stage, so a seed fixes the returns. The cost
+    drawn by rng.choice's rule on equal weights, or normals. Each stage
+    draws its shocks in blocks of _PATH_BLOCK paths that read the stream
+    as one (n_paths, ...) draw would, so a seed fixes the returns, and the
+    statistics are summed block by block: memory is 8 bytes per path (its
+    deviation from the mean path) plus one block. The cost
     standard error uses the influence function of Var - (mu1 x + mu2) * Mean.
     An estimate that overflows a float raises ValidationError naming the
     initial wealth.
@@ -517,6 +522,7 @@ def simulate_monte_carlo(
         raise ValueError(f"unknown distribution {distribution!r}")
 
     mean_path, dev = x0, np.zeros(n_paths)
+    parts = [dev[i : i + _PATH_BLOCK] for i in range(0, n_paths, _PATH_BLOCK)]  # views of dev
     for k in range(t, spec.horizon):
         gain, offset = applied.gain(k), applied.offset(k)
         mu, F = tree.mean[k], tree.factors[k]
@@ -524,32 +530,43 @@ def simulate_monte_carlo(
         # per unit of z, the rows give a path's growth beyond the mean path's and its shock
         coeffs = np.stack([gain, gain * mean_path + offset]) @ F
         if on_tree:
-            points = _standard_points(F.shape[1])
-            idx = _atom_indices(rng, np.full(len(points), 1.0 / len(points)), n_paths)
-            growth, shock = np.take(coeffs @ points.T, idx, axis=1)
-        else:
-            growth, shock = coeffs @ rng.standard_normal((n_paths, F.shape[1])).T
-        growth += mean_growth
-        dev *= growth
-        dev += shock
+            table = coeffs @ _standard_points(F.shape[1]).T
+            weights = np.full(table.shape[1], 1.0 / table.shape[1])
+        # consecutive blocks read the generator as one (n_paths, ...) draw would
+        for part in parts:
+            if on_tree:
+                growth, shock = np.take(table, _atom_indices(rng, weights, len(part)), axis=1)
+            else:
+                growth, shock = coeffs @ rng.standard_normal((len(part), F.shape[1])).T
+            growth += mean_growth
+            part *= growth
+            part += shock
         mean_path = mean_growth * mean_path + mu @ offset
+
+    def total(f):
+        """The sum over all paths of f(dev - dev_mean), one block at a time."""
+        return sum(f(part - dev_mean).sum() for part in parts)
 
     # numpy scalars: an overflow gives inf, rejected below
     dev_mean = dev.mean()
     mean = mean_path + dev_mean
-    centered = dev - dev_mean
-    sq = centered * centered
-    var = sq.sum() / (n_paths - 1)
+    var = total(np.square) / (n_paths - 1)
     cmu = spec.mu1 * x0 + spec.mu2
     cost = var - cmu * mean
     se_mean = np.sqrt(var / n_paths)
     # the fourth moment in units of var**2, so se_var is finite whenever var is
-    kurtosis = np.mean(np.square(sq / var)) if var > 0 else 0.0
+    kurtosis = total(lambda c: np.square(c * c / var)) / n_paths if var > 0 else 0.0
     se_var = var * math.sqrt(max(kurtosis - (n_paths - 3) / (n_paths - 1), 0.0) / n_paths)
-    influence = sq - var - cmu * centered
+
+    def influence(c):
+        return c * c - var - cmu * c
+
     # in units of a power of two near its largest entry, which is exact, so the squares cannot overflow
-    unit = np.ldexp(1.0, np.frexp(np.abs(influence).max())[1])
-    se_cost = unit * (influence / unit).std(ddof=1) / math.sqrt(n_paths)
+    largest = np.max([np.abs(influence(part - dev_mean)).max() for part in parts])  # NaN propagates
+    unit = np.ldexp(1.0, np.frexp(largest)[1])
+    influence_mean = total(lambda c: influence(c) / unit) / n_paths
+    spread = np.sqrt(total(lambda c: np.square(influence(c) / unit - influence_mean)) / (n_paths - 1))
+    se_cost = unit * spread / math.sqrt(n_paths)
     estimates = (mean, var, cost, se_mean, se_var, se_cost)
     if not np.isfinite(estimates).all():
         raise ValidationError(f"initial wealth {x0:g}: the terminal wealth's moments overflow")

@@ -201,6 +201,16 @@ def test_wealth_whose_cost_overflows_exits_2(argv, capsys):
     assert f"wealth {float(argv[2]):g}" in captured.err and "overflow" in captured.err
 
 
+def test_negative_wealth_in_exponent_form_is_read_after_an_equals_sign(capsys):
+    # argparse may read "--x -1e-3" as a missing value; "--x=-1e-3" always reaches the command
+    assert main(["solve-open-loop", "--x=-1e-3"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--x=-1e-3", "--paths", "100", "--format", "json"]) == 0
+    spec = mv.with_initial_state(mv.get_preset(PRESET), x=-1e-3)
+    expected = mv.simulate_monte_carlo(spec, mv.solve_open_loop(spec), 100, seed=0)
+    assert json.loads(capsys.readouterr().out)["mean_terminal"] == expected.mean_terminal
+
+
 def _scaled_market(**overrides):
     """A 3-stage, 2-asset market with a full-rank covariance, with overrides."""
     market = dict(horizon=3, num_assets=2, riskless=1.02, mean_returns=[1.05, 1.03], mu1=1, mu2=1)

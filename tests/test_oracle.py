@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -647,7 +648,8 @@ def test_atom_indices_match_rng_choice(p):
 
 
 def _reference_monte_carlo(spec, policy, n_paths, seed, tree, moments):
-    """The per-path recursion X' = s X + o.(K X + c) on an (n, m) return matrix, fed the same draws."""
+    """The per-path recursion X' = s X + o.(K X + c) on an (n, m) return matrix, fed the same draws,
+    and the six estimates from full-length arrays: mean, variance, cost and their standard errors."""
     rng, factors = np.random.default_rng(seed), mv.build_matched_tree(moments).factors
     X = np.full(n_paths, spec.initial_wealth)
     for k in range(policy.start_stage, spec.horizon):
@@ -659,11 +661,19 @@ def _reference_monte_carlo(spec, policy, n_paths, seed, tree, moments):
             o = moments.mean_excess[k] + rng.standard_normal((n_paths, F.shape[1])) @ F.T
         X = spec.riskless[k] * X + np.einsum("ij,ij->i", o, np.outer(X, policy.gain(k)) + policy.offset(k))
     mean, var = X.mean(), X.var(ddof=1)
-    return mean, var, var - (spec.mu1 * spec.initial_wealth + spec.mu2) * mean
+    cmu = spec.mu1 * spec.initial_wealth + spec.mu2
+    centered = X - mean
+    sq = centered * centered
+    kurtosis = np.mean(np.square(sq / var))
+    se_var = var * math.sqrt(max(kurtosis - (n_paths - 3) / (n_paths - 1), 0.0) / n_paths)
+    se_cost = (sq - var - cmu * centered).std(ddof=1) / math.sqrt(n_paths)
+    return mean, var, var - cmu * mean, math.sqrt(var / n_paths), se_var, se_cost
 
 
+@pytest.mark.parametrize("n_paths", [20_000, 2 * oracle_module._PATH_BLOCK + 3], ids=["20000", "two-blocks-and-3"])
 @pytest.mark.parametrize("sampling", ["tree", "gaussian"])
-def test_monte_carlo_matches_the_per_path_recursion(preset_setup, sampling):
+def test_monte_carlo_matches_the_per_path_recursion(preset_setup, sampling, n_paths):
+    # the path blocks draw what one full-length draw would, across every block boundary
     spec, moments, tree = preset_setup
     tree = tree if sampling == "tree" else None
     for solved in (
@@ -671,20 +681,41 @@ def test_monte_carlo_matches_the_per_path_recursion(preset_setup, sampling):
         mv.solve_feedback(spec),
         mv.solve_mixed(spec, mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)),
     ):
-        sim = mv.simulate_monte_carlo(spec, solved, 20_000, seed=11, distribution=tree or "gaussian")
-        expected = _reference_monte_carlo(spec, solved.policy, 20_000, 11, tree, moments)
-        assert np.allclose([sim.mean_terminal, sim.var_terminal, sim.cost], expected, rtol=1e-12, atol=0)
+        sim = mv.simulate_monte_carlo(spec, solved, n_paths, seed=11, distribution=tree or "gaussian")
+        expected = _reference_monte_carlo(spec, solved.policy, n_paths, 11, tree, moments)
+        estimates = (sim.mean_terminal, sim.var_terminal, sim.cost, sim.se_mean, sim.se_var, sim.se_cost)
+        assert np.allclose(estimates, expected, rtol=1e-12, atol=0)
 
 
-def test_monte_carlo_of_a_riskless_policy_has_no_spread(preset_setup):
+@pytest.mark.parametrize("n_paths", [100, oracle_module._PATH_BLOCK + 1])
+def test_monte_carlo_of_a_riskless_policy_has_no_spread(preset_setup, n_paths):
     # no risky holding: every path is the mean path, and the standard errors are 0, not NaN
     spec, _, tree = preset_setup
     zeros = np.zeros((spec.horizon, spec.num_assets))
     policy = AffinePolicy(kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=zeros, offsets=zeros)
     for distribution in ("gaussian", tree):
-        sim = mv.simulate_monte_carlo(spec, policy, 100, seed=0, distribution=distribution)
+        sim = mv.simulate_monte_carlo(spec, policy, n_paths, seed=0, distribution=distribution)
         assert (sim.var_terminal, sim.se_mean, sim.se_var, sim.se_cost) == (0.0, 0.0, 0.0, 0.0)
         assert sim.mean_terminal == pytest.approx(np.prod(spec.riskless), rel=1e-15)
+
+
+@pytest.mark.parametrize("blocks", [4, 16])
+@pytest.mark.parametrize("sampling", ["tree", "gaussian"])
+def test_monte_carlo_holds_one_deviation_per_path_plus_a_block(preset_setup, sampling, blocks):
+    # numpy reports its buffers to tracemalloc, so the traced peak counts every array the simulation
+    # holds: 8 bytes per path for its deviation from the mean path, and one block's temporaries
+    spec, _, tree = preset_setup
+    solved = mv.solve_open_loop(spec)
+    n_paths = blocks * oracle_module._PATH_BLOCK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mv.simulate_monte_carlo(spec, solved, n_paths, seed=3, distribution=tree if sampling == "tree" else "gaussian")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n_paths + 2**20
 
 
 def test_monte_carlo_gaussian_matches_tree_cost(preset_setup):
