@@ -22,6 +22,7 @@ def solve_feedback(
     """The shared backward recursion with each stage's own gain re-applied after a deviation.
 
     Each stage checks, in order, that the gain matrix is PSD and that the gain
-    and offset targets lie in its column space.
+    and offset targets lie in its column space. moments, if given, must be
+    derive_excess_moments(spec) (backward_recursion).
     """
     return backward_recursion(spec, moments, PolicyKind.FEEDBACK)[0]

@@ -13,32 +13,30 @@ stated once (``_kept``); it sets every eigenvalue-based rank in the
 package: the covariances' in the stage solves, the oracle's tree and Monte
 Carlo. The gain matrices' rank rule below applies the same DEFAULT_PINV_RTOL.
 
-Most covariances need no eigenvalues for that rule. ``certify_covariances``
-factors each stage's Sigma, less twice the cutoff times its trace, by
-Cholesky: a factorization that completes proves every eigenvalue clears the
-cutoff (Higham 2002, ch. 10), so the stage is full rank and positive
-definite. Only the stages it leaves are decomposed, by one stacked ``eigh``,
-and the market keeps that certificate as each covariance's one
-decomposition.
-
 Every backward recursion in this package solves stage equations
-``G u = -target`` with G = mean_weight mu mu^T + cov_weight Sigma, a
-covariance plus a rank-one term in the mean, and every right-hand side a
-multiple of mu. ``covariance_solve`` therefore solves Sigma^+ mu once per
-stage, weight-free, through the certificate: by LU where the stage is full
-rank, through the eigenbasis where it is not. ``CovarianceSolve.solve``
-gives G^+ mu, every range residual and G's PSD test in closed form for any
-weights. G's rank against Sigma's decides, and the rank rule
-(``CovarianceSolve.rank_rule``) states it without G's eigenvalues (the
+``G u = -target`` with G = mean_weight mu mu^T + cov_weight Sigma, a covariance
+plus a rank-one term in the mean, and every right-hand side a multiple of mu.
+``covariance_solve`` therefore decomposes each stage's Sigma once and solves
+Sigma^+ mu, weight-free, and the market keeps the result as each covariance's
+one decomposition (``MarketSpec.cov_solve``). Most covariances need no
+eigenvalues: it factors each stage's Sigma, less twice the cutoff times its
+trace, by Cholesky, and a factorization that completes proves every eigenvalue
+clears the cutoff (Higham 2002, ch. 10), so the stage is full rank and positive
+definite. Only the stages it leaves are decomposed, by one stacked ``eigh``,
+whose signed extreme eigenvalues give the market's PSD check. The full-rank
+stages solve by LU, the others through their eigenbasis.
+``CovarianceSolve.solve`` gives G^+ mu, every range residual and G's PSD test
+in closed form for any weights. G's rank against Sigma's decides, and the rank
+rule (``CovarianceSolve.rank_rule``) states it without G's eigenvalues (the
 rank-one update; Golub 1973, Bunch, Nielsen & Sorensen 1978): one more when
-mu's kernel part enters G's range, one fewer when mu leaves it, which
-happens when den = cov_weight 2^e + mean_weight q, the number
-G^+ mu = y / den divides by, is zero within the cutoff. To first order, den
-measures G's vanishing eigenvalue only up to Sigma's condition number on
-its range, so the rule and the cutoff on G's eigenvalues may disagree
-inside a band of that width at the cutoff; outside it they agree. No solve
-decomposes G: ``gain_eigenvalues`` computes its eigenvalues for the outputs
-that print them, and for the residual of a failed PSD test.
+mu's kernel part enters G's range, one fewer when mu leaves it, which happens
+when den = cov_weight 2^e + mean_weight q, the number G^+ mu = y / den divides
+by, is zero within the cutoff. To first order, den measures G's vanishing
+eigenvalue only up to Sigma's condition number on its range, so the rule and
+the cutoff on G's eigenvalues may disagree inside a band of that width at the
+cutoff; outside it they agree. No solve decomposes G: ``gain_eigenvalues``
+computes its eigenvalues for the outputs that print them, and for the residual
+of a failed PSD test.
 
 Everything works on a stack of matrices (..., m, m) as well as on one: a
 stack is decomposed by one ``eigh`` call and solved by one batched product,
@@ -48,7 +46,7 @@ matrix is the case ``... = ()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -186,86 +184,41 @@ def eigenbasis(M: np.ndarray) -> Eigenbasis:
 
 
 @dataclass(frozen=True)
-class CovarianceCertificate:
-    """Each stage's covariance decomposed once: a Cholesky certificate of full
-    rank, or an eigendecomposition where the certificate fails.
-
-    Per stage (N,): cov_max, the largest entry magnitude of Sigma, and
-    exponent, the e of the power of two 2^e at it, by which every
-    decomposition scales Sigma first, so a subnormal covariance decomposes;
-    certified, whether the Cholesky factorization of
-    Sigma / 2^e - 2 DEFAULT_PINV_RTOL tr(Sigma / 2^e) I completes. It
-    completes only if Sigma's smallest eigenvalue exceeds that shift up to
-    rounding (Higham 2002, ch. 10), and tr >= lambda_max for a PSD matrix, so
-    a certified stage is positive definite and full rank under the cutoff,
-    with a factor 2 to spare for the factorization's rounding. uncertified is
-    the Eigenbasis of Sigma / 2^e of the other stages, stacked in stage
-    order: the one eigendecomposition those stages get.
-    """
-
-    cov_max: np.ndarray
-    exponent: np.ndarray
-    certified: np.ndarray
-    uncertified: Eigenbasis
-
-    def from_stage(self, t: int) -> CovarianceCertificate:
-        """The certificate of stages t on."""
-        before = np.count_nonzero(~self.certified[:t])
-        return CovarianceCertificate(self.cov_max[t:], self.exponent[t:], self.certified[t:], self.uncertified[before:])
-
-
-def certify_covariances(cov: np.ndarray) -> CovarianceCertificate:
-    """Certify or decompose each symmetric Sigma of a stack (N, m, m): one Cholesky
-    factorization per stage, each in its own try, since a stacked call raises
-    for the whole stack, then one stacked eigh of the stages not certified."""
-    cov = np.asarray(cov, dtype=float)
-    m = cov.shape[-1]
-    cov_max = np.maximum(cov.max(axis=(-2, -1)), -cov.min(axis=(-2, -1)))  # no |cov| copy
-    exponent = np.frexp(cov_max)[1]
-    certified = np.zeros(len(cov), dtype=bool)
-    shifted = np.empty((m, m))
-    diagonal = shifted.reshape(-1)[:: m + 1]  # a view
-    for k in range(len(cov)):
-        np.ldexp(cov[k], -exponent[k], out=shifted)
-        diagonal -= 2.0 * DEFAULT_PINV_RTOL * diagonal.sum()
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            continue
-        certified[k] = True
-    scaled = cov[~certified]
-    if len(scaled):
-        np.ldexp(scaled, -exponent[~certified, None, None], out=scaled)
-        eig = eigenbasis(scaled)
-    else:  # every stage certified: no eigh call at all
-        eig = Eigenbasis(np.zeros((0, m)), scaled, np.zeros((0, m), dtype=bool))
-    return CovarianceCertificate(cov_max, exponent, certified, eig)
-
-
-@dataclass(frozen=True)
 class CovarianceSolve:
-    """Each stage's solve of Sigma^+ mu, weight-free, for the gain matrices built on it.
+    """Each stage's covariance decomposed once, and its solve of Sigma^+ mu,
+    weight-free, for the gain matrices built on it.
 
-    Per stage, for the stages' Sigma and mu: rank (N,) under the cutoff, and
-    sigma_max (N,), Sigma's largest eigenvalue magnitude on the stages its
-    eigendecomposition solves, zero on the others, whose kernel is zero;
-    exponent (N,), the e of the power of two 2^e at Sigma's largest entry
-    magnitude; y (N, m) = (Sigma / 2^e)^+ mu and q (N,) = mu . y, so the
-    scaling by 2^e is exact whatever Sigma's scale; kernel (N, m), the part
-    of mu in Sigma's kernel, and kernel_norm (N,) its norm; mean_norm
-    (N,) = ||mu||; in_range (N,), the range condition, mu in Sigma's column
-    space, by the range test of Eigenbasis.solve; dropped_residual (N,),
-    mu's residual once the direction y leaves the range as well; and cov_max
-    and mean_max (N,), the largest entry magnitudes of Sigma and mu, which
-    bound G's entries.
+    Per stage, for the stages' Sigma and mu: exponent (N,), the e of the power
+    of two 2^e at Sigma's largest entry magnitude, by which every decomposition
+    scales Sigma first, so a subnormal covariance decomposes; certified (N,),
+    whether the Cholesky factorization of Sigma / 2^e - 2 DEFAULT_PINV_RTOL
+    tr(Sigma / 2^e) I completes. It completes only if Sigma's smallest
+    eigenvalue exceeds that shift up to rounding (Higham 2002, ch. 10), and
+    tr >= lambda_max for a PSD matrix, so a certified stage is positive
+    definite and full rank under the cutoff, with a factor 2 to spare for the
+    factorization's rounding. One stacked eigh decomposes the other stages:
+    psd (N,) is is_psd_spectrum of Sigma's signed spectrum there, True on the
+    certified stages; min_eigenvalue (N,) and sigma_max (N,) are Sigma's
+    smallest eigenvalue and largest eigenvalue magnitude there, zero on the
+    certified stages, whose kernel is zero. rank (N,) under the cutoff;
+    y (N, m) = (Sigma / 2^e)^+ mu and q (N,) = mu . y, so the scaling by 2^e is
+    exact whatever Sigma's scale; kernel (N, m), the part of mu in Sigma's
+    kernel, and kernel_norm (N,) its norm; mean_norm (N,) = ||mu||;
+    in_range (N,), the range condition, mu in Sigma's column space, by the
+    range test of Eigenbasis.solve; dropped_residual (N,), mu's residual once
+    the direction y leaves the range as well; and cov_max and mean_max (N,),
+    the largest entry magnitudes of Sigma and mu, which bound G's entries.
 
     Its methods take a stage index k and weights for that stage: an int k
     with weights (D,), one per gain matrix, or an index array or slice of
     stages with weights that broadcast against it.
     """
 
-    rank: np.ndarray
+    certified: np.ndarray
+    psd: np.ndarray
+    min_eigenvalue: np.ndarray
     sigma_max: np.ndarray
+    rank: np.ndarray
     exponent: np.ndarray
     y: np.ndarray
     q: np.ndarray
@@ -276,6 +229,14 @@ class CovarianceSolve:
     dropped_residual: np.ndarray
     cov_max: np.ndarray
     mean_max: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):  # read-only: the market's one solve is shared by every solver
+            getattr(self, f.name).flags.writeable = False
+
+    def from_stage(self, t: int) -> CovarianceSolve:
+        """The solve of stages t on."""
+        return CovarianceSolve(**{f.name: getattr(self, f.name)[t:] for f in fields(self)})
 
     def rank_rule(self, k, cw, mow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rank rule for stage k's gain matrices, one per weight pair: (den,
@@ -379,24 +340,44 @@ def gain_eigenvalues(cov: np.ndarray, mean: np.ndarray, cov_weight: np.ndarray, 
     return np.linalg.eigvalsh(G)
 
 
-def covariance_solve(
-    cov: np.ndarray, mean: np.ndarray, certificate: CovarianceCertificate | None = None
-) -> CovarianceSolve:
-    """The weight-free solves Sigma^+ mu of the stages (N, m, m) and means (N, m),
-    through the stages' certificate (certify_covariances, made here if not given).
+# a solve past the float range comes back non-finite, and the recursion rejects it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def covariance_solve(cov: np.ndarray, mean: np.ndarray) -> CovarianceSolve:
+    """Decompose each symmetric Sigma of the stages (N, m, m) once and solve
+    Sigma^+ mu for the means (N, m), weight-free.
 
-    The stages of full rank, the certified ones and those whose
-    eigendecomposition keeps every eigenvalue, take stacked LU solves of
-    _LU_BLOCK stages each; the rank-deficient ones solve through the
-    certificate's eigenbasis. Each Sigma is scaled by its 2^e first, so a
-    subnormal covariance solves.
+    One Cholesky factorization per stage certifies it (CovarianceSolve), each
+    in its own try, since a stacked call raises for the whole stack; one
+    stacked eigh decomposes the stages not certified. The stages of full
+    rank, the certified ones and those whose eigendecomposition keeps every
+    eigenvalue, then take stacked LU solves of _LU_BLOCK stages each; the
+    rank-deficient ones solve through their eigenbasis. Each Sigma is scaled
+    by its 2^e first, so a subnormal covariance solves.
     """
     cov, mean = np.asarray(cov, dtype=float), np.asarray(mean, dtype=float)
-    cert = certify_covariances(cov) if certificate is None else certificate
-    e, eig, m = cert.exponent, cert.uncertified, mean.shape[-1]
-    uncertified = np.flatnonzero(~cert.certified)
-    rank, sigma_max = np.full(len(cov), m), np.zeros(len(cov))
+    n, m = mean.shape
+    cov_max = np.maximum(cov.max(axis=(-2, -1)), -cov.min(axis=(-2, -1)))  # no |cov| copy
+    e = np.frexp(cov_max)[1]
+    certified = np.zeros(n, dtype=bool)
+    shifted = np.empty((m, m))
+    diagonal = shifted.reshape(-1)[:: m + 1]  # a view
+    for k in range(n):
+        np.ldexp(cov[k], -e[k], out=shifted)
+        diagonal -= 2.0 * DEFAULT_PINV_RTOL * diagonal.sum()
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            continue
+        certified[k] = True
+    uncertified = np.flatnonzero(~certified)
+    scaled = cov[uncertified]
+    np.ldexp(scaled, -e[uncertified, None, None], out=scaled)
+    # every stage certified: no eigh call at all
+    eig = eigenbasis(scaled) if len(scaled) else Eigenbasis(np.zeros((0, m)), scaled, np.zeros((0, m), dtype=bool))
+    rank, psd, min_eigenvalue, sigma_max = np.full(n, m), np.ones(n, dtype=bool), np.zeros(n), np.zeros(n)
     rank[uncertified] = eig.rank
+    extremes = np.ldexp(eig.eigenvalues[:, [0, -1]], e[uncertified, None])  # signed lambda_min and lambda_max
+    psd[uncertified], min_eigenvalue[uncertified] = is_psd_spectrum(extremes), extremes[:, 0]
     sigma_max[uncertified] = np.ldexp(np.abs(eig.eigenvalues).max(axis=-1, initial=0.0), e[uncertified])
     y, kernel = np.zeros_like(mean), np.zeros_like(mean)
     full = np.flatnonzero(rank == m)
@@ -415,8 +396,11 @@ def covariance_solve(
     # mu's residual against range(Sigma) less the direction y: its kernel part and mu . y / ||y||
     along_y = np.divide(np.abs(q), y_norm, out=np.zeros_like(q), where=y_norm > 0)
     return CovarianceSolve(
-        rank=rank,
+        certified=certified,
+        psd=psd,
+        min_eigenvalue=min_eigenvalue,
         sigma_max=sigma_max,
+        rank=rank,
         exponent=e,
         y=y,
         q=q,
@@ -425,6 +409,6 @@ def covariance_solve(
         mean_norm=mean_norm,
         in_range=_in_range(kernel_norm, lambda: mean_norm),
         dropped_residual=np.hypot(kernel_norm, along_y),
-        cov_max=cert.cov_max,
+        cov_max=cov_max,
         mean_max=np.abs(mean).max(axis=-1, initial=0.0),
     )

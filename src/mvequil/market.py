@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import CovarianceCertificate, _require_symmetric, certify_covariances, is_psd_spectrum
+from .linalg import CovarianceSolve, _require_symmetric, covariance_solve
 
 
 class ValidationError(ValueError):
@@ -32,11 +32,12 @@ class MarketSpec:
     initial_wealth the wealth there. warnings collects non-fatal findings
     (currently only riskless returns at or below 1).
 
-    One read-only cache holds the covariances' one decomposition.
-    cov_certificate is each stage's Cholesky certificate of full rank, or
-    its eigendecomposition where the certificate fails
-    (linalg.certify_covariances): make_market_spec's PSD check made it, or
-    it is made on first read, and the solvers' covariance solve reuses it.
+    One read-only cache holds the covariances' one decomposition. cov_solve
+    is each stage's Cholesky certificate of full rank, or its
+    eigendecomposition where the certificate fails, and its weight-free
+    solve of Sigma^+ mu for the excess mean (linalg.covariance_solve):
+    make_market_spec's PSD check made it, or it is made on first read, and
+    every solver reads it.
     """
 
     horizon: int
@@ -60,8 +61,8 @@ class MarketSpec:
         return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}
 
     @cached_property
-    def cov_certificate(self) -> CovarianceCertificate:
-        return certify_covariances(self.return_cov)
+    def cov_solve(self) -> CovarianceSolve:
+        return covariance_solve(self.return_cov, self.mean_returns - self.riskless[:, None])
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,21 @@ def _frozen_copy(value) -> np.ndarray:
     return arr
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    """value as a float array; a ragged or non-numeric value is rejected."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed array field {name}: {exc}") from exc
+
+
 def _broadcast_stagewise(value, horizon: int, inner_shape: tuple, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _float_array(value, what)
     if arr.shape == inner_shape:
-        arr = np.broadcast_to(arr, (horizon,) + inner_shape)
+        try:
+            arr = np.broadcast_to(arr, (horizon,) + inner_shape)
+        except ValueError as exc:  # a horizon past numpy's dimension limit
+            raise ValidationError(f"malformed array field {what}: {exc}") from exc
     if arr.shape != (horizon,) + inner_shape:
         raise ValidationError(
             f"{what} must have shape {inner_shape} or {(horizon,) + inner_shape}, got {arr.shape}"
@@ -114,6 +126,14 @@ def _whole(value, name: str) -> int:
     return int(number)
 
 
+def _check_initial_state(horizon: int, initial_time: int, initial_wealth: float) -> None:
+    """The initial-state rule of a market and of a moved spec alike."""
+    if not 0 <= initial_time <= horizon - 1:
+        raise ValidationError(f"initial_time must be in [0, {horizon - 1}], got {initial_time}")
+    if not np.isfinite(initial_wealth):
+        raise ValidationError("initial_wealth must be finite")
+
+
 def make_market_spec(
     horizon,
     num_assets,
@@ -129,11 +149,12 @@ def make_market_spec(
 
     Scalar riskless, a single mean vector, or a single covariance matrix are
     expanded across all stages. Covariances are symmetrized as (M + M^T) / 2
-    before the PSD check. The PSD check reads the covariances' certificate
-    (linalg.certify_covariances), which the spec keeps: a certified stage is
-    positive definite, and the others' eigenvalues come from one stacked
-    eigh. Raises ValidationError naming the first violated invariant and the
-    first stage where it occurred.
+    before the PSD check. The PSD check reads the covariances' solve
+    (MarketSpec.cov_solve), which the spec keeps: a stage its Cholesky
+    certificate passes is positive definite, and the others' eigenvalues
+    come from one stacked eigh. Raises ValidationError naming the first
+    violated invariant and the first stage where it occurred; a malformed
+    array field, ragged or not numeric, is one.
     """
     horizon = _whole(horizon, "horizon")
     num_assets = _whole(num_assets, "num_assets")
@@ -146,18 +167,15 @@ def make_market_spec(
         raise ValidationError("horizon must be >= 1")
     if num_assets < 1:
         raise ValidationError("num_assets must be >= 1")
-    if not 0 <= initial_time <= horizon - 1:
-        raise ValidationError(f"initial_time must be in [0, {horizon - 1}], got {initial_time}")
+    _check_initial_state(horizon, initial_time, initial_wealth)
     if not (np.isfinite(mu1) and mu1 > 0):
         raise ValidationError("mu1 must be positive")
     if not (np.isfinite(mu2) and mu2 > 0):
         raise ValidationError("mu2 must be positive")
-    if not np.isfinite(initial_wealth):
-        raise ValidationError("initial_wealth must be finite")
 
-    s = np.asarray(riskless, dtype=float)
+    s = _float_array(riskless, "riskless")
     if s.ndim == 0:
-        s = np.full(horizon, float(s))
+        s = _broadcast_stagewise(s, horizon, (), "riskless")
     if s.shape != (horizon,):
         raise ValidationError(f"riskless must be a scalar or length-{horizon} sequence")
     if not np.all(np.isfinite(s)):
@@ -184,14 +202,6 @@ def make_market_spec(
                 _require_symmetric(covs[k], "covariance")
             except np.linalg.LinAlgError:
                 raise ValidationError(f"covariance not symmetric at stage {k}") from None
-    cert = certify_covariances(covs)
-    w = np.ldexp(cert.uncertified.eigenvalues, cert.exponent[~cert.certified, None])
-    psd = is_psd_spectrum(w)
-    if not psd.all():
-        i = int(np.argmin(psd))  # the first stage that fails
-        k = int(np.flatnonzero(~cert.certified)[i])
-        raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {w[i, 0]:.3e})")
-
     spec = MarketSpec(
         horizon=horizon,
         num_assets=num_assets,
@@ -204,7 +214,10 @@ def make_market_spec(
         initial_wealth=initial_wealth,
         warnings=tuple(warnings),
     )
-    spec.__dict__["cov_certificate"] = cert  # as if read: a cached_property's value lives in __dict__
+    solve = spec.cov_solve
+    if not solve.psd.all():
+        k = int(np.argmin(solve.psd))  # the first stage that fails
+        raise ValidationError(f"covariance not PSD at stage {k} (min eigenvalue {solve.min_eigenvalue[k]:.3e})")
     return spec
 
 
@@ -282,11 +295,8 @@ def with_initial_state(spec: MarketSpec, t=None, x=None) -> MarketSpec:
     """Copy of spec with a different initial time and/or wealth."""
     t = spec.initial_time if t is None else _whole(t, "initial_time")
     x = spec.initial_wealth if x is None else float(x)
-    if not 0 <= t <= spec.horizon - 1:
-        raise ValidationError(f"initial_time must be in [0, {spec.horizon - 1}], got {t}")
-    if not np.isfinite(x):
-        raise ValidationError("initial_wealth must be finite")
+    _check_initial_state(spec.horizon, t, x)
     moved = replace(spec, initial_time=t, initial_wealth=x)
-    if "cov_certificate" in spec.__dict__:
-        moved.__dict__["cov_certificate"] = spec.cov_certificate  # shared, not decomposed again
+    if "cov_solve" in spec.__dict__:
+        moved.__dict__["cov_solve"] = spec.cov_solve  # shared, not solved again
     return moved

@@ -27,7 +27,8 @@ def solve_mixed_batch(
     Each stage checks that the gain and offset targets lie in the gain
     matrix's column space; the gain matrix need not be PSD. All parts share
     each stage's one covariance solve, and a part that fails a stage gets its
-    own report there.
+    own report there. moments, if given, must be derive_excess_moments(spec)
+    (backward_recursion).
     """
     return backward_recursion(spec, moments, PolicyKind.MIXED, parts)
 

@@ -22,7 +22,8 @@ def solve_open_loop(
     """The shared backward recursion with nothing re-applied after a deviation.
 
     The stage gain matrix is cov_weight[k+1] * Cov(O_k), and each stage checks
-    the range condition on the mean excess return.
+    the range condition on the mean excess return. moments, if given, must be
+    derive_excess_moments(spec) (backward_recursion).
     """
     return backward_recursion(spec, moments, PolicyKind.OPEN_LOOP)[0]
 

@@ -12,8 +12,8 @@ cp = s_k + mean . P, the applied one cm = s_k + mean . K and the covariance
 cross term. G is Cov(O_k) plus a rank-one term in the mean, and all three
 right-hand sides (the range condition's mean and the two targets) are
 multiples of the mean, so one weight-free solve Cov(O_k)^+ mean per stage,
-made before the loop (``linalg.covariance_solve``) with the market's one
-decomposition of each covariance (``MarketSpec.cov_certificate``), gives the
+the market's one decomposition and solve of each covariance, cached on the
+spec (``MarketSpec.cov_solve``, ``linalg.covariance_solve``), gives the
 gains, the offsets and every range residual in closed form, and linalg's
 rank rule on the same quantities gives G's rank and the PSD test: no stage
 decomposes G. The loop itself carries scalars only, a few per strategy part
@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import covariance_solve, gain_eigenvalues
+from .linalg import gain_eigenvalues
 from .market import ExcessMoments, MarketSpec, ValidationError, derive_excess_moments
 from .policy import AffinePolicy, InternalInconsistencyError, NonexistenceReport, PolicyKind, PureFeedbackPart
 from .policy import FailingCondition as Cond
@@ -149,8 +149,9 @@ def backward_recursion(
 ) -> list[EquilibriumSolution | NonexistenceReport]:
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
-    moments is derive_excess_moments(spec), or None to derive it here; the
-    covariance decompositions come from spec.cov_certificate, their one cache.
+    moments must be derive_excess_moments(spec), or None to derive it here:
+    the covariance solves come from spec.cov_solve, their one cache, solved
+    for the spec's own excess mean, so other moments would mix two markets.
     feedback_parts are the mixed solutions' strategy parts P, one row per
     stage each, kept on the solutions; the mixed kind requires them, the
     others refuse them, and a part not of shape (N, m) raises ValueError.
@@ -186,7 +187,7 @@ def backward_recursion(
         parts = np.array([p.gains for p in feedback_parts]).reshape(-1, N, m)
     D, n, feedback = len(parts), N - t, kind is PolicyKind.FEEDBACK
     cov, mean, riskless = moments.cov_excess[t:], moments.mean_excess[t:], spec.riskless[t:]
-    stages = covariance_solve(cov, mean, spec.cov_certificate.from_stage(t))
+    stages = spec.cov_solve.from_stage(t)
 
     # the dot products the loop reads, for b = y or mu's kernel part: b . mu,
     # and b . Sigma b / 2^e for feedback, which re-applies -dag_gain, a

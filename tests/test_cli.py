@@ -285,6 +285,25 @@ def test_malformed_market_json_exits_2(overrides, message, tmp_path, capsys):
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"mean_returns": [[1.05, 1.03], [1.05]]}, "mean_returns"),
+        ({"riskless": "abc"}, "riskless"),
+        ({"return_cov": [[0.0146, "x", 0.0145], [0.0187, 0.0854, 0.0104], [0.0145, 0.0104, 0.0289]]}, "return_cov"),
+        ({"mean_returns": {"a": 1}}, "mean_returns"),
+        # fails before allocating: the scalar riskless cannot span 1e300 stages
+        ({"horizon": 1e300}, "riskless"),
+    ],
+    ids=["ragged-mean", "string-riskless", "string-covariance-entry", "object-mean", "huge-horizon"],
+)
+def test_malformed_array_field_exits_2(overrides, field, tmp_path, capsys):
+    market = _preset_market_file(tmp_path / "market.json", **overrides)
+    assert main(["solve-open-loop", "--market", market]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"malformed array field {field}: " in captured.err
+
+
 def test_market_warnings_logged_not_printed(tmp_path, monkeypatch, capsys):
     market = _preset_market_file(tmp_path / "riskless1.json", riskless=1.0)
     argv = ["solve-open-loop", "--market", market, "--format", "csv"]

@@ -1,5 +1,6 @@
 """Market loading, validation, broadcasting, moments, and the range condition on them."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import mvequil as mv
 from mvequil import ValidationError
-from mvequil.linalg import covariance_solve
+from mvequil.linalg import covariance_solve, is_psd_spectrum
 
 from instgen import off_range_market, random_market
 
@@ -258,32 +259,34 @@ def _count_eigendecompositions(monkeypatch) -> list:
     return calls
 
 
-def test_validation_certificate_is_kept_and_handed_on(monkeypatch):
+def test_validation_solve_is_kept_and_handed_on(monkeypatch):
     raw = mv.get_preset(PRESET).to_json_dict()
     calls = _count_eigendecompositions(monkeypatch)
     spec = mv.make_market_spec(**raw)
     # validation certifies every stage of the preset by Cholesky: no eigendecomposition
-    assert calls == [] and spec.cov_certificate.certified.all()
-    assert "cov_certificate" not in spec.to_json_dict()
+    assert calls == [] and spec.cov_solve.certified.all()
+    assert "cov_solve" not in spec.to_json_dict()
     with pytest.raises(AttributeError):
-        spec.cov_certificate = None
-    # a moved spec shares the certificate, the moments the covariance
+        spec.cov_solve = None
+    with pytest.raises(ValueError, match="read-only"):
+        spec.cov_solve.y[0, 0] = 1.0
+    # a moved spec shares the solve, the moments the covariance
     moments = mv.derive_excess_moments(spec)
     moved = mv.with_initial_state(spec, t=2)
-    assert moved.cov_certificate is spec.cov_certificate
+    assert moved.cov_solve is spec.cov_solve
     assert moments.cov_excess is spec.return_cov  # a frozen array is shared, not copied
     assert calls == []
 
 
-def test_directly_built_spec_certifies_once_on_first_read(monkeypatch):
+def test_directly_built_spec_solves_once_on_first_read(monkeypatch):
     preset = mv.get_preset(PRESET)
     fields = ("horizon", "num_assets", "riskless", "mean_returns", "return_cov", "mu1", "mu2")
     spec = mv.MarketSpec(**{name: getattr(preset, name) for name in fields})
     calls = _count_eigendecompositions(monkeypatch)
-    assert "cov_certificate" not in spec.__dict__
-    cert = spec.cov_certificate
-    assert spec.cov_certificate is cert and cert.certified.all()
-    assert np.array_equal(cert.exponent, preset.cov_certificate.exponent)
+    assert "cov_solve" not in spec.__dict__
+    solve = spec.cov_solve
+    assert spec.cov_solve is solve and solve.certified.all()
+    assert np.array_equal(solve.exponent, preset.cov_solve.exponent)
     # the certificate certifies all four stages: no eigh
     assert calls == []
 
@@ -319,6 +322,52 @@ def test_the_first_stage_that_is_not_psd_is_named(stages):
         mv.make_market_spec(4, 2, 1.02, [1.05, 1.03], stages, 1.0, 1.0)
 
 
+def _straddling_spectra():
+    """Spectra whose lambda_min straddles the PSD slack -1e-10 max(1, lambda_max),
+    with the verdict is_psd_spectrum gives them."""
+    cases = []
+    for lam_max in (0.5, 4.0):  # max(1, lambda_max) is 1, then lambda_max
+        edge = -1e-10 * max(1.0, lam_max)
+        cases += [([edge * (1 - 1e-6), lam_max, 0.3], True), ([edge, lam_max, 0.3], True)]
+        cases += [([edge * (1 + 1e-6), lam_max, 0.3], False)]
+    # |lambda_min| > lambda_max, where lambda_max and the largest magnitude differ
+    cases += [([-5e-11, 1e-11, 1e-11], True), ([-2e-10, 1e-10, 1e-10], False), ([-0.5, 0.25, 0.1], False)]
+    cases += [([-3.0, 2.0, 1.0], False), ([-3.0, -1.0, -2.0], False)]
+    return cases
+
+
+@pytest.mark.parametrize("spectrum, psd", _straddling_spectra())
+@pytest.mark.parametrize("stage", [1, 3])
+def test_psd_verdict_is_that_of_the_full_spectrum(spectrum, psd, stage):
+    # diagonal stages, so every eigenvalue is exact; a certified stage and a
+    # rank-deficient one come first, and the candidate's eigenvalues are rolled
+    covs = [np.diag([0.04, 0.09, 0.01]), np.diag([1.0, 0.0, 0.5]), np.diag([0.02, 0.03, 0.05])]
+    covs.insert(stage, np.diag(np.roll(spectrum, stage)))
+    covs = np.array(covs)
+    w = np.linalg.eigvalsh(covs)
+    fails = np.flatnonzero(~is_psd_spectrum(w))
+    assert fails.tolist() == ([] if psd else [stage])
+
+    def build():
+        return mv.make_market_spec(4, 3, 1.02, [1.05, 1.03, 1.04], covs, 1.0, 1.0)
+
+    if psd:
+        build()
+    else:
+        with pytest.raises(ValidationError) as raised:
+            build()
+        assert str(raised.value) == f"covariance not PSD at stage {stage} (min eigenvalue {w[stage, 0]:.3e})"
+
+
+def test_psd_verdict_reads_the_signed_spectrum_past_the_float_range():
+    # negative semidefinite: lambda_min overflows to -inf while lambda_max is 0,
+    # and the largest eigenvalue magnitude, inf, would forgive it
+    stage = [[-1e308, 1e308], [1e308, -1e308]]
+    with pytest.raises(ValidationError) as raised:
+        mv.make_market_spec(2, 2, 1.02, [1.05, 1.03], [np.eye(2), stage], 1.0, 1.0)
+    assert str(raised.value) == "covariance not PSD at stage 1 (min eigenvalue -inf)"
+
+
 def test_zero_excess_moments():
     spec = mv.make_market_spec(
         horizon=2,
@@ -348,14 +397,8 @@ def test_single_asset_moments():
     assert moments.cov_excess[0, 0, 0] == pytest.approx(0.04)
 
 
-def _covariance_solve(spec):
-    """The recursion's range test on every stage of spec."""
-    moments = mv.derive_excess_moments(spec)
-    return covariance_solve(moments.cov_excess, moments.mean_excess, spec.cov_certificate)
-
-
 def test_range_condition_preset_and_degenerate():
-    assert _covariance_solve(mv.get_preset(PRESET)).in_range.all()
+    assert mv.get_preset(PRESET).cov_solve.in_range.all()
 
     spec = mv.make_market_spec(
         horizon=2,
@@ -366,7 +409,7 @@ def test_range_condition_preset_and_degenerate():
         mu1=1.0,
         mu2=1.0,
     )
-    stages = _covariance_solve(spec)
+    stages = spec.cov_solve
     assert stages.in_range.tolist() == [False, False]
     assert np.all(stages.kernel_norm > 0.05)
     # the open-loop solve reports the last stage that fails, with its residual
@@ -416,9 +459,12 @@ def test_range_condition_equals_a_per_stage_eigenbasis_loop():
         residuals = np.array([residual for _, residual, _ in loop])
         tolerance = 1e-13 * np.maximum(1.0, np.linalg.norm(moments.mean_excess, axis=1))
         for t in range(spec.horizon):
-            # the recursion's solve of the stages from t on
-            certificate = spec.cov_certificate.from_stage(t)
-            stages = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:], certificate)
+            # the recursion's solve of the stages from t on: the spec's, sliced,
+            # is bitwise a solve of those stages alone
+            stages = spec.cov_solve.from_stage(t)
+            alone = covariance_solve(moments.cov_excess[t:], moments.mean_excess[t:])
+            for field in dataclasses.fields(stages):
+                assert np.array_equal(getattr(stages, field.name), getattr(alone, field.name)), field.name
             assert stages.in_range.tolist() == per_stage[t:]
             assert np.all(np.abs(stages.kernel_norm - residuals[t:]) <= tolerance[t:])
-    assert _covariance_solve(off_range).in_range.tolist() == [False, False, True]
+    assert off_range.cov_solve.in_range.tolist() == [False, False, True]

@@ -97,6 +97,22 @@ def test_batch_decomposes_once_per_stage_for_all_draws(monkeypatch, tmp_path, ma
     assert out.read_text().count(",solved,") == 16 * spec.horizon
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["reproduce-example"]])
+def test_one_covariance_solve_per_market(monkeypatch, capsys, argv):
+    # both commands solve all three notions; each reads the market's one solve
+    calls = []
+    original = np.linalg.solve
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    main(argv)
+    capsys.readouterr()
+    assert calls == [(4, 3, 3)]
+
+
 @pytest.mark.parametrize("kind", ["open_loop", "feedback", "mixed"])
 @pytest.mark.parametrize("start", [0, 2])
 def test_market_validation_eigenvalues_serve_the_solve(monkeypatch, kind, start):
@@ -112,7 +128,7 @@ def test_market_validation_eigenvalues_serve_the_solve(monkeypatch, kind, start)
     assert not isinstance(solve(spec), NonexistenceReport)
     # validation certifies all four stages, and the solve reuses its
     # certificate: neither decomposes, from any start stage
-    assert calls == [] and spec.cov_certificate.certified.all()
+    assert calls == [] and spec.cov_solve.certified.all()
 
 
 @pytest.mark.parametrize(
