@@ -197,7 +197,8 @@ class CovarianceSolve:
     tr >= lambda_max for a PSD matrix, so a certified stage is positive
     definite and full rank under the cutoff, with a factor 2 to spare for the
     factorization's rounding. One stacked eigh decomposes the other stages:
-    psd (N,) is is_psd_spectrum of Sigma's signed spectrum there, True on the
+    psd (N,) is is_psd_spectrum of Sigma's signed spectrum there, decided in
+    units of 2^e so that it holds past the float range, True on the
     certified stages; min_eigenvalue (N,) and sigma_max (N,) are Sigma's
     smallest eigenvalue and largest eigenvalue magnitude there, zero on the
     certified stages, whose kernel is zero. rank (N,) under the cutoff;
@@ -376,8 +377,11 @@ def covariance_solve(cov: np.ndarray, mean: np.ndarray) -> CovarianceSolve:
     eig = eigenbasis(scaled) if len(scaled) else Eigenbasis(np.zeros((0, m)), scaled, np.zeros((0, m), dtype=bool))
     rank, psd, min_eigenvalue, sigma_max = np.full(n, m), np.ones(n, dtype=bool), np.zeros(n), np.zeros(n)
     rank[uncertified] = eig.rank
-    extremes = np.ldexp(eig.eigenvalues[:, [0, -1]], e[uncertified, None])  # signed lambda_min and lambda_max
-    psd[uncertified], min_eigenvalue[uncertified] = is_psd_spectrum(extremes), extremes[:, 0]
+    # the PSD verdict in the solve's 2^e units, where both extremes are finite:
+    # lambda_min / 2^e >= -tol * max(2^-e, lambda_max / 2^e), is_psd_spectrum's rule scaled exactly
+    lowest, highest = eig.eigenvalues[:, 0], eig.eigenvalues[:, -1]
+    psd[uncertified] = lowest >= -DEFAULT_PSD_TOL * np.maximum(np.ldexp(1.0, -e[uncertified]), highest)
+    min_eigenvalue[uncertified] = np.ldexp(lowest, e[uncertified])
     sigma_max[uncertified] = np.ldexp(np.abs(eig.eigenvalues).max(axis=-1, initial=0.0), e[uncertified])
     y, kernel = np.zeros_like(mean), np.zeros_like(mean)
     full = np.flatnonzero(rank == m)

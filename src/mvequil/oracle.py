@@ -18,7 +18,7 @@ moments, enumerating no suffix scenario; with the stage's own moments they give
 each node's cost and gradient and the stage's shared Hessian. verify_equilibrium
 runs the pass once, tests all nodes of a stage at once and returns one
 VerificationResult of per-node arrays; evaluate_cost_exact reads one node's
-cost. spike_cost, the brute-force reference, alone walks suffix scenarios.
+cost and spike_cost one deviation's. No function walks suffix scenarios.
 
 The deviation notions differ only in the part P of each later control that is
 re-applied to the deviated wealth, u_dev = P X_dev + (u* - P X*): P = 0 (open
@@ -135,14 +135,8 @@ def _continuation(target, semantics: PolicyKind | None = None):
     return applied, semantics, part.gains[applied.start_stage :]
 
 
-def _suffix_index(total: int, sizes: list[int], stage_pos: int) -> np.ndarray:
-    stride = math.prod(sizes[stage_pos + 1 :])
-    return (np.arange(total) // stride) % sizes[stage_pos]
-
-
-def _check_tree(tree: ScenarioTree, spec: MarketSpec, start: int | None = None):
-    """ValueError unless the tree has the market's stages and assets; ValidationError
-    if it has more than MAX_LEAF_PATHS leaf paths from stage start, when given."""
+def _check_tree(tree: ScenarioTree, spec: MarketSpec):
+    """ValueError unless the tree has the market's stages and assets."""
     market = (spec.horizon, spec.num_assets)
     if tree.mean.shape != market:
         raise ValueError(f"tree of (stages, assets) {tree.mean.shape} does not match the market's {market}")
@@ -152,12 +146,19 @@ def _check_tree(tree: ScenarioTree, spec: MarketSpec, start: int | None = None):
             f"tree factors of shapes {shapes} do not match the market's (stages, assets) {market}: "
             "one (assets, rank) factor per stage"
         )
-    leaves = 0 if start is None else tree.leaf_count(start)
-    if leaves > MAX_LEAF_PATHS:
-        raise ValidationError(
-            f"tree has 10^{math.log10(leaves):.1f} leaf paths from stage {start}, above the exact-evaluation "
-            f"cap of 10^{math.log10(MAX_LEAF_PATHS):g}; use Monte Carlo instead"
-        )
+
+
+def _stage_moments(tree: ScenarioTree, spec: MarketSpec, policy, k: int | None, semantics: PolicyKind | None):
+    """The applied policy, stage k (default its first) and the moments of (beta, rho, alpha) after it.
+
+    ValueError unless stage k is one of the policy's and the tree fits the market.
+    """
+    applied, _, reapplied = _continuation(policy, semantics)
+    k = applied.start_stage if k is None else int(k)
+    applied.row(k)
+    _check_tree(tree, spec)
+    mean, cov = _coefficient_moments(tree, spec, applied, reapplied, k)[0]
+    return applied, k, mean, cov
 
 
 def evaluate_cost_exact(
@@ -170,12 +171,8 @@ def evaluate_cost_exact(
     policy is an AffinePolicy or a solution holding one. A cost that
     overflows a float raises ValidationError naming the wealth.
     """
-    applied = _policy_of(policy)
-    k = applied.start_stage if k is None else int(k)
-    applied.row(k)  # ValueError unless stage k is one of the policy's
-    _check_tree(tree, spec)
     # J* reads only rho and alpha; re-applying the own gains makes beta rho, so beta cannot overflow alone
-    mean, cov = _coefficient_moments(tree, spec, applied, applied.gains, k)[0]
+    applied, k, mean, cov = _stage_moments(tree, spec, policy, k, PolicyKind.FEEDBACK)
     x = np.array([spec.initial_wealth if x is None else float(x)])
     return float(_own_costs(tree, spec, applied, k, mean, cov, x)[-1][0])
 
@@ -192,38 +189,21 @@ def spike_cost(
 ) -> float:
     """Exact cost of deviating to u at (k, x), continuation per the semantics.
 
-    Each scenario carries the deviated and the undeviated wealth forward on
-    its own; the frozen continuations replay the undeviated path. A cost that
-    overflows a float raises ValidationError naming the wealth.
-
-    This brute-force reference carries whole wealths and atoms, so it loses the
-    spread where the covariance is small against the mean's square. With mean
-    excess returns of a few percent it agrees with verify_equilibrium's closed
-    form within about 1e-11 of max(1, |J*|) on a covariance of scale 1e-12,
-    1e-9 at 1e-16 and only 1e-2 at 1e-30.
+    The cost is the quadratic J* + g.d + d'Hd / 2 in d = u - u*, with the
+    gradient g and Hessian H that best_spike_deviation minimizes, from the same
+    backward moment pass, so the tree may have any number of leaf paths. u
+    must have the market's shape (m,). A cost that overflows a float raises
+    ValidationError naming the wealth.
     """
-    applied, _, reapplied = _continuation(policy, semantics)
-    u_star_k = applied.control(k, x)
-    _check_tree(tree, spec, k)
-    atoms = [tree.atoms(stage) for stage in range(k, spec.horizon)]
-    sizes = [len(a) for a in atoms]
-    total = math.prod(sizes)
+    applied, k, mean, cov = _stage_moments(tree, spec, policy, k, semantics)
     u = np.asarray(u, dtype=float)
-
-    o_k = atoms[0][_suffix_index(total, sizes, 0)]
-    # einsum sums each row as the later stages do; a matrix-vector product rounds otherwise
-    X_star = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u_star_k)
-    X_dev = spec.riskless[k] * x + np.einsum("ij,j->i", o_k, u)
-    for pos, stage in enumerate(range(k + 1, spec.horizon), start=1):
-        o = atoms[pos][_suffix_index(total, sizes, pos)]
-        u_star = np.outer(X_star, applied.gain(stage)) + applied.offset(stage)
-        P = reapplied[applied.row(stage)]
-        u_dev = np.outer(X_dev, P) + (u_star - np.outer(X_star, P))
-        X_star = spec.riskless[stage] * X_star + np.einsum("ij,ij->i", o, u_star)
-        X_dev = spec.riskless[stage] * X_dev + np.einsum("ij,ij->i", o, u_dev)
-    cost = float(X_dev.var() - (spec.mu1 * x + spec.mu2) * X_dev.mean())  # equally likely scenarios
+    if u.shape != (spec.num_assets,):
+        raise ValueError(f"deviation of shape {u.shape} does not match the market's {(spec.num_assets,)}")
+    u_star, grad, hess, j_star = _derivatives(tree, spec, applied, k, mean, cov, np.array([float(x)]))
+    d = u - u_star[0]
+    cost = float(j_star[0] + grad[0] @ d + 0.5 * d @ hess @ d)
     if not math.isfinite(cost):
-        raise ValidationError(f"wealth {x:g}: the policy's cost overflows")
+        raise ValidationError(f"wealth {x:g} at stage {k}: the deviation's cost overflows")
     return cost
 
 
@@ -246,10 +226,7 @@ def best_spike_deviation(
     unbounded one (gradient outside the Hessian's column space) returns cost
     -inf.
     """
-    applied, _, reapplied = _continuation(policy, semantics)
-    applied.row(k)  # ValueError unless stage k is one of the policy's
-    _check_tree(tree, spec)
-    mean, cov = _coefficient_moments(tree, spec, applied, reapplied, k)[0]
+    applied, k, mean, cov = _stage_moments(tree, spec, policy, k, semantics)
     u_dev, j_dev, _ = _best_spikes(tree, spec, applied, k, mean, cov, np.array([float(x)]))
     return u_dev[0], float(j_dev[0])
 
@@ -314,15 +291,14 @@ def _own_costs(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: i
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing derivative is rejected, not warned about
-def _best_spikes(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
-    """Best deviation, its cost and the policy's own cost at nodes of stage k, arguments as for _own_costs.
+def _derivatives(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
+    """u*, the deviation cost's gradients and Hessian in d, and J* at nodes of stage k, arguments as for _own_costs.
 
     A deviation to u* + d leaves the stage-k wealths X_dev - X* = o.d and X* =
     s x + o.u*, so w's first entry becomes o.d, and the cost's derivatives in d
-    are the gradient and the Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu').
-    The Hessian is shared by every node, so one eigendecomposition gives the
-    convexity check, and one least-norm solve through it gives every node's
-    step and whether its gradient lies in the Hessian's range.
+    are the gradient and the Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu'),
+    which every node shares. A derivative beyond a float raises
+    ValidationError naming the wealth.
     """
     mu, sigma = tree.mean[k], tree.implied_cov(k)
     second = cov + np.outer(mean, mean)
@@ -333,7 +309,18 @@ def _best_spikes(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k:
     overflow = ~np.isfinite(grad).all(axis=1) | ~np.isfinite(hess).all()
     if overflow.any():
         raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the deviation cost's derivatives overflow")
+    return u, grad, hess, j_star
 
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
+def _best_spikes(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
+    """Best deviation, its cost and the policy's own cost at nodes of stage k, arguments as for _own_costs.
+
+    The Hessian is shared by every node, so one eigendecomposition gives the
+    convexity check, and one least-norm solve through it gives every node's
+    step and whether its gradient lies in the Hessian's range.
+    """
+    u, grad, hess, j_star = _derivatives(tree, spec, applied, k, mean, cov, x)
     # a Hessian whose largest entry passes 1 is decomposed, with the gradients,
     # in units of that entry's power of two 2^e: the step is the same, the
     # spectrum stays in the float range, and the range test's floor of 1
@@ -390,7 +377,13 @@ def verify_equilibrium(
     """
     applied, semantics, reapplied = _continuation(policy, semantics)
     t = applied.start_stage
-    _check_tree(tree, spec, t)
+    _check_tree(tree, spec)
+    leaves = tree.leaf_count(t)
+    if leaves > MAX_LEAF_PATHS:
+        raise ValidationError(
+            f"tree has 10^{math.log10(leaves):.1f} leaf paths from stage {t}, above the exact-evaluation "
+            f"cap of 10^{math.log10(MAX_LEAF_PATHS):g}; use Monte Carlo instead"
+        )
     per_stage = []  # (j_star, j_dev, u_dev) of each stage's nodes
     states = np.array([spec.initial_wealth])
     moments = _coefficient_moments(tree, spec, applied, reapplied, t)

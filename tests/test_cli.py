@@ -226,6 +226,10 @@ _FLOAT_RANGE_MARKETS = {
     "mean-1e200": _scaled_market(mean_returns=[1e200, 1.03]),
     "cov-1e-160": _scaled_market(return_cov=[[1e-160, 0], [0, 2e-160]]),
     "cov-1e-310": _scaled_market(horizon=2, return_cov=[[1e-310, 0], [0, 2e-310]]),
+    # not valid: an indefinite stage whose eigenvalues overflow is not PSD
+    "cov-indefinite-1e308": _scaled_market(
+        horizon=2, return_cov=[[[0.02, 0], [0, 0.03]], [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]]
+    ),
 }
 _FLOAT_RANGE_COMMANDS = {
     "solve-open-loop": ["solve-open-loop"],
@@ -255,7 +259,8 @@ _FLOAT_RANGE_CODES = {
     ]
     # the 2-stage subnormal covariance: stage 0's gain matrix overflows, and
     # from --t 1 the weights carried back from stage 1 do
-    + [("cov-1e-310", "solve-feedback", 2), ("cov-1e-310", "solve-feedback-from-1", 2)],
+    + [("cov-1e-310", "solve-feedback", 2), ("cov-1e-310", "solve-feedback-from-1", 2)]
+    + [("cov-indefinite-1e308", "solve-feedback", 2), ("cov-indefinite-1e308", "verify", 2)],
 )
 def test_values_out_of_the_float_range_exit_2(market, command, code, tmp_path, capsys):
     # an overflow or underflow on valid input is a validation error, never exit 1, a

@@ -366,6 +366,12 @@ def test_psd_verdict_reads_the_signed_spectrum_past_the_float_range():
     with pytest.raises(ValidationError) as raised:
         mv.make_market_spec(2, 2, 1.02, [1.05, 1.03], [np.eye(2), stage], 1.0, 1.0)
     assert str(raised.value) == "covariance not PSD at stage 1 (min eigenvalue -inf)"
+    # indefinite, with lambda_min and lambda_max overflowing to -inf and inf: the
+    # slack -tol * inf would forgive it, so the verdict reads the spectrum in 2^e units
+    stage = [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]
+    with pytest.raises(ValidationError) as raised:
+        mv.make_market_spec(2, 2, 1.02, [1.05, 1.03], [np.diag([0.02, 0.03]), stage], 1.0, 1.0)
+    assert str(raised.value) == "covariance not PSD at stage 1 (min eigenvalue -inf)"
 
 
 def test_zero_excess_moments():

@@ -15,6 +15,7 @@ import mvequil as mv
 from mvequil import AffinePolicy, PolicyKind, ScenarioTree
 from mvequil import oracle as oracle_module
 
+from exact import exact_spike_cost, leaf_walk_cost
 from instgen import SMALL_SCALES, TINY_SCALES, random_market, small_scale_market
 
 PRESET = "li-duan-example-2"
@@ -210,7 +211,7 @@ def test_spike_at_own_action_reproduces_exact_cost(preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_feedback(spec)
     for semantics in (PolicyKind.OPEN_LOOP, PolicyKind.FEEDBACK):
-        j = mv.spike_cost(tree, spec, sol.policy, 1, 1.3, sol.policy.control(1, 1.3), semantics)
+        j = leaf_walk_cost(tree, spec, sol.policy, 1, 1.3, sol.policy.control(1, 1.3), semantics)
         assert j == pytest.approx(mv.evaluate_cost_exact(tree, spec, sol.policy, 1, 1.3), abs=1e-10)
 
 
@@ -241,11 +242,11 @@ def test_best_spike_quadratic_fit_fidelity(preset_setup):
     rng = np.random.default_rng(4)
     for k, x in ((0, 1.0), (2, 1.7)):
         u_star, j_dev = mv.best_spike_deviation(tree, spec, sol.policy, k, x)
-        direct = mv.spike_cost(tree, spec, sol.policy, k, x, u_star)
+        direct = leaf_walk_cost(tree, spec, sol.policy, k, x, u_star)
         assert direct == pytest.approx(j_dev, abs=1e-9)
         for _ in range(4):
             probe = u_star + 0.5 * rng.standard_normal(3)
-            assert mv.spike_cost(tree, spec, sol.policy, k, x, probe) >= j_dev - 1e-9
+            assert leaf_walk_cost(tree, spec, sol.policy, k, x, probe) >= j_dev - 1e-9
 
 
 def test_best_spike_hand_minimizer_single_asset():
@@ -317,13 +318,13 @@ def test_leaf_cap_message_gives_the_leaf_count_as_a_power_of_ten(monkeypatch):
     zero = np.zeros((spec.horizon, spec.num_assets))
     policy = AffinePolicy(kind=PolicyKind.OPEN_LOOP, start_stage=0, gains=zero, offsets=zero)
     with pytest.raises(mv.ValidationError, match=r"^tree has 10\^\d+\.\d leaf paths from stage 0") as caught:
-        mv.spike_cost(tree, spec, policy, 0, spec.initial_wealth, np.zeros(spec.num_assets))
-    assert len(str(caught.value)) < 200
-    with pytest.raises(mv.ValidationError, match=r"^tree has 10\^\d+\.\d leaf paths from stage 0"):
         mv.verify_equilibrium(tree, spec, policy)
-    # the exact cost reads the moment pass: the zero policy's cost is riskless growth alone
+    assert len(str(caught.value)) < 200
+    # the exact costs read the moment pass: the zero policy's cost is riskless growth alone
     expected = -(spec.mu1 * spec.initial_wealth + spec.mu2) * np.prod(spec.riskless) * spec.initial_wealth
     assert mv.evaluate_cost_exact(tree, spec, policy) == pytest.approx(expected, rel=1e-12)
+    own = mv.spike_cost(tree, spec, policy, 0, spec.initial_wealth, policy.control(0, spec.initial_wealth))
+    assert own == pytest.approx(mv.evaluate_cost_exact(tree, spec, policy), rel=1e-12)
 
 
 def test_overflowing_hessian_raises_validation_error(monkeypatch):
@@ -384,7 +385,7 @@ def _node_wealths(tree, spec, policy):
 
 
 def _spike_cost_cross_check(tree, spec, target, semantics, last_stage=math.inf):
-    """Largest normalized distance of each node's costs, exact cost included, from brute-force spike costs.
+    """Largest normalized distance of each node's costs, exact and spike costs included, from leaf walks.
 
     Nodes after last_stage are verified but not cross-checked.
     """
@@ -398,12 +399,13 @@ def _spike_cost_cross_check(tree, spec, target, semantics, last_stage=math.inf):
             break  # nodes run stage by stage
         x = float(states[k - applied.start_stage][node])
         scale = max(1.0, abs(j_star))
-        own = mv.spike_cost(tree, spec, target, k, x, applied.control(k, x), semantics)
+        own = leaf_walk_cost(tree, spec, target, k, x, applied.control(k, x), semantics)
         exact = mv.evaluate_cost_exact(tree, spec, target, k, x)
         worst = max(worst, abs(own - j_star) / scale, abs(own - exact) / scale)
         if math.isfinite(j_dev):
-            dev = mv.spike_cost(tree, spec, target, k, x, deviation, semantics)
-            worst = max(worst, abs(dev - j_dev) / scale)
+            dev = leaf_walk_cost(tree, spec, target, k, x, deviation, semantics)
+            spike = mv.spike_cost(tree, spec, target, k, x, deviation, semantics)
+            worst = max(worst, abs(dev - j_dev) / scale, abs(dev - spike) / scale)
     return worst, result
 
 
@@ -435,12 +437,12 @@ def test_closed_form_reports_match_brute_force_spike_costs(preset_setup):
             err, result = _spike_cost_cross_check(tree, spec, target, semantics, last_stage)
             worst = max(worst, err)
             cross_failures += not result.passed.all()
-    assert worst <= 1e-10, f"closed-form costs differ from spike_cost by {worst:.2e}"
+    assert worst <= 1e-10, f"closed-form costs differ from the leaf walk by {worst:.2e}"
     assert cross_failures > 0  # the cross-semantics pairs do exercise improving deviations
 
 
 def test_brute_force_reference_holds_at_a_covariance_of_1e_12():
-    # spike_cost carries whole wealths and atoms, so its digits set the scale its cross-check reaches
+    # the leaf walk carries whole wealths and atoms, so its digits set the scale its cross-check reaches
     spec = small_scale_market(1e-12)
     moments = mv.derive_excess_moments(spec)
     tree = mv.build_matched_tree(moments)
@@ -452,7 +454,79 @@ def test_brute_force_reference_holds_at_a_covariance_of_1e_12():
     for target in solutions:
         err, result = _spike_cost_cross_check(tree, spec, target, target.policy.kind)
         assert result.passed.all()
-        assert err <= 1e-10, f"{target.policy.kind}: closed-form costs differ from spike_cost by {err:.2e}"
+        assert err <= 1e-10, f"{target.policy.kind}: closed-form costs differ from the leaf walk by {err:.2e}"
+
+
+def _assert_costs_match_the_exact_reference(spec):
+    """Every notion's spike costs at u* and three random u, its exact cost and its best
+    deviation's cost at the initial state agree with exact rational leaf walks within 1e-12."""
+    k, x = spec.initial_time, spec.initial_wealth
+    moments = mv.derive_excess_moments(spec)
+    tree = mv.build_matched_tree(moments)
+    part = mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)
+    solutions = (
+        mv.solve_open_loop(spec, moments),
+        mv.solve_feedback(spec, moments),
+        mv.solve_mixed(spec, part, moments),
+    )
+    rng = np.random.default_rng(0)
+    checked = 0
+    for sol in solutions:
+        if isinstance(sol, mv.NonexistenceReport):
+            continue
+        u_star = sol.policy.control(k, x)
+        spread = max(1.0, np.abs(u_star).max())
+        probes = [u_star] + [u_star + spread * rng.standard_normal(spec.num_assets) for _ in range(3)]
+        u_dev, j_dev = mv.best_spike_deviation(tree, spec, sol, k, x)
+        claims = [(u, mv.spike_cost(tree, spec, sol, k, x, u)) for u in probes]
+        claims += [(u_star, mv.evaluate_cost_exact(tree, spec, sol, k, x)), (u_dev, j_dev)]
+        for u, claimed in claims:
+            assert claimed == pytest.approx(exact_spike_cost(tree, spec, sol, k, x, u), rel=1e-12)
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("scale", SMALL_SCALES + TINY_SCALES)
+def test_costs_match_the_exact_reference_at_every_scale(scale):
+    # exact arithmetic keeps the spread that the float leaf walk loses from about 1e-30 on
+    spec = small_scale_market(scale)
+    assert _assert_costs_match_the_exact_reference(spec) == 3
+
+
+def test_costs_match_the_exact_reference_on_random_markets():
+    checked = 0
+    for seed in range(60):
+        spec = random_market(seed)
+        if mv.build_matched_tree(mv.derive_excess_moments(spec)).leaf_count() <= 7**3:
+            checked += _assert_costs_match_the_exact_reference(spec)
+    assert checked > 100
+
+
+def test_exact_references_use_no_private_oracle_helper():
+    # a reference that shared the oracle's private code would check the oracle against itself
+    source = ast.parse((Path(__file__).parent / "exact.py").read_text())
+    imported, private = [], []
+    for node in ast.walk(source):
+        if isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            private.append(node.attr)
+    assert ("mvequil", "AffinePolicy") in imported
+    for module, name in imported:
+        if module.split(".")[0] == "mvequil":
+            assert module == "mvequil" and not name.startswith("_"), (module, name)
+    assert not private, private
+
+
+def test_spike_cost_rejects_a_deviation_of_another_shape(preset_setup):
+    # the closed form would broadcast a scalar or a longer u silently
+    spec, _, tree = preset_setup
+    sol = mv.solve_open_loop(spec)
+    for u, shape in ((1.0, r"\(\)"), (np.zeros(2), r"\(2,\)"), (np.zeros((1, 3)), r"\(1, 3\)")):
+        with pytest.raises(ValueError, match=rf"deviation of shape {shape} does not match the market's \(3,\)"):
+            mv.spike_cost(tree, spec, sol, 0, 1.0, u)
 
 
 def _six_stage_market():
@@ -572,8 +646,6 @@ def test_leaf_cap_guards_exact_evaluation():
     )
     message = r"tree has 10\^11\.9 leaf paths from stage 0, .* cap of 10\^7;"
     with pytest.raises(ValueError, match=message):
-        mv.spike_cost(tree, spec, policy, 0, 1.0, np.zeros(1))
-    with pytest.raises(ValueError, match=message):
         mv.verify_equilibrium(tree, spec, policy)
     # the zero policy's own cost is riskless growth alone, under the cap or not
     assert tree.leaf_count(start=15) == 3**10 < mv.MAX_LEAF_PATHS
@@ -582,6 +654,8 @@ def test_leaf_cap_guards_exact_evaluation():
     assert mv.spike_cost(tree, spec, policy, 15, 1.0, np.zeros(1)) == pytest.approx(cost, rel=1e-12)
     cost = mv.evaluate_cost_exact(tree, spec, policy, 0, 1.0)
     assert cost == pytest.approx(-(spec.mu1 + spec.mu2) * 1.01**25, rel=1e-12)
+    # the deviation cost reads the same moment pass, so it has no cap either
+    assert mv.spike_cost(tree, spec, policy, 0, 1.0, np.zeros(1)) == pytest.approx(cost, rel=1e-12)
     # the spike test enumerates no suffix scenario: it has no cap. With nothing invested later the
     # terminal wealth is g (s x + o u), g = 1.01^24, so the best u is (mu1 x + mu2) E[o] / (2 g Var(o))
     u, j = mv.best_spike_deviation(tree, spec, policy, 0, 1.0)
