@@ -15,10 +15,10 @@ alpha is the undeviated path's drift from the offsets. Because each stage's
 factor is independent of the later ones, the mean and covariance of (beta,
 rho, alpha) go backward exactly, one stage at a time, from the tree's stored
 moments, enumerating no suffix scenario; with the stage's own moments they give
-each node's cost and gradient and the stage's shared Hessian. verify_equilibrium
-runs the pass once, tests all nodes of a stage at once and returns one
-VerificationResult of per-node arrays; evaluate_cost_exact reads one node's
-cost and spike_cost one deviation's. No function walks suffix scenarios.
+each node's own cost J* (from rho and alpha alone, so one number under every
+semantics), its gradient and the stage's shared Hessian; verify_equilibrium tests
+a stage's nodes at once. Each answer raises ValidationError only where what it
+reads overflows: J*, the derivatives in the deviation tests, spike_cost's cost off u*.
 
 The deviation notions differ only in the part P of each later control that is
 re-applied to the deviated wealth, u_dev = P X_dev + (u* - P X*): P = 0 (open
@@ -77,6 +77,9 @@ class ScenarioTree:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float)  # private copies to freeze
         factors = tuple(np.array(F, dtype=float) for F in self.factors)
+        finite = [np.isfinite(a).all() and np.isfinite(F).all() for a, F in zip(mean, factors)]
+        if not all(finite):
+            raise ValueError(f"tree stage {finite.index(False)} has a non-finite mean or factor entry")
         for arr in (mean, *factors):
             arr.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -171,10 +174,10 @@ def evaluate_cost_exact(
     policy is an AffinePolicy or a solution holding one. A cost that
     overflows a float raises ValidationError naming the wealth.
     """
-    # J* reads only rho and alpha; re-applying the own gains makes beta rho, so beta cannot overflow alone
+    # J* reads only rho and alpha, which no semantics changes: feedback's needs no strategy part
     applied, k, mean, cov = _stage_moments(tree, spec, policy, k, PolicyKind.FEEDBACK)
     x = np.array([spec.initial_wealth if x is None else float(x)])
-    return float(_own_costs(tree, spec, applied, k, mean, cov, x)[-1][0])
+    return float(_stage_quadratic(tree, spec, applied, k, mean, cov, x)[1][0])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
@@ -199,12 +202,14 @@ def spike_cost(
     u = np.asarray(u, dtype=float)
     if u.shape != (spec.num_assets,):
         raise ValueError(f"deviation of shape {u.shape} does not match the market's {(spec.num_assets,)}")
-    u_star, grad, hess, j_star = _derivatives(tree, spec, applied, k, mean, cov, np.array([float(x)]))
+    x = np.array([float(x)])
+    u_star, j_star, grad, hess = _stage_quadratic(tree, spec, applied, k, mean, cov, x)
     d = u - u_star[0]
-    cost = float(j_star[0] + grad[0] @ d + 0.5 * d @ hess @ d)
-    if not math.isfinite(cost):
-        raise ValidationError(f"wealth {x:g} at stage {k}: the deviation's cost overflows")
-    return cost
+    if not d.any():
+        return float(j_star[0])
+    cost = j_star + grad[0] @ d + 0.5 * d @ hess @ d
+    _reject_overflow(np.isfinite(cost), x, k, "the deviation's cost overflows")
+    return float(cost[0])
 
 
 def best_spike_deviation(
@@ -253,10 +258,15 @@ def _coefficient_moments(
         s = spec.riskless[stage]
         A = np.stack([reapplied[applied.row(stage)], applied.gain(stage), applied.offset(stage)], axis=1)
         a, b, d = np.array([s, s, 0.0]) + tree.mean[stage] @ A
-        G = np.array([[a, 0.0, 0.0], [0.0, b, 0.0], [0.0, d, 1.0]])
         S = cov + np.outer(mean, mean)
-        cov = G @ cov @ G.T + (A.T @ tree.implied_cov(stage) @ A) * S[np.ix_(p, p)]
-        mean = G @ mean
+        # G by rows, then columns: beta's entries meet no zero of G, so their overflow stays out of rho and alpha
+        scale = np.array([a, b, 1.0])
+        rows = cov * scale[:, None]
+        rows[2] += d * cov[1]
+        cov = rows * scale
+        cov[:, 2] += d * rows[:, 1]
+        cov += (A.T @ tree.implied_cov(stage) @ A) * S[np.ix_(p, p)]
+        mean = np.array([a * mean[0], b * mean[1], mean[2] + d * mean[1]])
         moments.append((mean, cov))
     return moments[::-1]
 
@@ -265,62 +275,53 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
-def _own_costs(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
-    """u*, Sigma u*, C_v E[w], mu1 x + mu2 and the policy's own cost J* at nodes of stage k.
+def _reject_overflow(finite: np.ndarray, x: np.ndarray, k: int, what: str):
+    """ValidationError naming the first node of stage k, of wealths x, whose numbers are not all finite."""
+    if not finite.all():
+        raise ValidationError(f"wealth {x[~finite][0]:g} at stage {k}: {what}")
 
-    x holds each node's wealth, where the policy plays u*; mean and cov are
-    the moments of v = (beta, rho, alpha) after stage k. Terminal wealth is v.w
-    for w = (0, s x + o.u*, 1) independent of v, so Var = tr(S_v C_w) +
-    E[w]' C_v E[w] with S_v = C_v + E[v] E[v]'. A J* beyond a float raises
-    ValidationError naming the wealth.
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing number is rejected where it is read
+def _stage_quadratic(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
+    """u*, the own cost J*, and the deviation cost's gradients g and Hessian H in d at nodes of stage k.
+
+    x holds each node's wealth, where the policy plays u*; mean and cov are the
+    moments of (beta, rho, alpha) after stage k. After u* + d, terminal wealth
+    is beta o.d + rho X* + alpha for X* = s x + o.u*, so J* = Var(rho X* +
+    alpha) - (mu1 x + mu2) E[rho X* + alpha] reads only rho and alpha: Var =
+    E[rho^2] u*' Sigma u* + E[w]' C E[w] for w = (X*, 1) and C their block. The
+    Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu') is every node's. A J*
+    beyond a float raises ValidationError naming the wealth; g and H are left
+    to the callers that read them.
     """
     mu, sigma = tree.mean[k], tree.implied_cov(k)
     second = cov + np.outer(mean, mean)
     u = np.outer(x, applied.gain(k)) + applied.offset(k)
     sigma_u = u @ sigma
-    w_mean = np.stack([np.zeros_like(x), spec.riskless[k] * x + u @ mu, np.ones_like(x)], axis=1)
-    w_cov_mean = w_mean @ cov
-    var = second[1, 1] * _rowdot(sigma_u, u) + _rowdot(w_cov_mean, w_mean)
+    w_mean = np.stack([spec.riskless[k] * x + u @ mu, np.ones_like(x)], axis=1)
+    w_cov = w_mean @ cov[1:]  # Cov(w.(rho, alpha), (beta, rho, alpha)) at each node
+    var = second[1, 1] * _rowdot(sigma_u, u) + _rowdot(w_cov[:, 1:], w_mean)
     mean_weight = spec.mu1 * x + spec.mu2
-    j_star = var - mean_weight * (w_mean @ mean)
-    overflow = ~np.isfinite(j_star)
-    if overflow.any():
-        raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the policy's cost overflows")
-    return u, sigma_u, w_cov_mean, mean_weight, j_star
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing derivative is rejected, not warned about
-def _derivatives(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
-    """u*, the deviation cost's gradients and Hessian in d, and J* at nodes of stage k, arguments as for _own_costs.
-
-    A deviation to u* + d leaves the stage-k wealths X_dev - X* = o.d and X* =
-    s x + o.u*, so w's first entry becomes o.d, and the cost's derivatives in d
-    are the gradient and the Hessian 2 (E[beta^2] Sigma + Var(beta) mu mu'),
-    which every node shares. A derivative beyond a float raises
-    ValidationError naming the wealth.
-    """
-    mu, sigma = tree.mean[k], tree.implied_cov(k)
-    second = cov + np.outer(mean, mean)
-    u, sigma_u, w_cov_mean, mean_weight, j_star = _own_costs(tree, spec, applied, k, mean, cov, x)
-    grad = 2.0 * second[0, 1] * sigma_u + np.outer(2.0 * w_cov_mean[:, 0] - mean_weight * mean[0], mu)
+    j_star = var - mean_weight * (w_mean @ mean[1:])
+    _reject_overflow(np.isfinite(j_star), x, k, "the policy's cost overflows")
+    grad = 2.0 * second[0, 1] * sigma_u + np.outer(2.0 * w_cov[:, 0] - mean_weight * mean[0], mu)
     hess = 2.0 * (second[0, 0] * sigma + cov[0, 0] * np.outer(mu, mu))
-    # Var(beta) can be finite while the Hessian's mu mu' term overflows
-    overflow = ~np.isfinite(grad).all(axis=1) | ~np.isfinite(hess).all()
-    if overflow.any():
-        raise ValidationError(f"wealth {x[overflow][0]:g} at stage {k}: the deviation cost's derivatives overflow")
-    return u, grad, hess, j_star
+    return u, j_star, grad, hess
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing cost is rejected, not warned about
 def _best_spikes(tree: ScenarioTree, spec: MarketSpec, applied: AffinePolicy, k: int, mean, cov, x: np.ndarray):
-    """Best deviation, its cost and the policy's own cost at nodes of stage k, arguments as for _own_costs.
+    """Best deviation, its cost and the policy's own cost at nodes of stage k, arguments as for _stage_quadratic.
 
     The Hessian is shared by every node, so one eigendecomposition gives the
     convexity check, and one least-norm solve through it gives every node's
-    step and whether its gradient lies in the Hessian's range.
+    step and whether its gradient lies in the Hessian's range. A g or H
+    beyond a float raises ValidationError naming the wealth.
     """
-    u, grad, hess, j_star = _derivatives(tree, spec, applied, k, mean, cov, x)
+    u, j_star, grad, hess = _stage_quadratic(tree, spec, applied, k, mean, cov, x)
+    # Var(beta) can be finite while the Hessian's mu mu' term overflows
+    finite = np.isfinite(grad).all(axis=1) & np.isfinite(hess).all()
+    _reject_overflow(finite, x, k, "the deviation cost's derivatives overflow")
     # a Hessian whose largest entry passes 1 is decomposed, with the gradients,
     # in units of that entry's power of two 2^e: the step is the same, the
     # spectrum stays in the float range, and the range test's floor of 1

@@ -8,8 +8,11 @@ leaf_walk_cost carries whole wealths and atoms in floats, so it loses the
 spread where the covariance is small against the mean's square: with mean
 excess returns of a few percent it agrees with the closed form within about
 1e-11 of max(1, |J*|) on a covariance of scale 1e-12, 1e-9 at 1e-16 and only
-1e-2 at 1e-30. exact_spike_cost carries every wealth as a fraction and
-rounds once, at the end, so it holds at every scale.
+1e-2 at 1e-30. rational_spike_cost carries every wealth as a fraction, and
+exact_spike_cost rounds its cost once, at the end, so it holds at every
+scale. exact_best_deviation fits the exact quadratic to rational costs and
+minimizes it in rational arithmetic, so it checks that no deviation does
+better than the oracle's best.
 """
 
 import math
@@ -74,13 +77,18 @@ def leaf_walk_cost(tree, spec, target, k, x, u, semantics=None) -> float:
 
 
 def exact_spike_cost(tree, spec, target, k, x, u, semantics=None) -> float:
+    """Cost of deviating to u at (k, x), continuation per the semantics, rounded once from the rational walk."""
+    return float(rational_spike_cost(tree, spec, target, k, x, u, semantics))
+
+
+def rational_spike_cost(tree, spec, target, k, x, u, semantics=None) -> Fraction:
     """Cost of deviating to u at (k, x), continuation per the semantics, in exact rational arithmetic.
 
     Every float is an integer over a power of two, so over the largest such
     denominator D of the inputs every input is an integer, and a wealth after
     j stages is an integer over D^(2j + 1): the walk over the leaf paths
-    multiplies and adds integers and rounds nothing, and the cost is rounded
-    once, to a float. Each atom is the sum of its two float parts, mean and F
+    multiplies and adds integers and rounds nothing, and the cost is the
+    exact Fraction. Each atom is the sum of its two float parts, mean and F
     z, taken exactly; the rounded float sum would lose the spread where F z
     is tiny against the mean. The undeviated control at (k, x) is the
     policy's K x + c, exactly.
@@ -121,4 +129,49 @@ def exact_spike_cost(tree, spec, target, k, x, u, semantics=None) -> float:
     mean = Fraction(sum(terminal), n * lift)
     var = Fraction(n * sum(w * w for w in terminal) - sum(terminal) ** 2, (n * lift) ** 2)
     weight = Fraction(float(spec.mu1)) * Fraction(float(x)) + Fraction(float(spec.mu2))
-    return float(var - weight * mean)
+    return var - weight * mean
+
+
+def _solve_rational(A: list, b: list) -> list:
+    """The solution of the square system A y = b in Fractions, by Gaussian elimination with exact pivots."""
+    n = len(b)
+    rows = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)  # StopIteration: A is singular
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col] / rows[col][col]
+                rows[i] = [a - factor * c for a, c in zip(rows[i], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def exact_best_deviation(tree, spec, target, k, x, semantics=None) -> float:
+    """Least deviation cost over every u at (k, x), continuation per the semantics, rounded once.
+
+    The cost is an exact quadratic q + g.d + sum_{i<=j} h_ij d_i d_j in d = u - u*,
+    so its 1 + m + m(m+1)/2 coefficients solve a linear system whose rows are
+    rational costs at as many float probes around u*: u*, u* plus and minus a
+    step along each axis, and u* plus a step along each pair of axes. The
+    minimizer solves H d = -g with H_ii = 2 h_ii and H_ij = h_ij, whose
+    minimum is q + g.d / 2. H must be nonsingular, as on a full-rank tree.
+    """
+    applied, _ = reapplied_gains(target, semantics)
+    u_star = applied.control(k, x)
+    m = len(u_star)
+    step = 2.0 ** round(math.log2(max(1.0, np.abs(u_star).max())))
+    offsets = [np.zeros(m)]
+    offsets += [sign * step * np.eye(m)[i] for i in range(m) for sign in (1, -1)]
+    offsets += [step * (np.eye(m)[i] + np.eye(m)[j]) for i in range(m) for j in range(i + 1, m)]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    rows, costs = [], []
+    for offset in offsets:
+        u = u_star + offset
+        d = [Fraction(float(a)) - Fraction(float(b)) for a, b in zip(u, u_star)]  # the probe's exact offset
+        rows.append([Fraction(1)] + d + [d[i] * d[j] for i, j in pairs])
+        costs.append(rational_spike_cost(tree, spec, target, k, x, u, semantics))
+    q, *coefficients = _solve_rational(rows, costs)
+    g, h = coefficients[:m], dict(zip(pairs, coefficients[m:]))
+    H = [[2 * h[i, i] if i == j else h[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
+    d_best = _solve_rational(H, [-gi for gi in g])
+    return float(q + sum(gi * di for gi, di in zip(g, d_best)) / 2)

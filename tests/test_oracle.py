@@ -15,8 +15,8 @@ import mvequil as mv
 from mvequil import AffinePolicy, PolicyKind, ScenarioTree
 from mvequil import oracle as oracle_module
 
-from exact import exact_spike_cost, leaf_walk_cost
-from instgen import SMALL_SCALES, TINY_SCALES, random_market, small_scale_market
+from exact import exact_best_deviation, exact_spike_cost, leaf_walk_cost
+from instgen import SMALL_SCALES, TINY_SCALES, random_market, random_market_full_rank, small_scale_market
 
 PRESET = "li-duan-example-2"
 
@@ -126,6 +126,19 @@ def test_tree_of_another_shape_is_rejected(preset_setup, stages, assets):
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("entry", ["nan-mean", "inf-factor"])
+def test_tree_of_non_finite_entries_is_rejected(preset_setup, entry):
+    # a non-finite return is the tree's fault, not an overflow of the policy's cost
+    _, _, tree = preset_setup
+    mean, factors = tree.mean.copy(), [F.copy() for F in tree.factors]
+    if entry == "nan-mean":
+        mean[2, 0], stage = math.nan, 2
+    else:
+        factors[1][0, 0], stage = math.inf, 1
+    with pytest.raises(ValueError, match=f"tree stage {stage} has a non-finite mean or factor entry"):
+        ScenarioTree(mean=mean, factors=factors)
 
 
 @pytest.mark.parametrize("factors", ["two-rows", "three-factors"])
@@ -327,31 +340,56 @@ def test_leaf_cap_message_gives_the_leaf_count_as_a_power_of_ten(monkeypatch):
     assert own == pytest.approx(mv.evaluate_cost_exact(tree, spec, policy), rel=1e-12)
 
 
-def test_overflowing_hessian_raises_validation_error(monkeypatch):
-    # the sampled-part mixed solution of the (250, 50) benchmark market, seed 7:
-    # at stage 66 Var(beta) and J* are finite but the Hessian's mu mu' term is not;
-    # from stage 67 on the Hessian's entries are finite, as large as 1.5e307
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
-    import workloads
-
+@pytest.fixture(scope="module")
+def large_mixed():
+    """The sampled-part mixed solution of the (250, 50) benchmark market, seed 7, and its matched tree."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import workloads
     spec = mv.make_market_spec(**workloads.SolveLarge(7).raw)
     sol = mv.solve_mixed(spec, mv.sample_pure_feedback(1, spec.horizon, spec.num_assets))
-    tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
-    with pytest.raises(mv.ValidationError, match="wealth 1 at stage 65: the policy's cost overflows"):
-        mv.best_spike_deviation(tree, spec, sol, 65, 1.0)
-    with pytest.raises(mv.ValidationError, match="wealth 1 at stage 66: the deviation cost's derivatives overflow"):
-        mv.best_spike_deviation(tree, spec, sol, 66, 1.0)
-    # the exact cost forms no derivative, and its pass re-applies the own gains, so beta is rho:
-    # it is finite at every stage, where the mixed pass's beta moments overflow into J* at stages 0-65
-    costs = [mv.evaluate_cost_exact(tree, spec, sol, k, 1.0) for k in (0, 65, 66)]
-    assert np.isfinite(costs).all()
-    for k in range(66):
-        with pytest.raises(mv.ValidationError, match=f"wealth 1 at stage {k}: "):
+    return spec, sol, mv.build_matched_tree(mv.derive_excess_moments(spec))
+
+
+def test_overflowing_hessian_raises_validation_error(large_mixed):
+    # under the mixed pass E[beta^2] leaves the float range at stages 0-65, and at stage 66
+    # the Hessian's mu mu' term does; J* reads only rho and alpha, so there only the
+    # derivatives overflow. From stage 67 on the Hessian's entries are finite, as large as 1.5e307
+    spec, sol, tree = large_mixed
+    for k in range(67):
+        with pytest.raises(mv.ValidationError) as raised:
             mv.best_spike_deviation(tree, spec, sol, k, 1.0)
+        assert str(raised.value) == f"wealth 1 at stage {k}: the deviation cost's derivatives overflow"
     # decomposed in units of its largest entry, the Hessian's range holds every
     # gradient: no stage reads as an unbounded deviation
     costs = [mv.best_spike_deviation(tree, spec, sol, k, 1.0)[1] for k in range(67, spec.horizon)]
     assert np.isfinite(costs).all()
+
+
+@pytest.mark.parametrize("semantics", list(PolicyKind), ids=lambda kind: kind.value)
+def test_own_cost_is_one_number_where_beta_overflows(large_mixed, semantics):
+    # the spike cost at u = u* is J*, read from rho and alpha alone, so it is the exact cost
+    # under every semantics, also at stages 0-66, where the mixed pass's beta moments overflow
+    spec, sol, tree = large_mixed
+    for k in (0, 30, 60, 65, 66, 67, 249):
+        exact = mv.evaluate_cost_exact(tree, spec, sol, k, 1.0)
+        own = mv.spike_cost(tree, spec, sol, k, 1.0, sol.policy.control(k, 1.0), semantics)
+        assert own == pytest.approx(exact, rel=1e-12), k
+
+
+def test_own_cost_does_not_depend_on_the_semantics():
+    # no re-applied part P enters the moments of rho and alpha, so J* is bitwise one number
+    checked = 0
+    for seed in range(40):
+        spec = random_market(seed)
+        sol = mv.solve_mixed(spec, mv.sample_pure_feedback(seed, spec.horizon, spec.num_assets))
+        if isinstance(sol, mv.NonexistenceReport):
+            continue
+        tree = mv.build_matched_tree(mv.derive_excess_moments(spec))
+        j_stars = [mv.verify_equilibrium(tree, spec, sol, semantics).j_star for semantics in PolicyKind]
+        assert all(np.array_equal(j_stars[0], j_star) for j_star in j_stars[1:]), seed
+        checked += 1
+    assert checked >= 30
 
 
 def test_nonconvex_fit_raises(monkeypatch, preset_setup):
@@ -500,6 +538,53 @@ def test_costs_match_the_exact_reference_on_random_markets():
         if mv.build_matched_tree(mv.derive_excess_moments(spec)).leaf_count() <= 7**3:
             checked += _assert_costs_match_the_exact_reference(spec)
     assert checked > 100
+
+
+def _assert_best_deviations_are_the_exact_optimum(spec):
+    """Every notion's best deviation cost under its own semantics, at the first node and at its
+    last child, is the exact quadratic's minimum within 1e-12 max(1, |J*|); nodes with more than
+    7^3 leaf paths are skipped."""
+    moments = mv.derive_excess_moments(spec)
+    tree = mv.build_matched_tree(moments)
+    part = mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)
+    solutions = (
+        mv.solve_open_loop(spec, moments),
+        mv.solve_feedback(spec, moments),
+        mv.solve_mixed(spec, part, moments),
+    )
+    t, x = spec.initial_time, spec.initial_wealth
+    checked = 0
+    for sol in solutions:
+        if isinstance(sol, mv.NonexistenceReport):
+            continue
+        nodes = [(t, x)]
+        if t + 1 < spec.horizon:
+            nodes.append((t + 1, float(spec.riskless[t] * x + tree.atoms(t)[-1] @ sol.policy.control(t, x))))
+        for k, wealth in nodes:
+            if tree.leaf_count(k) > 7**3:
+                continue
+            j_dev = mv.best_spike_deviation(tree, spec, sol, k, wealth)[1]
+            scale = max(1.0, abs(mv.evaluate_cost_exact(tree, spec, sol, k, wealth)))
+            assert abs(j_dev - exact_best_deviation(tree, spec, sol, k, wealth)) <= 1e-12 * scale, (k, wealth)
+            checked += 1
+    return checked
+
+
+def test_best_deviation_is_the_exact_optimum(preset_setup):
+    # the preset has 7^4 leaf paths from stage 0, so it starts at stage 1
+    checked = _assert_best_deviations_are_the_exact_optimum(mv.with_initial_state(preset_setup[0], t=1))
+    assert checked == 6
+    for seed in range(12):
+        checked += _assert_best_deviations_are_the_exact_optimum(random_market_full_rank(seed))
+    assert checked > 40
+    # under another notion's semantics a deviation improves on u*, so the optimum is not J* itself
+    spec = mv.with_initial_state(preset_setup[0], t=1)
+    tree = preset_setup[2]
+    feedback = mv.solve_feedback(spec)
+    j_star = mv.evaluate_cost_exact(tree, spec, feedback)
+    j_dev = mv.best_spike_deviation(tree, spec, feedback, 1, 1.0, PolicyKind.OPEN_LOOP)[1]
+    exact = exact_best_deviation(tree, spec, feedback, 1, 1.0, PolicyKind.OPEN_LOOP)
+    assert exact < j_star - 1e-3 and abs(j_dev - exact) <= 1e-12 * max(1.0, abs(j_star))
 
 
 def test_exact_references_use_no_private_oracle_helper():
