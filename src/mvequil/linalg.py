@@ -301,16 +301,11 @@ class CovarianceSolve:
         Sigma's, X = v . y / den and v's residual is its kernel part; mu's
         kernel part entering G's range, X = v . kernel / (mean_weight
         kernel_norm^2), solving v exactly; mu leaving G's range, X is zero and
-        the residual is dropped_residual's multiple. A solve out of the float
-        range (out_of_range) raises LinAlgError, so an overflow never reads
-        as a failed range test.
+        the residual is dropped_residual's multiple. The caller screens out
+        the solves out of the float range (out_of_range): their numbers,
+        computed without a warning, are not a failed range test.
         """
         cw, mow, scale = (np.asarray(a, dtype=float) for a in (cov_weight, mean_weight, row_scale))
-        rhs, entries = self.out_of_range(k, cw, mow, scale)
-        if rhs.any():
-            raise np.linalg.LinAlgError("gain solve: non-finite right-hand side")
-        if entries.any():
-            raise np.linalg.LinAlgError("gain matrix has non-finite entries")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             den, enters, leaves = self.rank_rule(k, cw, mow)
             psd = self._is_psd(k, cw, mow, den, enters, leaves)
@@ -323,9 +318,9 @@ class CovarianceSolve:
                 X_kernel = (scale[..., None] * self.kernel[k][..., None, :]) / kernel_sq[..., None, None]
                 X = np.where(enters[..., None, None], X_kernel, np.where(leaves[..., None, None], 0.0, X))
                 mean_residual = np.where(enters, 0.0, np.where(leaves, self.dropped_residual[k], mean_residual))
-        size = np.abs(scale)
-        residual = size * mean_residual[..., None]
-        return X, residual, _in_range(residual, lambda: size * self.mean_norm[k][..., None]), psd
+            size = np.abs(scale)
+            residual = size * mean_residual[..., None]
+            return X, residual, _in_range(residual, lambda: size * self.mean_norm[k][..., None]), psd
 
 
 def gain_eigenvalues(cov: np.ndarray, mean: np.ndarray, cov_weight: np.ndarray, mean_weight: np.ndarray) -> np.ndarray:

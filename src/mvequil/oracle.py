@@ -151,17 +151,20 @@ def _check_tree(tree: ScenarioTree, spec: MarketSpec):
         )
 
 
-def _stage_moments(tree: ScenarioTree, spec: MarketSpec, policy, k: int | None, semantics: PolicyKind | None):
-    """The applied policy, stage k (default its first) and the moments of (beta, rho, alpha) after it.
+def _stage_moments(tree: ScenarioTree, spec: MarketSpec, policy, k: int | None, x: float, semantics: PolicyKind | None):
+    """The applied policy, stage k (default its first), the moments of (beta, rho, alpha) after it and wealth x (1,).
 
-    ValueError unless stage k is one of the policy's and the tree fits the market.
+    ValueError unless x is finite, stage k is one of the policy's and the tree fits the market.
     """
+    x = np.array([float(x)])
+    if not np.isfinite(x[0]):
+        raise ValueError(f"wealth {x[0]} is not finite")
     applied, _, reapplied = _continuation(policy, semantics)
     k = applied.start_stage if k is None else int(k)
     applied.row(k)
     _check_tree(tree, spec)
     mean, cov = _coefficient_moments(tree, spec, applied, reapplied, k)[0]
-    return applied, k, mean, cov
+    return applied, k, mean, cov, x
 
 
 def evaluate_cost_exact(
@@ -175,8 +178,8 @@ def evaluate_cost_exact(
     overflows a float raises ValidationError naming the wealth.
     """
     # J* reads only rho and alpha, which no semantics changes: feedback's needs no strategy part
-    applied, k, mean, cov = _stage_moments(tree, spec, policy, k, PolicyKind.FEEDBACK)
-    x = np.array([spec.initial_wealth if x is None else float(x)])
+    x = spec.initial_wealth if x is None else x
+    applied, k, mean, cov, x = _stage_moments(tree, spec, policy, k, x, PolicyKind.FEEDBACK)
     return float(_stage_quadratic(tree, spec, applied, k, mean, cov, x)[1][0])
 
 
@@ -198,11 +201,10 @@ def spike_cost(
     must have the market's shape (m,). A cost that overflows a float raises
     ValidationError naming the wealth.
     """
-    applied, k, mean, cov = _stage_moments(tree, spec, policy, k, semantics)
+    applied, k, mean, cov, x = _stage_moments(tree, spec, policy, k, x, semantics)
     u = np.asarray(u, dtype=float)
     if u.shape != (spec.num_assets,):
         raise ValueError(f"deviation of shape {u.shape} does not match the market's {(spec.num_assets,)}")
-    x = np.array([float(x)])
     u_star, j_star, grad, hess = _stage_quadratic(tree, spec, applied, k, mean, cov, x)
     d = u - u_star[0]
     if not d.any():
@@ -231,8 +233,8 @@ def best_spike_deviation(
     unbounded one (gradient outside the Hessian's column space) returns cost
     -inf.
     """
-    applied, k, mean, cov = _stage_moments(tree, spec, policy, k, semantics)
-    u_dev, j_dev, _ = _best_spikes(tree, spec, applied, k, mean, cov, np.array([float(x)]))
+    applied, k, mean, cov, x = _stage_moments(tree, spec, policy, k, x, semantics)
+    u_dev, j_dev, _ = _best_spikes(tree, spec, applied, k, mean, cov, x)
     return u_dev[0], float(j_dev[0])
 
 
@@ -468,14 +470,6 @@ class SimulationSummary:
     se_cost: float
 
 
-def _atom_indices(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
-    """n atom indices drawn with weights p by rng.choice's own inverse-CDF rule,
-    so the same generator state gives the same indices as rng.choice(len(p), n, p=p)."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return np.count_nonzero(rng.random(n) >= cdf[:-1, None], axis=0)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing estimate is rejected, not warned about
 def simulate_monte_carlo(
     spec: MarketSpec,
@@ -491,8 +485,8 @@ def simulate_monte_carlo(
     from, which makes the estimates converge to evaluate_cost_exact on that
     same tree. Both laws read each stage's mean mu and factor F from one tree
     (for "gaussian", the market's matched tree) and take o = mu + F z; they
-    differ only in the standard shock z: one of the tree's standard points,
-    drawn by rng.choice's rule on equal weights, or normals. Each stage
+    differ only in the standard shock z: one of the tree's equally likely
+    standard points, by one index drawn per path, or normals. Each stage
     draws its shocks in blocks of _PATH_BLOCK paths that read the stream
     as one (n_paths, ...) draw would, so a seed fixes the returns, and the
     statistics are summed block by block: memory is 8 bytes per path (its
@@ -525,11 +519,10 @@ def simulate_monte_carlo(
         coeffs = np.stack([gain, gain * mean_path + offset]) @ F
         if on_tree:
             table = coeffs @ _standard_points(F.shape[1]).T
-            weights = np.full(table.shape[1], 1.0 / table.shape[1])
         # consecutive blocks read the generator as one (n_paths, ...) draw would
         for part in parts:
             if on_tree:
-                growth, shock = np.take(table, _atom_indices(rng, weights, len(part)), axis=1)
+                growth, shock = np.take(table, rng.integers(table.shape[1], size=len(part)), axis=1)
             else:
                 growth, shock = coeffs @ rng.standard_normal((len(part), F.shape[1])).T
             growth += mean_growth

@@ -149,9 +149,9 @@ def backward_recursion(
 ) -> list[EquilibriumSolution | NonexistenceReport]:
     """Solve stages N - 1 down to spec.initial_time for the given kind.
 
-    moments must be derive_excess_moments(spec), or None to derive it here:
-    the covariance solves come from spec.cov_solve, their one cache, solved
-    for the spec's own excess mean, so other moments would mix two markets.
+    moments must equal derive_excess_moments(spec), or be None: the
+    covariance solves are spec.cov_solve's, for the spec's own excess mean,
+    so other moments would mix two markets and raise ValueError.
     feedback_parts are the mixed solutions' strategy parts P, one row per
     stage each, kept on the solutions; the mixed kind requires them, the
     others refuse them, and a part not of shape (N, m) raises ValueError.
@@ -175,8 +175,13 @@ def backward_recursion(
     """
     if (feedback_parts is None) is (kind is PolicyKind.MIXED):
         raise ValueError(f"{kind.value} recursion: a strategy part is given exactly when the kind is mixed")
-    if moments is None:
-        moments = derive_excess_moments(spec)
+    own = derive_excess_moments(spec)
+    # equal_nan=True compares by identity first, and derive_excess_moments shares the spec's covariance
+    if moments is not None and not all(
+        np.array_equal(a, b, equal_nan=True) for a, b in zip(vars(moments).values(), vars(own).values())
+    ):
+        raise ValueError("moments are not derive_excess_moments(spec)'s: they would mix two markets")
+    moments = own
     N, m, t = spec.horizon, spec.num_assets, spec.initial_time
     if feedback_parts is None:
         parts = np.zeros((1, N, m))
@@ -246,9 +251,8 @@ def backward_recursion(
     tr.gain_target[:, t:], tr.offset_target[:, t:] = (row_scale[..., r, None] * mean for r in (1, 2))
     rhs_bad, entries_bad = stages.out_of_range(slice(None), cw, mow, row_scale)
     fine = ~(rhs_bad | entries_bad)  # the others raise where their draw is still in the stack
-    X, residual, passed = np.full((D, n, 3, m), np.nan), np.full((D, n, 3), np.nan), np.ones((D, n, 4), dtype=bool)
-    X[fine], residual[fine], ok, psd = stages.solve(np.nonzero(fine)[1], cw[fine], mow[fine], row_scale[fine])
-    passed[fine] = np.column_stack((ok[:, 0], psd, ok[:, 1:]))
+    X, residual, ok, psd = stages.solve(slice(None), cw, mow, row_scale)
+    passed = np.concatenate((ok[..., :1], psd[..., None], ok[..., 1:]), axis=-1) | ~fine[..., None]
     tr.range_residual[:, t:], tr.gain_residual[:, t:], tr.offset_residual[:, t:] = residual.transpose(2, 0, 1)
     checks = _CHECKS[kind]
     passed = passed[..., checks]

@@ -184,7 +184,7 @@ def test_feedback_can_exist_where_open_loop_does_not():
 def test_failed_check_is_a_bug_where_every_range_condition_holds(monkeypatch):
     # the recursion's own range test tells a numerics bug from nonexistence,
     # so the guard decomposes no covariance again
-    monkeypatch.setattr(CovarianceSolve, "_is_psd", lambda self, k, cw, *rule: np.zeros(len(cw), dtype=bool))
+    monkeypatch.setattr(CovarianceSolve, "_is_psd", lambda self, k, cw, *rule: np.zeros(np.shape(cw), dtype=bool))
     eigh_calls, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: eigh_calls.append(1) or eigh(*a, **kw))
     with pytest.raises(InternalInconsistencyError, match="psd_condition failed .* range condition holds"):

@@ -249,6 +249,24 @@ def test_stage_outside_the_policy_raises(preset_setup, call, past_end):
         call(tree, tail, policy, k)
 
 
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tree, spec, pol, x: mv.spike_cost(tree, spec, pol, 1, x, np.zeros(spec.num_assets)),
+        lambda tree, spec, pol, x: mv.best_spike_deviation(tree, spec, pol, 1, x),
+        lambda tree, spec, pol, x: mv.evaluate_cost_exact(tree, spec, pol, 1, x),
+    ],
+    ids=["spike_cost", "best_spike_deviation", "evaluate_cost_exact"],
+)
+def test_non_finite_wealth_raises(preset_setup, call, x):
+    # the wealth given is at fault, not the policy's cost
+    spec, _, tree = preset_setup
+    with pytest.raises(ValueError, match=f"wealth {x} is not finite") as raised:
+        call(tree, spec, mv.solve_feedback(spec).policy, x)
+    assert not isinstance(raised.value, mv.ValidationError)
+
+
 def test_best_spike_quadratic_fit_fidelity(preset_setup):
     spec, _, tree = preset_setup
     sol = mv.solve_open_loop(spec)
@@ -587,6 +605,22 @@ def test_best_deviation_is_the_exact_optimum(preset_setup):
     assert exact < j_star - 1e-3 and abs(j_dev - exact) <= 1e-12 * max(1.0, abs(j_star))
 
 
+def test_verified_nodes_reach_the_exact_optimum(preset_setup):
+    # every node verify_equilibrium tests from t = 2, the root and its seven children, under each
+    # notion's own semantics: its j_dev is the exact quadratic's minimum at the node's wealth
+    spec, _, tree = preset_setup
+    spec = mv.with_initial_state(spec, t=2)
+    part = mv.sample_pure_feedback(3, spec.horizon, spec.num_assets)
+    x = spec.initial_wealth
+    for sol in (mv.solve_open_loop(spec), mv.solve_feedback(spec), mv.solve_mixed(spec, part)):
+        result = mv.verify_equilibrium(tree, spec, sol)
+        wealths = [x] + [float(spec.riskless[2] * x + atom @ sol.policy.control(2, x)) for atom in tree.atoms(2)]
+        assert len(result) == len(wealths) == 8
+        for k, wealth, j_star, j_dev in zip(result.stage.tolist(), wealths, result.j_star, result.j_dev):
+            exact = exact_best_deviation(tree, spec, sol, k, wealth)
+            assert abs(j_dev - exact) <= 1e-12 * max(1.0, abs(j_star)), (sol.policy.kind, k, wealth)
+
+
 def test_exact_references_use_no_private_oracle_helper():
     # a reference that shared the oracle's private code would check the oracle against itself
     source = ast.parse((Path(__file__).parent / "exact.py").read_text())
@@ -791,21 +825,6 @@ def test_monte_carlo_tree_sampling_converges_to_exact(preset_setup):
         assert abs(sim.mean_terminal - mv.mean_wealth_path(solved, spec)[-1]) <= 4 * sim.se_mean
 
 
-@pytest.mark.parametrize(
-    "p",
-    [np.full(7, 1 / 7), [0.2, 0.5, 0.3], [1.0]],
-    ids=["preset-tree", "unequal", "one-atom"],
-)
-def test_atom_indices_match_rng_choice(p):
-    # the same generator state gives rng.choice's indices and leaves the same stream behind;
-    # the preset tree's stages have seven equally weighted atoms
-    p = np.asarray(p)
-    ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
-    drawn = oracle_module._atom_indices(ours, p, 10_000)
-    assert np.array_equal(drawn, theirs.choice(len(p), size=10_000, p=p))
-    assert ours.random() == theirs.random()
-
-
 def _reference_monte_carlo(spec, policy, n_paths, seed, tree, moments):
     """The per-path recursion X' = s X + o.(K X + c) on an (n, m) return matrix, fed the same draws,
     and the six estimates from full-length arrays: mean, variance, cost and their standard errors."""
@@ -814,7 +833,7 @@ def _reference_monte_carlo(spec, policy, n_paths, seed, tree, moments):
     for k in range(policy.start_stage, spec.horizon):
         if tree is not None:
             atoms = tree.atoms(k)
-            o = atoms[rng.choice(len(atoms), size=n_paths, p=np.full(len(atoms), 1 / len(atoms)))]
+            o = atoms[rng.integers(len(atoms), size=n_paths)]
         else:
             F = factors[k]
             o = moments.mean_excess[k] + rng.standard_normal((n_paths, F.shape[1])) @ F.T

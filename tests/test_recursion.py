@@ -10,6 +10,8 @@ covariance readers outside the recursion decompose all stages with one
 stacked call.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,31 @@ def test_one_covariance_solve_per_market(monkeypatch, capsys, argv):
     main(argv)
     capsys.readouterr()
     assert calls == [(4, 3, 3)]
+
+
+@pytest.mark.parametrize("solver", ["open_loop", "feedback", "mixed", "mixed_batch"])
+def test_moments_of_another_market_raise(solver):
+    # the covariance solves are the spec's own, so another market's mean or covariance would mix the two
+    spec = mv.get_preset(PRESET)
+    other = mv.make_market_spec(4, 3, 1.04, [1.10, 1.30, 1.15], 0.02 * np.eye(3), mu1=1.0, mu2=1.0)
+    parts = [mv.sample_pure_feedback(seed, spec.horizon, spec.num_assets) for seed in (3, 4)]
+    solve = {
+        "open_loop": lambda moments: [mv.solve_open_loop(spec, moments)],
+        "feedback": lambda moments: [mv.solve_feedback(spec, moments)],
+        "mixed": lambda moments: [mv.solve_mixed(spec, parts[0], moments)],
+        "mixed_batch": lambda moments: mv.solve_mixed_batch(spec, parts, moments),
+    }[solver]
+    own, foreign = mv.derive_excess_moments(spec), mv.derive_excess_moments(other)
+    for moments in (foreign, mv.ExcessMoments(foreign.mean_excess, own.cov_excess)):
+        with pytest.raises(ValueError, match="would mix two markets"):
+            solve(moments)
+    # the spec's own moments, or equal values in arrays of their own, solve as None does
+    derived = solve(None)
+    for moments in (own, mv.ExcessMoments(own.mean_excess.copy(), own.cov_excess.copy())):
+        for a, b in zip(derived, solve(moments), strict=True):
+            assert np.array_equal(a.policy.gains, b.policy.gains) and np.array_equal(a.policy.offsets, b.policy.offsets)
+            for field in dataclasses.fields(a.trace):
+                assert np.array_equal(getattr(a.trace, field.name), getattr(b.trace, field.name), equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", ["open_loop", "feedback", "mixed"])
